@@ -13,12 +13,11 @@ from .algebra import (
     PBWElement,
     commutator,
     generators,
-    multiply,
     q_commutator,
     theta,
 )
 from .errors import QghaError
-from .fields import FieldElement, FieldSpec, field_arith, multiplicative_order
+from .fields import FieldElement, FieldSpec, multiplicative_order
 from .linalg import Matrix
 from .modules import (
     MatrixRep,
@@ -33,7 +32,7 @@ from .modules import (
     iso_structural,
     verify_relations,
 )
-from .poly import Poly, rational_roots, roots_in_extensions, roots_in_field, sigma_power
+from .poly import Poly, rational_roots, roots_in_extensions, roots_in_field
 from .spectra import (
     LambdaOrbit,
     MuSequence,
@@ -43,12 +42,10 @@ from .spectra import (
     nu_increment,
     nu_table,
     orbit_from_seed,
-    weight_propagation,
 )
 from .structure import (
     ConformalWitness,
     center_basis_truncated,
-    centralizer_of_h_check,
     conformal_witness,
     domain_check,
     verify_z_relations,
@@ -72,7 +69,6 @@ __all__ = [
     "QghaError",
     "build_matrix_rep",
     "center_basis_truncated",
-    "centralizer_of_h_check",
     "commutator",
     "conformal_witness",
     "domain_check",
@@ -80,7 +76,6 @@ __all__ = [
     "enumerate_lambda_orbits",
     "enumerate_simples",
     "extend_algebra",
-    "field_arith",
     "generators",
     "is_simple_bruteforce",
     "is_simple_structural",
@@ -88,7 +83,6 @@ __all__ = [
     "iso_structural",
     "mu_period",
     "multiplicative_order",
-    "multiply",
     "nu_increment",
     "nu_table",
     "orbit_from_seed",
@@ -96,9 +90,7 @@ __all__ = [
     "rational_roots",
     "roots_in_extensions",
     "roots_in_field",
-    "sigma_power",
     "theta",
     "verify_relations",
     "verify_z_relations",
-    "weight_propagation",
 ]

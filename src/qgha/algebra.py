@@ -309,13 +309,6 @@ def _multiply(u: PBWElement, v: PBWElement) -> PBWElement:
     return PBWElement(alg, out)
 
 
-def multiply(u: PBWElement, v: PBWElement) -> PBWElement:
-    """Product in normal form; same as u * v."""
-    if u.alg != v.alg:
-        raise FieldMismatch("elements of different algebras")
-    return _multiply(u, v)
-
-
 def commutator(u: PBWElement, v: PBWElement) -> PBWElement:
     return u * v - v * u
 

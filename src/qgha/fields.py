@@ -1,18 +1,32 @@
-"""Exact scalar arithmetic over Q, GF(p) and GF(p^k).
+"""Exact scalar arithmetic over Q, GF(p) and GF(p^k), and the one polynomial kernel.
 
-Rationals are backed by :class:`fractions.Fraction`, prime fields by least
-nonnegative residues, and extension fields by coefficient tuples modulo a
-monic irreducible polynomial in the generator ``u``.  All arithmetic is
-exact; there is no floating point anywhere in this package.
+A raw value is a Fraction over Q, the least nonnegative residue over GF(p),
+and over GF(p^k) the trimmed u-coefficient tuple, low to high, of a residue
+modulo a monic irreducible.  Only this module knows that format, except that
+a raw value is falsy exactly when it is zero.  Each FieldSpec builds one
+private ring of its kind for raw values: coerce, add, neg, sub, mul and inv
+of elements, and add, sub, mul and divmod of polynomials held as trimmed
+lists, low to high.  FieldElement, poly.Poly and linalg delegate to it.
+
+Polynomial products are Kronecker substitutions (Schoenhage 1982; Harvey,
+JSC 2009): each factor is packed into one big int of fixed-width slots and
+the product's coefficients are read back from the slots.  GF(p^k) gives each
+coefficient 2k-1 slots, one per power of u, and folds u^k..u^(2k-2) back with
+a fixed table; GF(p) is the case k = 1.  Over Q the factors are cleared to
+one common denominator and the signed slots are read back with a borrow.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+import operator
+import sys
+from array import array
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterator, Sequence, Union
+from functools import lru_cache, partial
+from typing import Iterator, Sequence
 
 from .errors import (
     DivisionByZero,
@@ -21,95 +35,239 @@ from .errors import (
     ZeroArgument,
 )
 
+# Miller-Rabin with the first 13 primes as bases is deterministic below
+# this bound (Sorenson and Webster, Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
 
 def is_prime(n: int) -> bool:
+    """Deterministic primality; n past the proven Miller-Rabin range is refused."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= _MR_BOUND:
+        raise UnsupportedField(f"primality of {n} is only decided below {_MR_BOUND}")
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    for b in _MR_BASES:
+        x = pow(b, (n - 1) >> s, n)
+        if x != 1 and all(pow(x, 1 << r, n) != n - 1 for r in range(s)):
             return False
-        d += 2
     return True
 
 
 # ---------------------------------------------------------------------------
-# GF(p)[u] helpers on plain int lists (index i holds the u^i coefficient).
-# These back both extension-field element arithmetic and the search for
-# irreducible moduli, so they stay free of FieldElement overhead.
+# Raw-value rings
 # ---------------------------------------------------------------------------
 
-
-def _trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
+# slot bytes -> array typecode; arrays hold little-endian slots on little-endian hosts only
+_WORDS = {array(code).itemsize: code for code in "QIHB"} if sys.byteorder == "little" else {}
 
 
-def _padd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, v in enumerate(a):
-        out[i] = v
-    for i, v in enumerate(b):
-        out[i] = (out[i] + v) % p
-    return _trim(out)
+def _width(bound: int) -> int:
+    """Bytes per slot for digits up to bound: a power of two while a machine word holds it."""
+    w = (bound.bit_length() + 7) // 8
+    return 1 << (w - 1).bit_length() if w <= 8 else w
 
 
-def _psub(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, v in enumerate(a):
-        out[i] = v
-    for i, v in enumerate(b):
-        out[i] = (out[i] - v) % p
-    return _trim(out)
+def _pack(digits: Sequence[int], width: int) -> int:
+    """The int whose width-byte little-endian slots hold the nonnegative digits."""
+    if width not in _WORDS:
+        return int.from_bytes(b"".join([d.to_bytes(width, "little") for d in digits]), "little")
+    return int.from_bytes(array(_WORDS[width], digits), "little")
 
 
-def _pmul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, av in enumerate(a):
-        if av:
-            for j, bv in enumerate(b):
-                out[i + j] = (out[i + j] + av * bv) % p
-    return _trim(out)
+def _unpack(n: int, width: int, count: int) -> list[int]:
+    """The first count width-byte slots of a nonnegative int."""
+    buf = n.to_bytes(width * count, "little")
+    if width not in _WORDS:
+        return [int.from_bytes(buf[i:i + width], "little") for i in range(0, len(buf), width)]
+    return array(_WORDS[width], buf).tolist()
 
 
-def _pdivmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], list[int]]:
-    if not b:
-        raise DivisionByZero("polynomial division by zero")
-    rem = list(a)
-    db = len(b) - 1
-    inv_lead = pow(b[-1], -1, p)
-    quot = [0] * max(len(rem) - db, 0)
-    while len(_trim(rem)) - 1 >= db:
-        dr = len(rem) - 1
-        c = (rem[-1] * inv_lead) % p
-        quot[dr - db] = c
-        for i, bv in enumerate(b):
-            rem[dr - db + i] = (rem[dr - db + i] - c * bv) % p
-        _trim(rem)
-    return _trim(quot), rem
+def _trimmed(values) -> list:
+    out = list(values)
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
-def _pinv(a: Sequence[int], mod: Sequence[int], p: int) -> list[int]:
-    """Inverse of a modulo mod via extended Euclid; a must be nonzero mod mod."""
-    r0, r1 = list(mod), _trim(list(a))
-    s0, s1 = [], [1]
-    while r1:
-        q, r = _pdivmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _psub(s0, _pmul(q, s1, p), p)
-    if len(r0) != 1:
-        raise DivisionByZero("element is not invertible")
-    c = pow(r0[0], -1, p)
-    return _trim([(v * c) % p for v in s0])
+class _Ring:
+    """Raw-value arithmetic of one field; subclasses supply the element ops and the product."""
+
+    def _poly_add(self, a: list, b: list) -> list:
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        add = self._add
+        for i, v in enumerate(b):
+            out[i] = add(out[i], v)
+        return _trimmed(out)
+
+    def _poly_sub(self, a: list, b: list) -> list:
+        return self._poly_add(a, [self._neg(v) for v in b])
+
+    def _poly_divmod(self, a: list, b: list) -> tuple[list, list]:
+        if not b:
+            raise DivisionByZero("polynomial division by zero")
+        mul, sub = self._mul, self._sub
+        inv = self._inv(b[-1])
+        db = len(b) - 1
+        rem = list(a)
+        quot = [self.zero] * max(len(rem) - db, 0)
+        while len(rem) > db:
+            shift = len(rem) - 1 - db
+            c = quot[shift] = mul(rem[-1], inv)
+            for i, v in enumerate(b):
+                rem[shift + i] = sub(rem[shift + i], mul(c, v))
+            rem = _trimmed(rem)
+        return quot, rem
+
+
+class _RationalRing(_Ring):
+    zero, one = Fraction(0), Fraction(1)
+    _coerce = staticmethod(Fraction)
+    _add = staticmethod(operator.add)
+    _neg = staticmethod(operator.neg)
+    _sub = staticmethod(operator.sub)
+    _mul = staticmethod(operator.mul)
+    _inv = staticmethod(partial(operator.truediv, 1))
+
+    def _poly_mul(self, a: list, b: list) -> list:
+        if not a or not b:
+            return []
+        da = math.lcm(*[v.denominator for v in a])
+        db = math.lcm(*[v.denominator for v in b])
+        na = [v.numerator * (da // v.denominator) for v in a]
+        nb = [v.numerator * (db // v.denominator) for v in b]
+        # twice the largest product coefficient, so each slot keeps a sign bit
+        width = _width(2 * min(len(a), len(b)) * max(map(abs, na)) * max(map(abs, nb)))
+        x, y = (_pack([v if v > 0 else 0 for v in n], width) - _pack([-v if v < 0 else 0 for v in n], width)
+                for n in (na, nb))
+        count = len(a) + len(b) - 1
+        full = 1 << (8 * width)
+        out, borrow, d = [], 0, da * db
+        for t in _unpack(x * y % (1 << (8 * width * count)), width, count):
+            t += borrow
+            borrow = 2 * t >= full
+            out.append(Fraction(t - full if borrow else t, d))
+        return out
+
+
+class _PrimeRing(_Ring):
+    zero, one = 0, 1
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def _coerce(self, value) -> int:
+        p = self.p
+        if isinstance(value, Fraction):
+            if value.denominator % p == 0:
+                raise DivisionByZero("denominator vanishes in this characteristic")
+            return value.numerator * pow(value.denominator, -1, p) % p
+        return int(value) % p
+
+    def _add(self, a, b):
+        return (a + b) % self.p
+
+    def _neg(self, a):
+        return -a % self.p
+
+    def _sub(self, a, b):
+        return (a - b) % self.p
+
+    def _mul(self, a, b):
+        return a * b % self.p
+
+    def _inv(self, a):
+        return pow(a, -1, self.p)
+
+    def _poly_mul(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
+        if not a or not b:
+            return []
+        p = self.p
+        width = _width(min(len(a), len(b)) * (p - 1) ** 2)
+        prod = _pack(a, width) * _pack(b, width)
+        return [v % p for v in _unpack(prod, width, len(a) + len(b) - 1)]
+
+
+class _ExtensionRing(_Ring):
+    zero, one = (), (1,)
+
+    def __init__(self, p: int, modulus: Sequence[int]):
+        self.p, self.k, self.modulus = p, len(modulus) - 1, list(modulus)
+        self.base = _PrimeRing(p)
+        k = self.k
+        # u^(k+e) mod modulus for 0 <= e <= k-2
+        self.table = [self.base._poly_divmod([0] * (k + e) + [1], self.modulus)[1] for e in range(k - 1)]
+        # An element product is folded by one more product, with the matrix
+        # [I | table] whose column i is packed backwards from slot i*(4k-3):
+        # slot i*(4k-3) + 2k-2 of the result then holds coefficient i.
+        powers = [[int(i == d) for i in range(k)] for d in range(k)]
+        powers += [r + [0] * (k - len(r)) for r in self.table]  # u^d mod modulus, d < 2k-1
+        fold = [powers[2 * k - 2 - j][i] if j < 2 * k - 1 else 0 for i in range(k) for j in range(4 * k - 3)]
+        self.elem_width = _width((2 * k - 1) * k * (p - 1) ** 3)
+        self.fold = _pack(fold, self.elem_width)
+
+    def _coerce(self, value) -> tuple[int, ...]:
+        if isinstance(value, (list, tuple)):
+            c = _trimmed(int(v) % self.p for v in value)
+            return tuple(self.base._poly_divmod(c, self.modulus)[1])
+        n = self.base._coerce(value)
+        return (n,) if n else ()
+
+    def _add(self, a, b):
+        return tuple(self.base._poly_add(a, b))
+
+    def _neg(self, a):
+        return tuple(-v % self.p for v in a)
+
+    def _sub(self, a, b):
+        return tuple(self.base._poly_sub(a, b))
+
+    def _mul(self, a, b):
+        if not a or not b:
+            return ()
+        k, w = self.k, self.elem_width
+        slots = _unpack(_pack(a, w) * _pack(b, w) * self.fold, w, k * (4 * k - 3))
+        return tuple(_trimmed(x % self.p for x in slots[2 * k - 2::4 * k - 3]))
+
+    def _inv(self, a):
+        """Extended Euclid against the modulus, which is irreducible."""
+        base = self.base
+        r0, r1, s0, s1 = self.modulus, list(a), [], [1]
+        while r1:
+            q, r = base._poly_divmod(r0, r1)
+            r0, r1, s0, s1 = r1, r, s1, base._poly_sub(s0, base._poly_mul(q, s1))
+        c = pow(r0[0], -1, self.p)
+        return tuple(v * c % self.p for v in s0)
+
+    def _poly_mul(self, a: list, b: list) -> list:
+        """Each coefficient gets a block of 2k-1 slots, one per power of u.
+
+        Slot k+e of every block of the product is shifted down to slot 0,
+        masked, and multiplied by the packed u^(k+e) mod modulus, which adds
+        it into the block's low k slots; all blocks fold at once.
+        """
+        if not a or not b:
+            return []
+        k, p = self.k, self.p
+        stride, n = 2 * k - 1, len(a) + len(b) - 1
+        # per pair of terms a slot sums k residue products, then k-1 table terms of each
+        width = _width(min(len(a), len(b)) * k * (p - 1) ** 2 * (1 + (k - 1) * (p - 1)))
+        x, y = (_pack([d for v in poly for d in v + (0,) * (stride - len(v))], width) for poly in (a, b))
+        prod = x * y
+        pad = bytes(width * (k - 1))
+        folded = prod & int.from_bytes((b"\xff" * (width * k) + pad) * n, "little")
+        first = int.from_bytes((b"\xff" * width + pad + pad) * n, "little")
+        for e, row in enumerate(self.table):
+            folded += (prod >> (8 * width * (k + e)) & first) * _pack(row, width)
+        slots = _unpack(folded, width, n * stride)
+        cols = [[v % p for v in slots[i::stride]] for i in range(k)]
+        return [c if c[-1] else tuple(_trimmed(c)) for c in zip(*cols)]
 
 
 def _monic_polys(p: int, degree: int) -> Iterator[tuple[int, ...]]:
@@ -120,16 +278,12 @@ def _monic_polys(p: int, degree: int) -> Iterator[tuple[int, ...]]:
 
 def poly_is_irreducible(coeffs: Sequence[int], p: int) -> bool:
     """Irreducibility over GF(p) by trial division up to half the degree."""
-    c = _trim([v % p for v in coeffs])
-    deg = len(c) - 1
-    if deg < 1:
+    ring = _PrimeRing(p)
+    c = _trimmed(v % p for v in coeffs)
+    if len(c) < 2:
         return False
-    for d in range(1, deg // 2 + 1):
-        for cand in _monic_polys(p, d):
-            _, rem = _pdivmod(c, list(cand), p)
-            if not rem:
-                return False
-    return True
+    return all(ring._poly_divmod(c, cand)[1]
+               for d in range(1, (len(c) - 1) // 2 + 1) for cand in _monic_polys(p, d))
 
 
 @lru_cache(maxsize=None)
@@ -158,11 +312,13 @@ class FieldSpec:
     char: int
     degree: int = 1
     modulus: tuple[int, ...] | None = None
+    _ring: _Ring = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.char == 0:
             if self.degree != 1 or self.modulus is not None:
                 raise UnsupportedField("rationals take no extension data")
+            object.__setattr__(self, "_ring", _RationalRing())
             return
         if not is_prime(self.char):
             raise UnsupportedField(f"characteristic {self.char} is not prime")
@@ -171,16 +327,18 @@ class FieldSpec:
         if self.degree == 1:
             if self.modulus is not None:
                 raise UnsupportedField("prime fields take no modulus")
+            object.__setattr__(self, "_ring", _PrimeRing(self.char))
             return
         if self.modulus is None:
-            object.__setattr__(self, "modulus", find_irreducible(self.char, self.degree))
-            return
-        mod = tuple(v % self.char for v in self.modulus)
-        if len(_trim(list(mod))) - 1 != self.degree or mod[-1] != 1:
-            raise UnsupportedField("modulus must be monic of the extension degree")
-        if not poly_is_irreducible(mod, self.char):
-            raise UnsupportedField("modulus is not irreducible")
+            mod = find_irreducible(self.char, self.degree)
+        else:
+            mod = tuple(v % self.char for v in self.modulus)
+            if len(mod) != self.degree + 1 or mod[-1] != 1:
+                raise UnsupportedField("modulus must be monic of the extension degree")
+            if not poly_is_irreducible(mod, self.char):
+                raise UnsupportedField("modulus is not irreducible")
         object.__setattr__(self, "modulus", mod)
+        object.__setattr__(self, "_ring", _ExtensionRing(self.char, mod))
 
     # -- classification ----------------------------------------------------
 
@@ -223,24 +381,7 @@ class FieldSpec:
             if value.spec == self:
                 return value
             raise FieldMismatch("element belongs to a different field")
-        if self.char == 0:
-            return FieldElement(self, Fraction(value))
-        if self.degree == 1:
-            if isinstance(value, Fraction):
-                if value.denominator % self.char == 0:
-                    raise DivisionByZero("denominator vanishes in this characteristic")
-                return FieldElement(self, value.numerator * pow(value.denominator, -1, self.char) % self.char)
-            return FieldElement(self, int(value) % self.char)
-        if isinstance(value, (list, tuple)):
-            coeffs = [int(v) % self.char for v in value]
-            _, rem = _pdivmod(coeffs, list(self.modulus), self.char)
-            return FieldElement(self, tuple(rem))
-        if isinstance(value, Fraction):
-            if value.denominator % self.char == 0:
-                raise DivisionByZero("denominator vanishes in this characteristic")
-            value = value.numerator * pow(value.denominator, -1, self.char)
-        n = int(value) % self.char
-        return FieldElement(self, (n,) if n else ())
+        return FieldElement(self, self._ring._coerce(value))
 
     @property
     def zero(self) -> "FieldElement":
@@ -261,18 +402,9 @@ class FieldSpec:
         """All elements in a fixed order; infinite fields are refused."""
         if self.order is None:
             raise UnsupportedField("cannot enumerate an infinite field")
-        p = self.char
-        if self.degree == 1:
-            for n in range(p):
-                yield FieldElement(self, n)
-            return
+        p, k = self.char, self.degree
         for n in range(self.order):
-            digits = []
-            m = n
-            while m:
-                digits.append(m % p)
-                m //= p
-            yield FieldElement(self, tuple(digits))
+            yield self.element(n if k == 1 else [n // p ** i % p for i in range(k)])
 
     def units(self) -> Iterator["FieldElement"]:
         for a in self.elements():
@@ -307,18 +439,10 @@ def _render_u_poly(coeffs: Sequence[int]) -> str:
     parts = []
     for e in range(len(coeffs) - 1, -1, -1):
         c = coeffs[e]
-        if not c:
-            continue
-        if e == 0:
-            parts.append(str(c))
-        elif e == 1:
-            parts.append("u" if c == 1 else f"{c}*u")
-        else:
-            parts.append(f"u^{e}" if c == 1 else f"{c}*u^{e}")
-    return "+".join(parts) if parts else "0"
-
-
-Scalar = Union[int, Fraction, "FieldElement"]
+        if c:
+            u = "u" if e == 1 else f"u^{e}"
+            parts.append(str(c) if e == 0 else u if c == 1 else f"{c}*{u}")
+    return "+".join(parts) or "0"
 
 
 class FieldElement:
@@ -341,13 +465,11 @@ class FieldElement:
 
     @property
     def is_zero(self) -> bool:
-        v = self.value
-        return v == 0 if not isinstance(v, tuple) else not v
+        return not self.value
 
     @property
     def is_one(self) -> bool:
-        v = self.value
-        return v == 1 if not isinstance(v, tuple) else v == (1,)
+        return self.value == self.spec._ring.one
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -364,79 +486,47 @@ class FieldElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        s = self.spec
-        if s.char == 0:
-            return FieldElement(s, self.value + o.value)
-        if s.degree == 1:
-            return FieldElement(s, (self.value + o.value) % s.char)
-        return FieldElement(s, tuple(_padd(self.value, o.value, s.char)))
+        return FieldElement(self.spec, self.spec._ring._add(self.value, o.value))
 
     __radd__ = __add__
 
     def __neg__(self):
-        s = self.spec
-        if s.char == 0:
-            return FieldElement(s, -self.value)
-        if s.degree == 1:
-            return FieldElement(s, (-self.value) % s.char)
-        return FieldElement(s, tuple((-v) % s.char for v in self.value))
+        return FieldElement(self.spec, self.spec._ring._neg(self.value))
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self + (-o)
+        return FieldElement(self.spec, self.spec._ring._sub(self.value, o.value))
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o + (-self)
+        return -self + other
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        s = self.spec
-        if s.char == 0:
-            return FieldElement(s, self.value * o.value)
-        if s.degree == 1:
-            return FieldElement(s, (self.value * o.value) % s.char)
-        prod = _pmul(self.value, o.value, s.char)
-        _, rem = _pdivmod(prod, list(s.modulus), s.char)
-        return FieldElement(s, tuple(rem))
+        return FieldElement(self.spec, self.spec._ring._mul(self.value, o.value))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
         if self.is_zero:
             raise DivisionByZero("zero has no inverse")
-        s = self.spec
-        if s.char == 0:
-            return FieldElement(s, 1 / self.value)
-        if s.degree == 1:
-            return FieldElement(s, pow(self.value, -1, s.char))
-        return FieldElement(s, tuple(_pinv(self.value, s.modulus, s.char)))
+        return FieldElement(self.spec, self.spec._ring._inv(self.value))
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
+        return NotImplemented if o is NotImplemented else self * o.inverse()
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o * self.inverse()
+        return NotImplemented if o is NotImplemented else o * self.inverse()
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
-        base = self
-        if n < 0:
-            base = self.inverse()
-            n = -n
+        base, n = (self.inverse(), -n) if n < 0 else (self, n)
         out = self.spec.one
         while n:
             if n & 1:
@@ -474,19 +564,6 @@ class FieldElement:
         return f"<{self} in {self.spec}>"
 
 
-def field_arith(a: FieldElement, b: FieldElement, op: str) -> FieldElement:
-    """Dispatch one of the four field operations by name."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def _factorize(n: int) -> dict[int, int]:
     out: dict[int, int] = {}
     d = 2
@@ -509,11 +586,7 @@ def multiplicative_order(a: FieldElement) -> int:
     if a.is_zero:
         raise ZeroArgument("zero has no multiplicative order")
     if a.spec.is_rationals:
-        if a.value == 1:
-            return 1
-        if a.value == -1:
-            return 2
-        return 0
+        return {1: 1, -1: 2}.get(a.value, 0)
     n = a.spec.order - 1
     order = n
     for prime in _factorize(n):

@@ -1,9 +1,9 @@
 """Exact dense linear algebra over the package's fields.
 
-Matrices are immutable tuples of tuples of field elements.  Elimination
-runs through numpy with integer residues when the field is GF(p), which is
-the hot path for center computations and isomorphism searches; rationals
-and extension fields use the same algorithm element by element.
+Matrices are immutable tuples of tuples of field elements.  Dot products
+and elimination work on raw values through the field's ring (see fields).
+Over GF(p) with (p-1)^2 + p < 2^63, elimination runs through numpy on int64
+residues instead; it is the hot path for center computations and iso searches.
 """
 
 from __future__ import annotations
@@ -127,11 +127,13 @@ class Matrix:
 
 
 def _dot(row: Sequence[FieldElement], col: Sequence[FieldElement], spec: FieldSpec) -> FieldElement:
-    acc = spec.zero
+    ring = spec._ring
+    add, mul = ring._add, ring._mul
+    acc = ring.zero
     for a, b in zip(row, col):
-        if not (a.is_zero or b.is_zero):
-            acc = acc + a * b
-    return acc
+        if a.value and b.value:
+            acc = add(acc, mul(a.value, b.value))
+    return FieldElement(spec, acc)
 
 
 def poly_on_matrix(p: Poly, m: Matrix) -> Matrix:
@@ -148,27 +150,29 @@ def poly_on_matrix(p: Poly, m: Matrix) -> Matrix:
 
 
 def _rref_generic(rows: list[list[FieldElement]], spec: FieldSpec) -> tuple[list[list[FieldElement]], list[int]]:
-    rows = [list(r) for r in rows]
+    ring = spec._ring
+    mul, sub, inv = ring._mul, ring._sub, ring._inv
+    rows = [[e.value for e in r] for r in rows]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if not rows[i][c].is_zero), None)
+        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [v * inv for v in rows[r]]
+        scale = inv(rows[r][c])
+        rows[r] = [mul(v, scale) for v in rows[r]]
         for i in range(nrows):
-            if i != r and not rows[i][c].is_zero:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+            factor = rows[i][c]
+            if i != r and factor:
+                rows[i] = [sub(a, mul(factor, b)) if b else a for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return rows, pivots
+    return [[FieldElement(spec, v) for v in row] for row in rows], pivots
 
 
 def _rref_prime(array: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -201,11 +205,10 @@ def rref(rows: Sequence[Sequence[FieldElement]], spec: FieldSpec) -> tuple[list[
     rows = [list(r) for r in rows]
     if not rows or not rows[0]:
         return rows, []
-    if spec.is_prime_field:
-        arr = np.array([[e.value for e in r] for r in rows], dtype=np.int64)
-        red, pivots = _rref_prime(arr, spec.char)
-        out = [[spec.element(int(v)) for v in row] for row in red]
-        return out, pivots
+    # numpy works in int64: residues stay below p and products below p^2
+    if spec.is_prime_field and (spec.char - 1) ** 2 + spec.char < 2 ** 63:
+        red, pivots = _rref_prime(np.array([[e.value for e in r] for r in rows], dtype=np.int64), spec.char)
+        return [[spec.element(int(v)) for v in row] for row in red], pivots
     return _rref_generic(rows, spec)
 
 

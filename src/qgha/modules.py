@@ -33,6 +33,7 @@ from .errors import (
 )
 from .fields import FieldElement, FieldSpec, frobenius_degree
 from .linalg import Matrix, is_invertible, nullspace, poly_on_matrix
+from .poly import _divisors
 from .spectra import LambdaOrbit, MuSequence, enumerate_lambda_orbits, nu_table
 
 
@@ -381,10 +382,6 @@ def _combine(mats: list[Matrix], coeffs, field: FieldSpec) -> Matrix:
 # ---------------------------------------------------------------------------
 # Enumeration
 # ---------------------------------------------------------------------------
-
-
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def enumerate_simples(alg: AlgebraSpec, n: int) -> list[ModuleSpec]:

@@ -4,16 +4,19 @@ These are the coefficient polynomials p(h) sitting between the x and y
 powers of a normal-form word, and also double as polynomials in any other
 single variable (the extension generator u, a spectral parameter t).
 Coefficients are stored low to high with trailing zeros trimmed; the zero
-polynomial has the empty tuple and reports degree -1.
+polynomial has the empty tuple and reports degree -1.  Arithmetic runs on
+raw values in the field's ring, where products are Kronecker substitutions.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .errors import DegreeOverflow, DivisionByZero, FieldMismatch, UnsupportedField, ZeroArgument
-from .fields import FieldElement, FieldSpec, _padd, _pdivmod, frobenius_degree
+from .errors import DegreeOverflow, FieldMismatch, UnsupportedField, ZeroArgument
+from .fields import FieldElement, FieldSpec, frobenius_degree
 
 
 class Poly:
@@ -92,83 +95,37 @@ class Poly:
         if self.spec != other.spec:
             raise FieldMismatch("polynomials over different fields")
 
+    def _wrap(self, values: list) -> "Poly":
+        spec = self.spec
+        return Poly(spec, [FieldElement(spec, v) for v in values])
+
+    def _values(self) -> list:
+        return [c.value for c in self.coeffs]
+
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
-        # raw-value loops: wrapper overhead dominates on long polynomials
-        spec = self.spec
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        vals = [c.value for c in a]
-        if spec.char == 0:
-            for i, c in enumerate(b):
-                vals[i] = vals[i] + c.value
-        elif spec.degree == 1:
-            p = spec.char
-            for i, c in enumerate(b):
-                vals[i] = (vals[i] + c.value) % p
-        else:
-            p = spec.char
-            for i, c in enumerate(b):
-                vals[i] = tuple(_padd(vals[i], c.value, p))
-        return Poly(spec, [FieldElement(spec, v) for v in vals])
+        return self._wrap(self.spec._ring._poly_add(self._values(), other._values()))
 
     def __neg__(self) -> "Poly":
-        return Poly(self.spec, (-c for c in self.coeffs))
+        neg = self.spec._ring._neg
+        return self._wrap([neg(c.value) for c in self.coeffs])
 
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        return self + (-other)
+        self._check(other)
+        return self._wrap(self.spec._ring._poly_sub(self._values(), other._values()))
 
     def __mul__(self, other):
         if isinstance(other, Poly):
             self._check(other)
-            if self.is_zero or other.is_zero:
-                return Poly.zero(self.spec)
-            spec = self.spec
-            a = [c.value for c in self.coeffs]
-            b = [c.value for c in other.coeffs]
-            n = len(a) + len(b) - 1
-            if spec.char == 0:
-                out = [Fraction(0)] * n
-                for i, av in enumerate(a):
-                    if av:
-                        for j, bv in enumerate(b):
-                            out[i + j] += av * bv
-                return Poly(spec, [FieldElement(spec, v) for v in out])
-            if spec.degree == 1:
-                # reduce once per output coefficient, not per product
-                p = spec.char
-                out = [0] * n
-                for i, av in enumerate(a):
-                    if av:
-                        for j, bv in enumerate(b):
-                            out[i + j] += av * bv
-                return Poly(spec, [FieldElement(spec, v % p) for v in out])
-            p = spec.char
-            width = 2 * spec.degree - 1
-            mod = list(spec.modulus)
-            acc = [[0] * width for _ in range(n)]
-            for i, av in enumerate(a):
-                if av:
-                    for j, bv in enumerate(b):
-                        if bv:
-                            slot = acc[i + j]
-                            for s, x in enumerate(av):
-                                if x:
-                                    for t, yv in enumerate(bv):
-                                        slot[s + t] += x * yv
-            coeffs = []
-            for slot in acc:
-                _, rem = _pdivmod([v % p for v in slot], mod, p)
-                coeffs.append(FieldElement(spec, tuple(rem)))
-            return Poly(spec, coeffs)
+            return self._wrap(self.spec._ring._poly_mul(self._values(), other._values()))
         if isinstance(other, (int, Fraction, FieldElement)):
-            c = self.spec.element(other)
-            return Poly(self.spec, (a * c for a in self.coeffs))
+            c = self.spec.element(other).value
+            mul = self.spec._ring._mul
+            return self._wrap([mul(v, c) for v in self._values()])
         return NotImplemented
 
     __rmul__ = __mul__
@@ -189,20 +146,8 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
-        if other.is_zero:
-            raise DivisionByZero("polynomial division by zero")
-        rem = list(self.coeffs)
-        db = other.degree
-        inv = other.lead.inverse()
-        quot = [self.spec.zero] * max(len(rem) - db, 0)
-        while len(rem) - 1 >= db and rem:
-            c = rem[-1] * inv
-            quot[len(rem) - 1 - db] = c
-            for i, b in enumerate(other.coeffs):
-                rem[len(rem) - 1 - db + i] = rem[len(rem) - 1 - db + i] - c * b
-            while rem and rem[-1].is_zero:
-                rem.pop()
-        return Poly(self.spec, quot), Poly(self.spec, rem)
+        quot, rem = self.spec._ring._poly_divmod(self._values(), other._values())
+        return self._wrap(quot), self._wrap(rem)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -212,10 +157,14 @@ class Poly:
 
     def __call__(self, x: FieldElement) -> FieldElement:
         """Horner evaluation."""
-        acc = self.spec.zero
+        spec = self.spec
+        ring = spec._ring
+        add, mul = ring._add, ring._mul
+        x = spec.element(x).value
+        acc = ring.zero
         for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+            acc = add(mul(acc, x), c.value)
+        return FieldElement(spec, acc)
 
     def compose(self, inner: "Poly", max_degree: int | None = None) -> "Poly":
         """self(inner), guarded by an optional cap on the result degree."""
@@ -225,10 +174,12 @@ class Poly:
                 raise DegreeOverflow(
                     f"composition degree {self.degree * inner.degree} exceeds cap {max_degree}"
                 )
-        acc = Poly.zero(self.spec)
+        ring = self.spec._ring
+        inner_values = inner._values()
+        acc: list = []
         for c in reversed(self.coeffs):
-            acc = acc * inner + Poly.constant(self.spec, c)
-        return acc
+            acc = ring._poly_add(ring._poly_mul(acc, inner_values), [c.value])
+        return self._wrap(acc)
 
     def map_coefficients(self, fn: Callable[[FieldElement], FieldElement], spec: FieldSpec) -> "Poly":
         return Poly(spec, (fn(c) for c in self.coeffs))
@@ -272,23 +223,13 @@ class Poly:
 
 def _scalar_factor(c: FieldElement) -> tuple[str, bool]:
     """Render a coefficient as (factor text, sign); empty text means factor 1."""
-    if c.spec.is_rationals:
-        negative = c.value < 0
-        mag = -c.value if negative else c.value
-        return ("" if mag == 1 else str(mag)), negative
-    if c.spec.is_extension and len(c.value) > 1:
-        return f"({c})", False
-    return ("" if c.is_one else str(c)), False
-
-
-def sigma_power(p: Poly, k: int, f: Poly, max_degree: int | None = None) -> Poly:
-    """Apply the substitution h -> f(h) to p, k times."""
-    if k < 0:
-        raise ValueError("sigma powers need k >= 0")
-    out = p
-    for _ in range(k):
-        out = out.compose(f, max_degree)
-    return out
+    text = str(c)
+    negative = text.startswith("-")
+    if negative:
+        text = text[1:]
+    if "u" in text:
+        return f"({text})", False
+    return ("" if text == "1" else text), negative
 
 
 # ---------------------------------------------------------------------------
@@ -301,20 +242,12 @@ def rational_roots(p: Poly) -> set[FieldElement]:
     if p.is_zero:
         raise ZeroArgument("zero polynomial has every root")
     spec = p.spec
-    coeffs = list(p.coeffs)
-    roots: set[FieldElement] = set()
     # strip powers of the variable: 0 is a root iff the constant term vanishes
-    shift = 0
-    while coeffs and coeffs[0].is_zero:
-        coeffs.pop(0)
-        shift += 1
-    if shift:
-        roots.add(spec.zero)
+    coeffs = list(itertools.dropwhile(lambda c: c.is_zero, p.coeffs))
+    roots = {spec.zero} if len(coeffs) < len(p.coeffs) else set()
     if len(coeffs) <= 1:
         return roots
-    denom_lcm = 1
-    for c in coeffs:
-        denom_lcm = denom_lcm * c.value.denominator // _gcd(denom_lcm, c.value.denominator)
+    denom_lcm = math.lcm(*[c.value.denominator for c in coeffs])
     ints = [int(c.value * denom_lcm) for c in coeffs]
     a0, an = abs(ints[0]), abs(ints[-1])
     for num in _divisors(a0):
@@ -327,22 +260,9 @@ def rational_roots(p: Poly) -> set[FieldElement]:
     return roots
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return sorted(set(small + [n // d for d in small]))
 
 
 def roots_in_field(p: Poly) -> set[FieldElement]:

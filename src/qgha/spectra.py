@@ -268,18 +268,3 @@ def nu_table(alg: AlgebraSpec, alpha: FieldElement, count: int) -> NuTable:
         values.append(alg.q * values[-1] + alg.g(point))
         point = alg.f(point)
     return NuTable(alpha, tuple(values))
-
-
-def weight_propagation(
-    alg: AlgebraSpec, alpha: FieldElement, beta: FieldElement, k: int
-) -> tuple[FieldElement, FieldElement]:
-    """Push the weight (h, yx eigenvalue) pair (alpha, beta) up k rungs.
-
-    Acting by x sends a (alpha, beta) weight vector to one of weight
-    (f(alpha), q beta + g(alpha)); this iterates that k >= 0 times.
-    """
-    if k < 0:
-        raise ValueError("weight propagation is forward only")
-    for _ in range(k):
-        alpha, beta = alg.f(alpha), alg.q * beta + alg.g(alpha)
-    return alpha, beta

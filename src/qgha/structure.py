@@ -100,16 +100,6 @@ def verify_z_relations(witness: ConformalWitness) -> ZRelationReport:
 # ---------------------------------------------------------------------------
 
 
-def centralizer_of_h_check(alg: AlgebraSpec, u: PBWElement) -> bool:
-    """Does u commute with h?
-
-    When deg f > 1 this holds exactly for elements all of whose monomials
-    have matching x and y exponents (weight zero).
-    """
-    h = PBWElement.h(alg)
-    return commutator(h, u).is_zero
-
-
 def center_basis_truncated(alg: AlgebraSpec, max_xy: int, max_h: int) -> list[PBWElement]:
     """Basis of the central elements within the truncation window.
 

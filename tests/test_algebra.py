@@ -9,7 +9,6 @@ from qgha.algebra import (
     PBWElement,
     commutator,
     generators,
-    multiply,
     q_commutator,
     theta,
 )
@@ -160,7 +159,7 @@ def test_degree_cap():
 
 def test_cross_algebra_mixing_rejected():
     with pytest.raises(FieldMismatch):
-        multiply(PBWElement.x(alg_f5()), PBWElement.y(alg_f5(q=3)))
+        PBWElement.x(alg_f5()) * PBWElement.y(alg_f5(q=3))
 
 
 def test_scalar_multiplication():

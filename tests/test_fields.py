@@ -14,9 +14,9 @@ from qgha.errors import (
 from qgha.fields import (
     FieldElement,
     FieldSpec,
-    field_arith,
     find_irreducible,
     frobenius_degree,
+    is_prime,
     multiplicative_order,
     poly_is_irreducible,
 )
@@ -79,13 +79,6 @@ def test_field_axioms_random():
                 assert a * a.inverse() == spec.one
 
 
-def test_field_arith_dispatch():
-    assert field_arith(F5.element(2), F5.element(4), "add") == F5.element(1)
-    assert field_arith(F5.element(2), F5.element(4), "sub") == F5.element(3)
-    assert field_arith(F5.element(2), F5.element(4), "mul") == F5.element(3)
-    assert field_arith(F5.element(2), F5.element(4), "div") == F5.element(3)
-
-
 def test_extension_construction():
     # auto-found modulus is monic, irreducible, of the right degree
     assert F49.modulus[-1] == 1 and len(F49.modulus) == 3
@@ -118,6 +111,20 @@ def test_bad_characteristic():
         FieldSpec.prime(6)
     with pytest.raises(UnsupportedField):
         FieldSpec.prime(1)
+
+
+def test_primality_is_deterministic_and_fast():
+    big = FieldSpec.prime(2**61 - 1)
+    assert big.element(2**61) == big.element(1)
+    # a Carmichael number and a strong pseudoprime to the bases 2, 3, 5 and 7
+    for n in (561, 3215031751):
+        assert not is_prime(n)
+        with pytest.raises(UnsupportedField):
+            FieldSpec.prime(n)
+    assert is_prime(4294967311) and not is_prime(4294967311 * 4294967291)
+    # past the proven range of the fixed bases nothing is guessed
+    with pytest.raises(UnsupportedField):
+        is_prime(2**89 - 1)
 
 
 def test_multiplicative_order_small():

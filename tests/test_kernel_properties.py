@@ -1,0 +1,214 @@
+"""Property tests for the field rings and the Poly kernel.
+
+Fields: Q, GF(5), GF(4294967311) (residue products overflow int64) and
+GF(7^2).  Element and polynomial arithmetic is checked against oracles
+written here on the documented value formats: Fractions, int residues and
+trimmed u-coefficient tuples.  Division is checked through a = q*b + r with
+deg r < deg b, and, where sympy is installed, GF(p) products and division
+are checked against sympy.Poly(..., modulus=p).
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qgha.fields import FieldSpec
+from qgha.linalg import _rref_generic, rref
+from qgha.poly import Poly
+
+QQ = FieldSpec.rationals()
+F5 = FieldSpec.prime(5)
+FBIG = FieldSpec.prime(4294967311)
+F49 = FieldSpec.extension(7, 2)
+FIELDS = [QQ, F5, FBIG, F49]
+PRIME_FIELDS = [F5, FBIG]
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+# -- oracles on raw values ---------------------------------------------------
+
+
+def _trim(c):
+    c = list(c)
+    while c and not c[-1]:
+        c.pop()
+    return c
+
+
+def oracle_add(F, x, y):
+    if F.is_rationals:
+        return x + y
+    if not F.is_extension:
+        return (x + y) % F.char
+    n = max(len(x), len(y))
+    x, y = list(x) + [0] * (n - len(x)), list(y) + [0] * (n - len(y))
+    return tuple(_trim((s + t) % F.char for s, t in zip(x, y)))
+
+
+def oracle_mul(F, x, y):
+    if F.is_rationals:
+        return x * y
+    p = F.char
+    if not F.is_extension:
+        return x * y % p
+    prod = [0] * max(len(x) + len(y) - 1, 0)
+    for i, s in enumerate(x):
+        for j, t in enumerate(y):
+            prod[i + j] += s * t
+    k, mod = F.degree, F.modulus
+    for d in range(len(prod) - 1, k - 1, -1):
+        c = prod[d]
+        for i, m in enumerate(mod):
+            prod[d - k + i] -= c * m
+    return tuple(_trim(v % p for v in prod))
+
+
+def oracle_poly_mul(F, a, b):
+    zero = F.zero.value
+    out = [zero] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = oracle_add(F, out[i + j], oracle_mul(F, x, y))
+    return _trim(out)
+
+
+def values(poly):
+    return [c.value for c in poly.coeffs]
+
+
+# -- strategies ----------------------------------------------------------------
+
+
+def elements(F):
+    if F.is_rationals:
+        small = st.integers(-3, 3).map(F.element)
+        large = st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**12))
+        return small | large.map(F.element)
+    if F.is_extension:
+        return st.lists(st.integers(0, F.char - 1), max_size=F.degree).map(F.element)
+    return st.sampled_from([0, 1, F.char - 1]).map(F.element) | st.integers(0, F.char - 1).map(F.element)
+
+
+def polys(F, max_len=12):
+    return st.lists(elements(F), max_size=max_len).map(lambda cs: Poly(F, cs))
+
+
+field_param = pytest.mark.parametrize("F", FIELDS, ids=str)
+
+
+# -- elements ------------------------------------------------------------------
+
+
+@field_param
+@SETTINGS
+@given(data=st.data())
+def test_ring_axioms(F, data):
+    a, b, c = (data.draw(elements(F)) for _ in range(3))
+    assert (a + b) + c == a + (b + c)
+    assert a + b == b + a
+    assert (a * b) * c == a * (b * c)
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert a + (-a) == F.zero and a - b == a + (-b)
+    assert a * F.one == a and (a * F.zero).is_zero
+    assert (a + b).value == oracle_add(F, a.value, b.value)
+    assert (a * b).value == oracle_mul(F, a.value, b.value)
+    if not a.is_zero:
+        assert a * a.inverse() == F.one
+
+
+# -- polynomials ---------------------------------------------------------------
+
+
+@field_param
+@SETTINGS
+@given(data=st.data())
+def test_poly_product_matches_schoolbook(F, data):
+    a, b = data.draw(polys(F)), data.draw(polys(F))
+    prod = a * b
+    assert values(prod) == oracle_poly_mul(F, values(a), values(b))
+    assert prod == b * a
+    assert prod.degree == (-1 if a.is_zero or b.is_zero else a.degree + b.degree)
+
+
+@field_param
+@SETTINGS
+@given(data=st.data())
+def test_poly_add_sub_scale(F, data):
+    a, b = data.draw(polys(F)), data.draw(polys(F))
+    c = data.draw(elements(F))
+    n = max(len(a.coeffs), len(b.coeffs))
+    expect = [oracle_add(F, a.coefficient(i).value, b.coefficient(i).value) for i in range(n)]
+    assert values(a + b) == _trim(expect)
+    assert (a - b) + b == a and (a - a).is_zero
+    assert values(a * c) == _trim(oracle_mul(F, v, c.value) for v in values(a))
+    assert a * c == Poly(F, [c]) * a
+
+
+@field_param
+@SETTINGS
+@given(data=st.data())
+def test_divmod_identity(F, data):
+    a = data.draw(polys(F))
+    b = data.draw(polys(F, max_len=6).filter(lambda p: not p.is_zero))
+    q, r = divmod(a, b)
+    assert q * b + r == a
+    assert r.degree < b.degree
+
+
+@field_param
+@SETTINGS
+@given(data=st.data())
+def test_compose_and_evaluate(F, data):
+    a, inner = data.draw(polys(F, max_len=5)), data.draw(polys(F, max_len=4))
+    x = data.draw(elements(F))
+    assert a.compose(inner)(x) == a(inner(x))
+
+
+@pytest.mark.parametrize("F", PRIME_FIELDS, ids=str)
+@SETTINGS
+@given(data=st.data())
+def test_prime_field_against_sympy(F, data):
+    sympy = pytest.importorskip("sympy")
+    a = data.draw(polys(F))
+    b = data.draw(polys(F).filter(lambda p: not p.is_zero))
+    p = F.char
+    t = sympy.Symbol("t")
+
+    def to_sympy(poly):
+        return sympy.Poly(list(reversed(values(poly))) or [0], t, modulus=p)
+
+    def from_sympy(poly):
+        return _trim(reversed([int(c) % p for c in poly.all_coeffs()]))
+
+    sa, sb = to_sympy(a), to_sympy(b)
+    assert values(a * b) == from_sympy(sa * sb)
+    q, r = divmod(a, b)
+    sq, sr = sympy.div(sa, sb)
+    assert (values(q), values(r)) == (from_sympy(sq), from_sympy(sr))
+
+
+# -- elimination over large primes -----------------------------------------
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 4294967311])
+def test_rref_large_prime_matches_generic(p):
+    # products of residues of 4294967311 overflow int64
+    F = FieldSpec.prime(p)
+    rng = random.Random(p)
+    for _ in range(50):
+        basis = [[F.element(rng.randrange(p)) for _ in range(4)] for _ in range(2)]
+        rows = []
+        for _ in range(4):
+            c1, c2 = F.element(rng.randrange(p)), F.element(rng.randrange(p))
+            rows.append([c1 * x + c2 * y for x, y in zip(*basis)])
+        red, pivots = rref(rows, F)
+        assert (red, pivots) == _rref_generic(rows, F)
+        # each input row is the sum of the reduced rows weighted by its pivot entries
+        for row in rows:
+            combo = [sum((row[c] * red[r][j] for r, c in enumerate(pivots)), F.zero) for j in range(4)]
+            assert combo == row

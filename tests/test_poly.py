@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from qgha.algebra import AlgebraSpec
 from qgha.errors import DegreeOverflow, DivisionByZero, UnsupportedField, ZeroArgument
 from qgha.fields import FieldSpec
 from qgha.poly import (
@@ -12,7 +13,6 @@ from qgha.poly import (
     rational_roots,
     roots_in_extensions,
     roots_in_field,
-    sigma_power,
 )
 
 QQ = FieldSpec.rationals()
@@ -52,8 +52,9 @@ def test_compose_and_sigma_power():
     f = Poly.from_ints(QQ, [0, 0, 1])
     p = Poly.from_ints(QQ, [1, 2])      # 2h + 1
     assert p.compose(f) == Poly.from_ints(QQ, [1, 0, 2])
-    assert sigma_power(p, 2, f) == Poly.from_ints(QQ, [1, 0, 0, 0, 2])
-    assert sigma_power(p, 0, f) == p
+    alg = AlgebraSpec(QQ, QQ.one, f, Poly.zero(QQ))
+    assert alg.sigma_power(p, 2) == Poly.from_ints(QQ, [1, 0, 0, 0, 2])
+    assert alg.sigma_power(p, 0) == p
 
 
 def test_compose_degree_guard():

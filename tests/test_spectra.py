@@ -16,7 +16,6 @@ from qgha.spectra import (
     nu_increment,
     nu_table,
     orbit_from_seed,
-    weight_propagation,
 )
 
 QQ = FieldSpec.rationals()
@@ -213,9 +212,3 @@ def test_nu_matches_mu_anchored_at_zero():
     mu = MuSequence(orbit, alg.q, g, F5.zero)
     table = nu_table(alg, F5.element(2), 12)
     assert list(table.values) == list(mu.values(13))
-
-
-def test_weight_propagation():
-    alg = AlgebraSpec(F5, F5.element(2), Poly.from_ints(F5, [0, 0, 1]), Poly.gen(F5))
-    lam, mu = weight_propagation(alg, F5.one, F5.zero, 2)
-    assert (lam.value, mu.value) == (1, 3)
