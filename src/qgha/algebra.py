@@ -8,15 +8,14 @@ with q a scalar and f, g polynomials over the coefficient field.  Words
 rewrite onto the basis x^i p(h) y^k; an element is a finite sum of such
 monomials keyed by the pair (i, k).  Multiplication reduces to the
 straightening rule for y^k x^m, which is computed once per (k, m) and
-memoized per algebra, plus substitution h -> f(h) when h-polynomials move
-across powers of x or y.
+memoized on the algebra, plus substitution h -> f(h) when h-polynomials
+move across powers of x or y, which is memoized only within one product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping
 
 from .errors import DegreeOverflow, FieldMismatch
@@ -30,7 +29,8 @@ class AlgebraSpec:
 
     degree_cap bounds the h-degree of every intermediate polynomial; deep
     substitutions grow degrees like (deg f)^k, so runaway computations fail
-    fast with DegreeOverflow instead of consuming the machine.
+    fast with DegreeOverflow instead of consuming the machine.  The memos of
+    f^[k], theta_k and the straightening rules live on the instance, outside eq/hash/repr.
     """
 
     field: FieldSpec
@@ -42,51 +42,35 @@ class AlgebraSpec:
     def __post_init__(self):
         if self.q.spec != self.field or self.f.spec != self.field or self.g.spec != self.field:
             raise FieldMismatch("q, f and g must live over the declared field")
+        if max(1, self.f.degree, self.g.degree) > self.degree_cap:
+            raise DegreeOverflow(f"degree cap {self.degree_cap} must be at least 1, deg f and deg g")
+        vars(self).update(_iterates=[Poly.gen(self.field)], _thetas=[Poly.zero(self.field)], _rules={})
 
     def sigma(self, p: Poly) -> Poly:
         """The endomorphism p(h) -> p(f(h))."""
         return p.compose(self.f, self.degree_cap)
 
     def sigma_power(self, p: Poly, k: int) -> Poly:
-        return _sigma_power(self, p, k)
+        """sigma^k(p) = p(f^[k](h)), one substitution against the iterate."""
+        if k == 0 or p.is_constant:
+            return p
+        return p.compose(self.f_iterate(k), self.degree_cap)
 
     def f_iterate(self, k: int) -> Poly:
         """Compositional power f^[k], with f^[0] = h."""
-        return _f_iterate(self, k)
+        if k < 0:
+            raise ValueError("f is iterated k >= 0 times")
+        while len(self._iterates) <= k:
+            self._iterates.append(self._iterates[-1].compose(self.f, self.degree_cap))
+        return self._iterates[k]
 
     def q_power(self, i: int) -> FieldElement:
-        return _q_power(self, i)
+        return self.q ** i
 
     def __str__(self):
         return f"H_q(f,g) over {self.field} with q={self.q}, f={self.f}, g={self.g}"
 
 
-@lru_cache(maxsize=None)
-def _f_iterate(alg: AlgebraSpec, k: int) -> Poly:
-    if k == 0:
-        return Poly.gen(alg.field)
-    return _f_iterate(alg, k - 1).compose(alg.f, alg.degree_cap)
-
-
-@lru_cache(maxsize=None)
-def _sigma_power(alg: AlgebraSpec, p: Poly, k: int) -> Poly:
-    if k == 0 or p.is_constant:
-        return p
-    # one substitution against the precomposed iterate keeps the cache shallow
-    fk = _f_iterate(alg, k)
-    if fk.degree >= 1 and p.degree * fk.degree > alg.degree_cap:
-        raise DegreeOverflow(
-            f"sigma^{k} would reach degree {p.degree * fk.degree}, cap is {alg.degree_cap}"
-        )
-    return p.compose(fk, alg.degree_cap)
-
-
-@lru_cache(maxsize=None)
-def _q_power(alg: AlgebraSpec, i: int) -> FieldElement:
-    return alg.q ** i
-
-
-@lru_cache(maxsize=None)
 def theta(alg: AlgebraSpec, k: int) -> Poly:
     """theta_k = sum_{i=0}^{k-1} q^i sigma^{k-1-i}(g), with theta_0 = 0.
 
@@ -96,28 +80,37 @@ def theta(alg: AlgebraSpec, k: int) -> Poly:
     """
     if k < 0:
         raise ValueError("theta is indexed by k >= 0")
-    if k == 0:
-        return Poly.zero(alg.field)
-    return alg.sigma(theta(alg, k - 1)) + _q_power(alg, k - 1) * alg.g
+    thetas = alg._thetas
+    while len(thetas) <= k:
+        thetas.append(alg.sigma(thetas[-1]) + alg.q ** (len(thetas) - 1) * alg.g)
+    return thetas[k]
 
 
-@lru_cache(maxsize=None)
 def _straighten(alg: AlgebraSpec, k: int, m: int) -> tuple[tuple[int, int, Poly], ...]:
     """Normal form of y^k x^m as a tuple of (i, j, p) triples for x^i p(h) y^j.
 
     Peels one y off the left: y^k x^m = q^m (y^{k-1} x^m) y + (y^{k-1} x^{m-1}) theta_m.
+    Only rules with k, m >= 1 are memoized, row by row over the columns (k, m) needs.
     """
     if k == 0 or m == 0:
         return ((m, k, Poly.one(alg.field)),)
-    acc: dict[tuple[int, int], Poly] = {}
-    qm = _q_power(alg, m)
-    for (a, b, p) in _straighten(alg, k - 1, m):
-        _accumulate(acc, (a, b + 1), qm * p)
-    th = theta(alg, m)
-    if not th.is_zero:
-        for (a, b, p) in _straighten(alg, k - 1, m - 1):
-            _accumulate(acc, (a, b), p * _sigma_power(alg, th, b))
-    return tuple((a, b, p) for (a, b), p in acc.items() if not p.is_zero)
+    rules = alg._rules
+    if (k, m) not in rules:
+        one = Poly.one(alg.field)
+        for j in range(1, k + 1):
+            for n in range(max(1, m - k + j), m + 1):
+                if (j, n) in rules:
+                    continue
+                acc: dict[tuple[int, int], Poly] = {}
+                qn = alg.q ** n
+                for (a, b, p) in rules.get((j - 1, n), ((n, 0, one),)):
+                    _accumulate(acc, (a, b + 1), qn * p)
+                th = theta(alg, n)
+                if not th.is_zero:
+                    for (a, b, p) in rules.get((j - 1, n - 1), ((n - 1, j - 1, one),)):
+                        _accumulate(acc, (a, b), p * alg.sigma_power(th, b))
+                rules[(j, n)] = tuple((a, b, p) for (a, b), p in acc.items() if not p.is_zero)
+    return rules[(k, m)]
 
 
 def _accumulate(acc: dict[tuple[int, int], Poly], key: tuple[int, int], p: Poly):
@@ -236,12 +229,10 @@ class PBWElement:
         if not isinstance(n, int) or n < 0:
             raise ValueError("powers of algebra elements must be nonnegative integers")
         out = PBWElement.one(self.alg)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
+        for bit in bin(n)[2:]:
+            out = out * out
+            if bit == "1":
+                out = out * self
         return out
 
     # -- algebra maps --------------------------------------------------------
@@ -299,13 +290,22 @@ class PBWElement:
 def _multiply(u: PBWElement, v: PBWElement) -> PBWElement:
     alg = u.alg
     out: dict[tuple[int, int], Poly] = {}
+    # sigma powers of the terms of u and v, kept for this product only
+    right: dict[tuple[int, int, int], Poly] = {}
     for (i1, k1), p1 in u.terms.items():
+        left: dict[int, Poly] = {}
         for (i2, k2), p2 in v.terms.items():
             # x^i1 p1 y^k1 * x^i2 p2 y^k2: straighten y^k1 x^i2, then push
             # p1 right through x^a and p2 left through y^b.
             for (a, b, c) in _straighten(alg, k1, i2):
-                p = _sigma_power(alg, p1, a) * c * _sigma_power(alg, p2, b)
-                _accumulate(out, (i1 + a, b + k2), p)
+                if a not in left:
+                    left[a] = alg.sigma_power(p1, a)
+                if (i2, k2, b) not in right:
+                    right[(i2, k2, b)] = alg.sigma_power(p2, b)
+                degree = left[a].degree + c.degree + right[(i2, k2, b)].degree
+                if degree > alg.degree_cap:
+                    raise DegreeOverflow(f"product degree {degree} exceeds cap {alg.degree_cap}")
+                _accumulate(out, (i1 + a, b + k2), left[a] * c * right[(i2, k2, b)])
     return PBWElement(alg, out)
 
 

@@ -31,7 +31,7 @@ from .errors import (
     SearchSpaceTooLarge,
     UnsupportedField,
 )
-from .fields import FieldElement, FieldSpec, frobenius_degree
+from .fields import FieldElement, FieldSpec, extension_points
 from .linalg import Matrix, is_invertible, nullspace, poly_on_matrix
 from .poly import _divisors
 from .spectra import LambdaOrbit, MuSequence, enumerate_lambda_orbits, nu_table
@@ -200,13 +200,16 @@ def is_simple_structural(alg: AlgebraSpec, spec: ModuleSpec) -> SimplicityReport
     spec.validate(alg)
     if spec.family in ("A", "B"):
         return SimplicityReport(True, f"family {spec.family} modules with periodic data are simple")
-    nu = nu_table(alg, spec.alpha, spec.n)
-    for i in range(1, spec.n):
-        if nu.value(i).is_zero:
-            return SimplicityReport(
-                False, f"nu({i}) = 0: basis vectors {i}..{spec.n - 1} span a proper submodule"
-            )
-    return SimplicityReport(True, "nu(i) != 0 for 0 < i < n")
+    i = _first_nu_zero(alg, spec.alpha, spec.n)
+    if i == spec.n:
+        return SimplicityReport(True, "nu(i) != 0 for 0 < i < n")
+    return SimplicityReport(False, f"nu({i}) = 0: basis vectors {i}..{spec.n - 1} span a proper submodule")
+
+
+def _first_nu_zero(alg: AlgebraSpec, alpha: FieldElement, n: int) -> int | None:
+    """The first i in 1..n with nu_alpha(i) = 0, or None; C(alpha, n) is simple iff it is n."""
+    nu = nu_table(alg, alpha, n)
+    return next((i for i in range(1, n + 1) if nu.value(i).is_zero), None)
 
 
 def is_simple_bruteforce(rep: MatrixRep, bound: int = 10 ** 6) -> bool:
@@ -431,15 +434,8 @@ def enumerate_simples(alg: AlgebraSpec, n: int) -> list[ModuleSpec]:
                     if has_zero:
                         specs_b.append(ModuleSpec.family_b(canon, gamma))
 
-    specs_c: list[ModuleSpec] = []
-    for alpha in field.elements():
-        nu = nu_table(alg, alpha, n)
-        if not nu.value(n).is_zero:
-            continue
-        if any(nu.value(i).is_zero for i in range(1, n)):
-            continue
-        specs_c.append(ModuleSpec.family_c(alpha, n))
-
+    specs_c = [ModuleSpec.family_c(alpha, n) for alpha in field.elements()
+               if _first_nu_zero(alg, alpha, n) == n]
     return specs_a + specs_b + specs_c
 
 
@@ -467,15 +463,10 @@ def enumerate_c_extensions(
         raise UnsupportedField("extension search starts from a prime base field")
     if alg.q.is_zero:
         raise QZeroUnsupported("classification of simple modules needs q != 0")
-    found = []
-    for m in range(2, bound + 1):
-        ext_alg = extend_algebra(alg, FieldSpec.extension(alg.field.char, m))
-        for alpha in ext_alg.field.elements():
-            nu = nu_table(ext_alg, alpha, n)
-            if not nu.value(n).is_zero:
-                continue
-            if any(nu.value(i).is_zero for i in range(1, n)):
-                continue
-            if frobenius_degree(alpha) == m:
-                found.append((ext_alg, ModuleSpec.family_c(alpha, n)))
-    return found
+
+    def simples_over(ext: FieldSpec):
+        ext_alg = extend_algebra(alg, ext)
+        return lambda alpha: ((ext_alg, ModuleSpec.family_c(alpha, n))
+                              if _first_nu_zero(ext_alg, alpha, n) == n else None)
+
+    return list(extension_points(alg.field.char, range(2, bound + 1), simples_over))

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .errors import DegreeOverflow, FieldMismatch, UnsupportedField, ZeroArgument
-from .fields import FieldElement, FieldSpec, frobenius_degree
+from .fields import FieldElement, FieldSpec, extension_points
 
 
 class Poly:
@@ -285,11 +285,9 @@ def roots_in_extensions(p: Poly, bound: int = 6) -> list[tuple[FieldElement, Fie
         raise UnsupportedField("extension search starts from a prime field")
     if p.is_zero:
         raise ZeroArgument("zero polynomial has every root")
-    found: list[tuple[FieldElement, FieldSpec]] = []
-    for m in range(1, bound + 1):
-        ext = p.spec if m == 1 else FieldSpec.extension(p.spec.char, m)
+
+    def roots_over(ext: FieldSpec):
         lifted = p.map_coefficients(ext.embed, ext)
-        for a in sorted(roots_in_field(lifted), key=FieldElement.sort_key):
-            if m == 1 or frobenius_degree(a) == m:
-                found.append((a, ext))
-    return found
+        return lambda a: (a, ext) if lifted(a).is_zero else None
+
+    return list(extension_points(p.spec.char, range(1, bound + 1), roots_over))

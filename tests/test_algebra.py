@@ -1,6 +1,8 @@
 """Normal-form engine: straightening, theta, iota, weights, commutators."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -14,6 +16,7 @@ from qgha.algebra import (
 )
 from qgha.errors import DegreeOverflow, FieldMismatch
 from qgha.fields import FieldSpec
+from qgha.parsing import parse_element
 from qgha.poly import Poly
 
 QQ = FieldSpec.rationals()
@@ -155,6 +158,44 @@ def test_degree_cap():
     x, y, h = generators(alg)
     with pytest.raises(DegreeOverflow):
         y * (x * PBWElement.h_poly(alg, Poly.monomial(F5, 10)))
+    # products are capped too, and powers square no further than they need
+    assert (h ** 20).h_degree() == 20
+    with pytest.raises(DegreeOverflow):
+        h ** 21
+    # the cap is at least 1 and holds f and g themselves
+    for cap, f, g in ((0, (0, 1), (0, 1)), (2, (0, 0, 0, 1), (0, 1)), (2, (0, 1), (0, 0, 0, 1))):
+        with pytest.raises(DegreeOverflow):
+            alg_f5(2, f, g, cap=cap)
+
+
+def test_deep_theta_matches_closed_form():
+    # f = h makes sigma the identity, so theta_k = (1 + q + ... + q^{k-1}) g
+    alg = alg_f5(2, (0, 1), (3, 1))
+    # k = 1500 first, on a cold algebra, so nothing below it is memoized yet
+    assert theta(alg, 1500) == F5.element(sum(2 ** i for i in range(1500))) * alg.g
+    partial = F5.zero
+    for k in range(1501):
+        assert theta(alg, k) == partial * alg.g
+        partial = partial * alg.q + 1
+
+
+def test_deep_straightening_matches_closed_form():
+    # with f = h and g = h: y^k x = q^k x y^k + ((q^k - 1)/(q - 1)) h y^{k-1}
+    alg = AlgebraSpec(QQ, QQ.element(2), Poly.gen(QQ), Poly.gen(QQ))
+    expected = PBWElement(alg, {(1, 1100): Poly.constant(QQ, 2 ** 1100),
+                                (0, 1099): Poly.from_ints(QQ, [0, 2 ** 1100 - 1])})
+    assert parse_element("y^1100*x", alg) == expected
+
+
+def test_memos_do_not_keep_the_algebra_alive():
+    alg = alg_f5()
+    x, y, h = generators(alg)
+    product = (y * y * x) * (h * x * x)
+    assert not product.is_zero
+    ref = weakref.ref(alg)
+    del alg, x, y, h, product
+    gc.collect()
+    assert ref() is None
 
 
 def test_cross_algebra_mixing_rejected():

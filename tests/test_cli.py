@@ -240,6 +240,14 @@ def test_exit_code_1_on_semantic_errors(capsys):
     assert code == 1
 
 
+def test_degree_cap_bounds_products(capsys):
+    argv = ["normalize", "--field", "Q", "--q", "1", "--f", "h", "--g", "0", "h^20000"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and "error:" in err and out == ""
+    code, out, err = run_cli(capsys, *argv, "--degree-cap", "20000")
+    assert code == 0 and out == "h^20000\n", err
+
+
 def test_negative_verdicts_still_exit_0(capsys):
     code, out, _ = run_cli(capsys, "check-iso", *BASE,
                            "--family", "C", "--alpha", "1", "--dim", "4",
