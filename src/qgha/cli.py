@@ -165,8 +165,8 @@ def _build_algebra(args) -> AlgebraSpec:
     return AlgebraSpec(
         field,
         parse_scalar(args.q, field),
-        parse_poly(args.f, field),
-        parse_poly(args.g, field),
+        parse_poly(args.f, field, max_degree=args.degree_cap),
+        parse_poly(args.g, field, max_degree=args.degree_cap),
         args.degree_cap,
     )
 

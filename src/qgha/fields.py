@@ -385,11 +385,11 @@ class FieldSpec:
 
     @property
     def zero(self) -> "FieldElement":
-        return self.element(0)
+        return FieldElement(self, self._ring.zero)
 
     @property
     def one(self) -> "FieldElement":
-        return self.element(1)
+        return FieldElement(self, self._ring.one)
 
     @property
     def generator(self) -> "FieldElement":

@@ -1,9 +1,10 @@
 """Exact dense linear algebra over the package's fields.
 
 Matrices are immutable tuples of tuples of field elements.  Dot products
-and elimination work on raw values through the field's ring (see fields).
-Over GF(p) with (p-1)^2 + p < 2^63, elimination runs through numpy on int64
-residues instead; it is the hot path for center computations and iso searches.
+work on raw values through the field's ring (see fields).  rref unwraps its
+rows once, eliminates on raw values (through numpy on int64 residues over
+GF(p) with (p-1)^2 + p < 2^63, the hot path for centers and iso searches),
+and wraps the reduced rows once.
 """
 
 from __future__ import annotations
@@ -149,10 +150,9 @@ def poly_on_matrix(p: Poly, m: Matrix) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
-def _rref_generic(rows: list[list[FieldElement]], spec: FieldSpec) -> tuple[list[list[FieldElement]], list[int]]:
+def _rref_generic(rows: list[list], spec: FieldSpec) -> tuple[list[list], list[int]]:
     ring = spec._ring
     mul, sub, inv = ring._mul, ring._sub, ring._inv
-    rows = [[e.value for e in r] for r in rows]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots: list[int] = []
@@ -172,11 +172,11 @@ def _rref_generic(rows: list[list[FieldElement]], spec: FieldSpec) -> tuple[list
         r += 1
         if r == nrows:
             break
-    return [[FieldElement(spec, v) for v in row] for row in rows], pivots
+    return rows, pivots
 
 
-def _rref_prime(array: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    a = np.array(array, dtype=np.int64) % p
+def _rref_prime(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
+    a = np.array(rows, dtype=np.int64) % p
     nrows, ncols = a.shape
     pivots: list[int] = []
     r = 0
@@ -197,19 +197,18 @@ def _rref_prime(array: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         r += 1
         if r == nrows:
             break
-    return a, pivots
+    return a.tolist(), pivots
 
 
 def rref(rows: Sequence[Sequence[FieldElement]], spec: FieldSpec) -> tuple[list[list[FieldElement]], list[int]]:
     """Reduced row echelon form and pivot columns."""
-    rows = [list(r) for r in rows]
-    if not rows or not rows[0]:
-        return rows, []
+    raw = [[e.value for e in r] for r in rows]
+    if not raw or not raw[0]:
+        return raw, []
     # numpy works in int64: residues stay below p and products below p^2
-    if spec.is_prime_field and (spec.char - 1) ** 2 + spec.char < 2 ** 63:
-        red, pivots = _rref_prime(np.array([[e.value for e in r] for r in rows], dtype=np.int64), spec.char)
-        return [[spec.element(int(v)) for v in row] for row in red], pivots
-    return _rref_generic(rows, spec)
+    numpy_safe = spec.is_prime_field and (spec.char - 1) ** 2 + spec.char < 2 ** 63
+    raw, pivots = _rref_prime(raw, spec.char) if numpy_safe else _rref_generic(raw, spec)
+    return [[FieldElement(spec, v) for v in row] for row in raw], pivots
 
 
 def nullspace(rows: Sequence[Sequence[FieldElement]], spec: FieldSpec, ncols: int | None = None) -> list[Vector]:

@@ -34,7 +34,7 @@ from .errors import (
 from .fields import FieldElement, FieldSpec, extension_points
 from .linalg import Matrix, is_invertible, nullspace, poly_on_matrix
 from .poly import _divisors
-from .spectra import LambdaOrbit, MuSequence, enumerate_lambda_orbits, nu_table
+from .spectra import LambdaOrbit, MuSequence, NuTable, enumerate_lambda_orbits, nu_table
 
 
 @dataclass(frozen=True)
@@ -73,8 +73,11 @@ class ModuleSpec:
             return self.n
         return self.mu.orbit.period * self.mu.period
 
-    def validate(self, alg: AlgebraSpec) -> None:
-        """Check the data is coherent and matches the algebra, or raise InvalidSpec."""
+    def validate(self, alg: AlgebraSpec) -> NuTable | None:
+        """Check the data is coherent and matches the algebra, or raise InvalidSpec.
+
+        A family-C spec returns the nu table nu(0..n) the check builds.
+        """
         if self.family in ("A", "B"):
             if self.mu is None or self.gamma is None or self.alpha is not None or self.n is not None:
                 raise InvalidSpec(f"family {self.family} takes exactly (mu, gamma)")
@@ -90,7 +93,7 @@ class ModuleSpec:
                 raise InvalidSpec("mu-sequence is not periodic")
             if self.family == "B" and not any(v.is_zero for v in self.mu.values(self.dim)):
                 raise InvalidSpec("family B needs mu to vanish somewhere")
-            return
+            return None
         if self.family == "C":
             if self.alpha is None or self.n is None or self.mu is not None or self.gamma is not None:
                 raise InvalidSpec("family C takes exactly (alpha, n)")
@@ -98,9 +101,10 @@ class ModuleSpec:
                 raise InvalidSpec("alpha must lie in the coefficient field")
             if self.n < 1:
                 raise InvalidSpec("dimension must be at least 1")
-            if not nu_table(alg, self.alpha, self.n).value(self.n).is_zero:
+            nu = nu_table(alg, self.alpha, self.n)
+            if not nu.value(self.n).is_zero:
                 raise InvalidSpec("family C needs nu_alpha(n) = 0")
-            return
+            return nu
         raise InvalidSpec(f"unknown family {self.family!r}")
 
     def describe(self) -> str:
@@ -123,7 +127,7 @@ class MatrixRep:
 
 def build_matrix_rep(alg: AlgebraSpec, spec: ModuleSpec) -> MatrixRep:
     """Matrices of the module described by spec; basis vector j is column j."""
-    spec.validate(alg)
+    nu = spec.validate(alg)
     field = alg.field
     n = spec.dim
     if spec.family == "A":
@@ -141,7 +145,6 @@ def build_matrix_rep(alg: AlgebraSpec, spec: ModuleSpec) -> MatrixRep:
         y = {(j - 1, j): field.one for j in range(1, n)}
         y[(n - 1, 0)] = spec.gamma.inverse()
     else:
-        nu = nu_table(alg, spec.alpha, n)
         lam = []
         point = spec.alpha
         for _ in range(n):
@@ -197,19 +200,18 @@ def is_simple_structural(alg: AlgebraSpec, spec: ModuleSpec) -> SimplicityReport
     when nu_alpha(i) != 0 for 0 < i < n; a vanishing nu at i leaves the
     span of the basis tail from i onward invariant.
     """
-    spec.validate(alg)
+    nu = spec.validate(alg)
     if spec.family in ("A", "B"):
         return SimplicityReport(True, f"family {spec.family} modules with periodic data are simple")
-    i = _first_nu_zero(alg, spec.alpha, spec.n)
+    i = _first_nu_zero(nu)
     if i == spec.n:
         return SimplicityReport(True, "nu(i) != 0 for 0 < i < n")
     return SimplicityReport(False, f"nu({i}) = 0: basis vectors {i}..{spec.n - 1} span a proper submodule")
 
 
-def _first_nu_zero(alg: AlgebraSpec, alpha: FieldElement, n: int) -> int | None:
-    """The first i in 1..n with nu_alpha(i) = 0, or None; C(alpha, n) is simple iff it is n."""
-    nu = nu_table(alg, alpha, n)
-    return next((i for i in range(1, n + 1) if nu.value(i).is_zero), None)
+def _first_nu_zero(nu: NuTable) -> int | None:
+    """The first i >= 1 with nu(i) = 0 in the table nu(0..n), or None; C(alpha, n) is simple iff it is n."""
+    return next((i for i in range(1, len(nu.values)) if nu.value(i).is_zero), None)
 
 
 def is_simple_bruteforce(rep: MatrixRep, bound: int = 10 ** 6) -> bool:
@@ -435,7 +437,7 @@ def enumerate_simples(alg: AlgebraSpec, n: int) -> list[ModuleSpec]:
                         specs_b.append(ModuleSpec.family_b(canon, gamma))
 
     specs_c = [ModuleSpec.family_c(alpha, n) for alpha in field.elements()
-               if _first_nu_zero(alg, alpha, n) == n]
+               if _first_nu_zero(nu_table(alg, alpha, n)) == n]
     return specs_a + specs_b + specs_c
 
 
@@ -467,6 +469,6 @@ def enumerate_c_extensions(
     def simples_over(ext: FieldSpec):
         ext_alg = extend_algebra(alg, ext)
         return lambda alpha: ((ext_alg, ModuleSpec.family_c(alpha, n))
-                              if _first_nu_zero(ext_alg, alpha, n) == n else None)
+                              if _first_nu_zero(nu_table(ext_alg, alpha, n)) == n else None)
 
     return list(extension_points(alg.field.char, range(2, bound + 1), simples_over))

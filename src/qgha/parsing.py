@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 
 from .algebra import AlgebraSpec, PBWElement
-from .errors import DivisionByZero, PolyParseError
+from .errors import DegreeOverflow, DivisionByZero, PolyParseError
 from .fields import FieldSpec
 from .poly import Poly
 
@@ -21,10 +21,11 @@ _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^]))")
 class _Parser:
     """Shunting-free recursive descent over +, -, *, /, ^ and parentheses."""
 
-    def __init__(self, text: str, atoms: dict[str, object], one):
+    def __init__(self, text: str, atoms: dict[str, object], one, max_degree: int | None = None):
         self.text = text
         self.atoms = atoms
         self.one = one
+        self.max_degree = max_degree
         self.tokens: list[tuple[str, str, int]] = []
         pos = 0
         while pos < len(text):
@@ -110,7 +111,10 @@ class _Parser:
             kind, text, pos = self.next()
             if kind != "int":
                 raise PolyParseError("exponent must be a nonnegative integer", pos)
-            return value ** int(text)
+            n = int(text)
+            if self.max_degree is not None and value.degree * n > self.max_degree:
+                raise DegreeOverflow(f"power degree {value.degree * n} exceeds cap {self.max_degree}")
+            return value ** n
         return value
 
     def atom(self):
@@ -143,12 +147,16 @@ def _as_scalar(value):
     return None
 
 
-def parse_poly(text: str, spec: FieldSpec, var: str = "h") -> Poly:
-    """A polynomial in one variable over spec; u is a scalar over extensions."""
+def parse_poly(text: str, spec: FieldSpec, var: str = "h", max_degree: int | None = None) -> Poly:
+    """A polynomial in one variable over spec; u is a scalar over extensions.
+
+    With max_degree set, a power p^n with deg p * n above it raises
+    DegreeOverflow before it is computed.
+    """
     atoms = {var: Poly.gen(spec)}
     if spec.is_extension and var != "u":
         atoms["u"] = Poly.constant(spec, spec.generator)
-    return _Parser(text, atoms, Poly.one(spec)).parse()
+    return _Parser(text, atoms, Poly.one(spec), max_degree).parse()
 
 
 def parse_element(text: str, alg: AlgebraSpec) -> PBWElement:
@@ -187,5 +195,4 @@ def parse_field(text: str) -> FieldSpec:
         return FieldSpec.prime(p) if k == 1 else FieldSpec.extension(p, k)
     base = FieldSpec.prime(p)
     mod_poly = parse_poly(m.group(3), base, var="u")
-    coeffs = tuple(c.value for c in mod_poly.coeffs)
-    return FieldSpec.extension(p, k, coeffs)
+    return FieldSpec.extension(p, k, mod_poly.values)

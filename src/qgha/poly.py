@@ -3,9 +3,11 @@
 These are the coefficient polynomials p(h) sitting between the x and y
 powers of a normal-form word, and also double as polynomials in any other
 single variable (the extension generator u, a spectral parameter t).
-Coefficients are stored low to high with trailing zeros trimmed; the zero
-polynomial has the empty tuple and reports degree -1.  Arithmetic runs on
-raw values in the field's ring, where products are Kronecker substitutions.
+A polynomial holds its coefficients as raw values of the field's ring (see
+fields), low to high with trailing zeros trimmed; the zero polynomial has
+the empty tuple and reports degree -1.  Arithmetic runs on those values,
+where products are Kronecker substitutions, and FieldElements are built
+only when a caller reads coefficients.
 """
 
 from __future__ import annotations
@@ -20,14 +22,16 @@ from .fields import FieldElement, FieldSpec, extension_points
 
 
 class Poly:
-    __slots__ = ("spec", "coeffs")
+    """values holds the raw coefficients; coeffs and coefficient() build elements on read."""
+
+    __slots__ = ("spec", "values")
 
     def __init__(self, spec: FieldSpec, coeffs: Iterable[FieldElement]):
-        cs = list(coeffs)
-        while cs and cs[-1].is_zero:
-            cs.pop()
+        values = [spec.element(c).value for c in coeffs]
+        while values and not values[-1]:
+            values.pop()
         object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "values", tuple(values))
 
     def __setattr__(self, *_):
         raise AttributeError("Poly is immutable")
@@ -44,7 +48,7 @@ class Poly:
 
     @staticmethod
     def constant(spec: FieldSpec, c) -> "Poly":
-        return Poly(spec, (spec.element(c),))
+        return Poly(spec, (c,))
 
     @staticmethod
     def gen(spec: FieldSpec) -> "Poly":
@@ -53,36 +57,35 @@ class Poly:
 
     @staticmethod
     def monomial(spec: FieldSpec, degree: int, c=1) -> "Poly":
-        return Poly(spec, tuple([spec.zero] * degree) + (spec.element(c),))
+        return Poly(spec, [0] * degree + [c])
 
     @staticmethod
     def from_ints(spec: FieldSpec, ints: Sequence) -> "Poly":
         """Low-to-high coefficient list of ints or Fractions."""
-        return Poly(spec, tuple(spec.element(v) for v in ints))
+        return Poly(spec, ints)
 
     # -- structure -----------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[FieldElement, ...]:
+        """The coefficients as field elements, low to high."""
+        return tuple(FieldElement(self.spec, v) for v in self.values)
+
+    @property
     def degree(self) -> int:
         """Degree, with -1 as the sentinel for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.values) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.values
 
     @property
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
-
-    @property
-    def lead(self) -> FieldElement:
-        if not self.coeffs:
-            raise ZeroArgument("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return len(self.values) <= 1
 
     def coefficient(self, i: int) -> FieldElement:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.spec.zero
+        return FieldElement(self.spec, self.values[i]) if 0 <= i < len(self.values) else self.spec.zero
 
     def constant_value(self) -> FieldElement:
         if not self.is_constant:
@@ -95,37 +98,39 @@ class Poly:
         if self.spec != other.spec:
             raise FieldMismatch("polynomials over different fields")
 
-    def _wrap(self, values: list) -> "Poly":
-        spec = self.spec
-        return Poly(spec, [FieldElement(spec, v) for v in values])
-
-    def _values(self) -> list:
-        return [c.value for c in self.coeffs]
+    def _wrap(self, values: Iterable) -> "Poly":
+        """A polynomial over this field from already trimmed raw values."""
+        out = object.__new__(Poly)
+        object.__setattr__(out, "spec", self.spec)
+        object.__setattr__(out, "values", tuple(values))
+        return out
 
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
-        return self._wrap(self.spec._ring._poly_add(self._values(), other._values()))
+        return self._wrap(self.spec._ring._poly_add(self.values, other.values))
 
     def __neg__(self) -> "Poly":
         neg = self.spec._ring._neg
-        return self._wrap([neg(c.value) for c in self.coeffs])
+        return self._wrap([neg(v) for v in self.values])
 
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
-        return self._wrap(self.spec._ring._poly_sub(self._values(), other._values()))
+        return self._wrap(self.spec._ring._poly_sub(self.values, other.values))
 
     def __mul__(self, other):
         if isinstance(other, Poly):
             self._check(other)
-            return self._wrap(self.spec._ring._poly_mul(self._values(), other._values()))
+            return self._wrap(self.spec._ring._poly_mul(self.values, other.values))
         if isinstance(other, (int, Fraction, FieldElement)):
             c = self.spec.element(other).value
+            if not c:
+                return self._wrap(())
             mul = self.spec._ring._mul
-            return self._wrap([mul(v, c) for v in self._values()])
+            return self._wrap([mul(v, c) for v in self.values])
         return NotImplemented
 
     __rmul__ = __mul__
@@ -134,23 +139,18 @@ class Poly:
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
         out = Poly.one(self.spec)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
+        for bit in bin(n)[2:]:
+            out = out * out
+            if bit == "1":
+                out = out * self
         return out
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
-        quot, rem = self.spec._ring._poly_divmod(self._values(), other._values())
+        quot, rem = self.spec._ring._poly_divmod(self.values, other.values)
         return self._wrap(quot), self._wrap(rem)
-
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
 
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
@@ -162,8 +162,8 @@ class Poly:
         add, mul = ring._add, ring._mul
         x = spec.element(x).value
         acc = ring.zero
-        for c in reversed(self.coeffs):
-            acc = add(mul(acc, x), c.value)
+        for c in reversed(self.values):
+            acc = add(mul(acc, x), c)
         return FieldElement(spec, acc)
 
     def compose(self, inner: "Poly", max_degree: int | None = None) -> "Poly":
@@ -175,10 +175,9 @@ class Poly:
                     f"composition degree {self.degree * inner.degree} exceeds cap {max_degree}"
                 )
         ring = self.spec._ring
-        inner_values = inner._values()
         acc: list = []
-        for c in reversed(self.coeffs):
-            acc = ring._poly_add(ring._poly_mul(acc, inner_values), [c.value])
+        for c in reversed(self.values):
+            acc = ring._poly_add(ring._poly_mul(acc, inner.values), [c])
         return self._wrap(acc)
 
     def map_coefficients(self, fn: Callable[[FieldElement], FieldElement], spec: FieldSpec) -> "Poly":
@@ -189,10 +188,10 @@ class Poly:
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.spec == other.spec and self.coeffs == other.coeffs
+        return self.spec == other.spec and self.values == other.values
 
     def __hash__(self):
-        return hash((self.spec, self.coeffs))
+        return hash((self.spec, self.values))
 
     def __str__(self):
         return self.render()
@@ -205,10 +204,10 @@ class Poly:
             return "0"
         parts: list[str] = []
         for e in range(self.degree, -1, -1):
-            c = self.coeffs[e]
-            if c.is_zero:
+            v = self.values[e]
+            if not v:
                 continue
-            text, negative = _scalar_factor(c)
+            text, negative = _scalar_factor(FieldElement(self.spec, v))
             if e == 0:
                 body = text if text else "1"
             else:
@@ -243,12 +242,12 @@ def rational_roots(p: Poly) -> set[FieldElement]:
         raise ZeroArgument("zero polynomial has every root")
     spec = p.spec
     # strip powers of the variable: 0 is a root iff the constant term vanishes
-    coeffs = list(itertools.dropwhile(lambda c: c.is_zero, p.coeffs))
-    roots = {spec.zero} if len(coeffs) < len(p.coeffs) else set()
-    if len(coeffs) <= 1:
+    values = list(itertools.dropwhile(lambda v: not v, p.values))
+    roots = {spec.zero} if len(values) < len(p.values) else set()
+    if len(values) <= 1:
         return roots
-    denom_lcm = math.lcm(*[c.value.denominator for c in coeffs])
-    ints = [int(c.value * denom_lcm) for c in coeffs]
+    denom_lcm = math.lcm(*[v.denominator for v in values])
+    ints = [int(v * denom_lcm) for v in values]
     a0, an = abs(ints[0]), abs(ints[-1])
     for num in _divisors(a0):
         for den in _divisors(an):

@@ -1,6 +1,7 @@
 """Command-line verbs: payloads, schemas, exit codes, determinism."""
 
 import json
+import time
 from importlib import resources
 
 import jsonschema
@@ -246,6 +247,20 @@ def test_degree_cap_bounds_products(capsys):
     assert code == 1 and "error:" in err and out == ""
     code, out, err = run_cli(capsys, *argv, "--degree-cap", "20000")
     assert code == 0 and out == "h^20000\n", err
+
+
+def test_degree_cap_bounds_f_and_g_powers(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "normalize", "--field", "Q", "--q", "1", "--f", "h^200000",
+                             "--g", "0", "x")
+    assert code == 1 and "error:" in err and out == ""
+    assert time.perf_counter() - start < 1.0
+    code, out, err = run_cli(capsys, "normalize", "--field", "GF(7^3)", "--q", "1", "--f", "h",
+                             "--g", "h^2000000", "x")
+    assert code == 1 and "error:" in err and out == ""
+    code, out, err = run_cli(capsys, "normalize", "--field", "Q", "--q", "1", "--f", "h^512",
+                             "--g", "0", "x")
+    assert code == 0 and out == "x\n", err
 
 
 def test_negative_verdicts_still_exit_0(capsys):

@@ -207,7 +207,8 @@ def test_rref_large_prime_matches_generic(p):
             c1, c2 = F.element(rng.randrange(p)), F.element(rng.randrange(p))
             rows.append([c1 * x + c2 * y for x, y in zip(*basis)])
         red, pivots = rref(rows, F)
-        assert (red, pivots) == _rref_generic(rows, F)
+        raw = [[e.value for e in r] for r in rows]
+        assert ([[e.value for e in r] for r in red], pivots) == _rref_generic(raw, F)
         # each input row is the sum of the reduced rows weighted by its pivot entries
         for row in rows:
             combo = [sum((row[c] * red[r][j] for r, c in enumerate(pivots)), F.zero) for j in range(4)]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from qgha import modules
 from qgha.algebra import AlgebraSpec
 from qgha.errors import (
     InvalidSpec,
@@ -128,6 +129,22 @@ def test_simplicity_structural_and_brute():
     report = is_simple_structural(alg, degenerate)
     assert not report.simple and "nu(1)" in report.certificate
     assert not is_simple_bruteforce(build_matrix_rep(alg, degenerate))
+
+
+def test_simplicity_check_builds_one_nu_table(monkeypatch):
+    calls = []
+    real = modules.nu_table
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(modules, "nu_table", counting)
+    alg = alg_sq()
+    for spec in (ModuleSpec.family_c(F5.one, 4), ModuleSpec.family_c(F5.zero, 2)):
+        calls.clear()
+        is_simple_structural(alg, spec)
+        assert len(calls) == 1
 
 
 def test_bruteforce_simplicity_guards():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qgha.algebra import AlgebraSpec, PBWElement
-from qgha.errors import PolyParseError, UnsupportedField
+from qgha.errors import DegreeOverflow, PolyParseError, UnsupportedField
 from qgha.fields import FieldSpec
 from qgha.parsing import parse_element, parse_field, parse_poly, parse_scalar
 from qgha.poly import Poly
@@ -52,6 +52,17 @@ def test_error_positions():
         parse_poly("", QQ)
     with pytest.raises(PolyParseError):
         parse_poly("t + 1", QQ)  # unknown symbol
+
+
+def test_power_degree_cap():
+    h = Poly.gen(QQ)
+    assert parse_poly("h^512", QQ, max_degree=512) == h ** 512
+    assert parse_poly("(h^2 + 1)^256", F5, max_degree=512).degree == 512
+    assert parse_poly("3^1000", QQ, max_degree=1) == Poly.constant(QQ, 3 ** 1000)
+    for text in ("h^513", "(h^2 + 1)^257", "h^200000", "(h^512)^99999999999"):
+        with pytest.raises(DegreeOverflow):
+            parse_poly(text, QQ, max_degree=512)
+    assert parse_poly("h^513", QQ).degree == 513  # no cap by default
 
 
 def test_division_rules():

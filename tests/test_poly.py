@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qgha.algebra import AlgebraSpec
-from qgha.errors import DegreeOverflow, DivisionByZero, UnsupportedField, ZeroArgument
+from qgha.errors import DegreeOverflow, DivisionByZero, FieldMismatch, UnsupportedField, ZeroArgument
 from qgha.fields import FieldSpec
 from qgha.poly import (
     Poly,
@@ -126,3 +126,12 @@ def test_poly_hash_consistency():
     a = Poly.from_ints(F5, [2, 3])
     b = Poly.from_ints(F5, [7, 8])
     assert a == b and hash(a) == hash(b)
+
+
+def test_constructor_rejects_elements_of_another_field():
+    F7 = FieldSpec.prime(7)
+    with pytest.raises(FieldMismatch):
+        Poly(F5, [F7.element(6)])  # 6 is no GF(5) residue
+    with pytest.raises(FieldMismatch):
+        Poly(F5, [F7.one, F7.element(3)])
+    assert Poly(F5, [F5.one, F5.element(3)]) == Poly.from_ints(F5, [1, 3])
