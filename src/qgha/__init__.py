@@ -32,7 +32,7 @@ from .modules import (
     iso_structural,
     verify_relations,
 )
-from .poly import Poly, rational_roots, roots_in_extensions, roots_in_field
+from .poly import Poly, rational_roots, roots_in_field
 from .spectra import (
     LambdaOrbit,
     MuSequence,
@@ -88,7 +88,6 @@ __all__ = [
     "orbit_from_seed",
     "q_commutator",
     "rational_roots",
-    "roots_in_extensions",
     "roots_in_field",
     "theta",
     "verify_relations",

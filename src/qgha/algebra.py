@@ -183,9 +183,6 @@ class PBWElement:
     def support(self) -> list[tuple[int, int]]:
         return sorted(self.terms)
 
-    def h_degree(self) -> int:
-        return max((p.degree for p in self.terms.values()), default=-1)
-
     # -- linear structure ----------------------------------------------------
 
     def _check(self, other: "PBWElement"):
@@ -243,13 +240,6 @@ class PBWElement:
         On normal forms it transposes exponents: x^i p y^k -> x^k p y^i.
         """
         return PBWElement(self.alg, {(k, i): p for (i, k), p in self.terms.items()})
-
-    def weight_decompose(self) -> dict[int, "PBWElement"]:
-        """Split into components of fixed weight i - k (x-degree minus y-degree)."""
-        buckets: dict[int, dict[tuple[int, int], Poly]] = {}
-        for (i, k), p in self.terms.items():
-            buckets.setdefault(i - k, {})[(i, k)] = p
-        return {w: PBWElement(self.alg, t) for w, t in sorted(buckets.items())}
 
     # -- identity ------------------------------------------------------------
 

@@ -138,7 +138,7 @@ def _element_payload(e: PBWElement) -> dict:
 
 
 def _matrix_payload(m: Matrix) -> list[list[str]]:
-    return [[str(a) for a in row] for row in m.rows]
+    return [[str(m[i, j]) for j in range(m.ncols)] for i in range(m.nrows)]
 
 
 def _module_payload(alg: AlgebraSpec, spec: ModuleSpec, rep: MatrixRep) -> dict:

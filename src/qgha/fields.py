@@ -26,7 +26,7 @@ from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     DivisionByZero,
@@ -607,10 +607,3 @@ def frobenius_degree(a: FieldElement) -> int:
         d += 1
     return d
 
-
-def extension_points(p: int, degrees: range, pick: Callable) -> Iterator:
-    """pick(GF(p^m))(a) unless None, for m in degrees and a in GF(p^m) of degree exactly m."""
-    for m in degrees:
-        ext = FieldSpec.extension(p, m)
-        keep = pick(ext)
-        yield from (r for a in ext.elements() if (r := keep(a)) is not None and frobenius_degree(a) == m)

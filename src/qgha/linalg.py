@@ -1,15 +1,18 @@
 """Exact dense linear algebra over the package's fields.
 
-Matrices are immutable tuples of tuples of field elements.  Dot products
-work on raw values through the field's ring (see fields).  rref unwraps its
-rows once, eliminates on raw values (through numpy on int64 residues over
-GF(p) with (p-1)^2 + p < 2^63, the hot path for centers and iso searches),
-and wraps the reduced rows once.
+A Matrix holds its entries as raw values of the field's ring (see fields),
+and its arithmetic runs on them; entries become field elements only when
+read.  rref takes rows of field elements, unwraps them once and returns
+raw rows, eliminating through numpy on int64 residues over GF(p) with
+(p-1)^2 + p < 2^63 (the hot path for centers and iso searches).  nullspace
+and solve wrap only the vectors they return.  A subspace grown one vector
+at a time stays in echelon form through one incremental routine, which
+serves both invariant-subspace closures and invertibility.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -21,25 +24,35 @@ Vector = tuple[FieldElement, ...]
 
 
 class Matrix:
+    """rows holds raw ring values; indexing and str build elements on read."""
+
     __slots__ = ("spec", "rows")
 
     def __init__(self, spec: FieldSpec, rows: Iterable[Iterable[FieldElement]]):
+        element = spec.element
         object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in rows))
+        object.__setattr__(self, "rows", tuple(tuple(element(a).value for a in r) for r in rows))
 
     def __setattr__(self, *_):
         raise AttributeError("Matrix is immutable")
 
     @staticmethod
+    def _raw(spec: FieldSpec, rows: Iterable[Iterable]) -> "Matrix":
+        """A matrix over spec from rows of raw values, stored as given."""
+        out = object.__new__(Matrix)
+        object.__setattr__(out, "spec", spec)
+        object.__setattr__(out, "rows", tuple(tuple(r) for r in rows))
+        return out
+
+    @staticmethod
     def zero(spec: FieldSpec, n: int, m: int | None = None) -> "Matrix":
         m = n if m is None else m
-        z = spec.zero
-        return Matrix(spec, ((z,) * m for _ in range(n)))
+        return Matrix._raw(spec, ((spec._ring.zero,) * m for _ in range(n)))
 
     @staticmethod
     def identity(spec: FieldSpec, n: int) -> "Matrix":
-        z, o = spec.zero, spec.one
-        return Matrix(spec, ((o if i == j else z for j in range(n)) for i in range(n)))
+        z, o = spec._ring.zero, spec._ring.one
+        return Matrix._raw(spec, ((o if i == j else z for j in range(n)) for i in range(n)))
 
     @staticmethod
     def diagonal(spec: FieldSpec, entries: Sequence[FieldElement]) -> "Matrix":
@@ -61,7 +74,7 @@ class Matrix:
         return len(self.rows[0]) if self.rows else 0
 
     def __getitem__(self, ij: tuple[int, int]) -> FieldElement:
-        return self.rows[ij[0]][ij[1]]
+        return FieldElement(self.spec, self.rows[ij[0]][ij[1]])
 
     def _check(self, other: "Matrix"):
         if self.spec != other.spec:
@@ -69,26 +82,27 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check(other)
-        return Matrix(self.spec, ((a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows)))
+        add = self.spec._ring._add
+        return Matrix._raw(self.spec, (map(add, r1, r2) for r1, r2 in zip(self.rows, other.rows)))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check(other)
-        return Matrix(self.spec, ((a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows)))
+        sub = self.spec._ring._sub
+        return Matrix._raw(self.spec, (map(sub, r1, r2) for r1, r2 in zip(self.rows, other.rows)))
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.spec, ((-a for a in r) for r in self.rows))
+        neg = self.spec._ring._neg
+        return Matrix._raw(self.spec, (map(neg, r) for r in self.rows))
 
     def __mul__(self, other):
+        ring = self.spec._ring
         if isinstance(other, Matrix):
             self._check(other)
             cols = list(zip(*other.rows))
-            return Matrix(
-                self.spec,
-                ((_dot(row, col, self.spec) for col in cols) for row in self.rows),
-            )
+            return Matrix._raw(self.spec, ((_dot(row, col, ring) for col in cols) for row in self.rows))
         if isinstance(other, FieldElement) or isinstance(other, int):
-            c = self.spec.element(other)
-            return Matrix(self.spec, ((a * c for a in r) for r in self.rows))
+            c = self.spec.element(other).value
+            return Matrix._raw(self.spec, ((ring._mul(a, c) for a in r) for r in self.rows))
         return NotImplemented
 
     def __rmul__(self, other):
@@ -108,12 +122,9 @@ class Matrix:
             n >>= 1
         return out
 
-    def apply(self, vec: Vector) -> Vector:
-        return tuple(_dot(row, vec, self.spec) for row in self.rows)
-
     @property
     def is_zero(self) -> bool:
-        return all(a.is_zero for r in self.rows for a in r)
+        return not any(a for r in self.rows for a in r)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -124,17 +135,17 @@ class Matrix:
         return hash((self.spec, self.rows))
 
     def __str__(self):
-        return "\n".join("[" + ", ".join(str(a) for a in r) + "]" for r in self.rows)
+        spec = self.spec
+        return "\n".join("[" + ", ".join(str(FieldElement(spec, a)) for a in r) + "]" for r in self.rows)
 
 
-def _dot(row: Sequence[FieldElement], col: Sequence[FieldElement], spec: FieldSpec) -> FieldElement:
-    ring = spec._ring
+def _dot(row: Sequence, col: Sequence, ring):
     add, mul = ring._add, ring._mul
     acc = ring.zero
     for a, b in zip(row, col):
-        if a.value and b.value:
-            acc = add(acc, mul(a.value, b.value))
-    return FieldElement(spec, acc)
+        if a and b:
+            acc = add(acc, mul(a, b))
+    return acc
 
 
 def poly_on_matrix(p: Poly, m: Matrix) -> Matrix:
@@ -200,15 +211,14 @@ def _rref_prime(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[in
     return a.tolist(), pivots
 
 
-def rref(rows: Sequence[Sequence[FieldElement]], spec: FieldSpec) -> tuple[list[list[FieldElement]], list[int]]:
-    """Reduced row echelon form and pivot columns."""
+def rref(rows: Sequence[Sequence[FieldElement]], spec: FieldSpec) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form, as rows of raw ring values, and the pivot columns."""
     raw = [[e.value for e in r] for r in rows]
     if not raw or not raw[0]:
         return raw, []
     # numpy works in int64: residues stay below p and products below p^2
     numpy_safe = spec.is_prime_field and (spec.char - 1) ** 2 + spec.char < 2 ** 63
-    raw, pivots = _rref_prime(raw, spec.char) if numpy_safe else _rref_generic(raw, spec)
-    return [[FieldElement(spec, v) for v in row] for row in raw], pivots
+    return _rref_prime(raw, spec.char) if numpy_safe else _rref_generic(raw, spec)
 
 
 def nullspace(rows: Sequence[Sequence[FieldElement]], spec: FieldSpec, ncols: int | None = None) -> list[Vector]:
@@ -217,47 +227,98 @@ def nullspace(rows: Sequence[Sequence[FieldElement]], spec: FieldSpec, ncols: in
     Basis vectors carry a 1 in their free coordinate and are emitted in
     increasing free-column order, so results are deterministic.
     """
-    rows = [list(r) for r in rows]
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
-    if ncols == 0:
-        return []
-    if not rows:
-        return [tuple(spec.one if i == j else spec.zero for i in range(ncols)) for j in range(ncols)]
     red, pivots = rref(rows, spec)
+    ring = spec._ring
     pivot_of_col = {c: r for r, c in enumerate(pivots)}
     free = [c for c in range(ncols) if c not in pivot_of_col]
     basis = []
     for fc in free:
-        vec = [spec.zero] * ncols
-        vec[fc] = spec.one
+        vec = [ring.zero] * ncols
+        vec[fc] = ring.one
         for c, r in pivot_of_col.items():
-            vec[c] = -red[r][fc]
-        basis.append(tuple(vec))
+            vec[c] = ring._neg(red[r][fc])
+        basis.append(tuple(FieldElement(spec, v) for v in vec))
     return basis
 
 
 def solve(rows: Sequence[Sequence[FieldElement]], rhs: Sequence[FieldElement], spec: FieldSpec) -> Vector | None:
     """One solution of A v = b with free coordinates set to zero, or None."""
-    rows = [list(r) for r in rows]
     if not rows:
         return ()
     ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug, spec)
+    red, pivots = rref([list(r) + [b] for r, b in zip(rows, rhs)], spec)
     if ncols in pivots:
         return None
     sol = [spec.zero] * ncols
     for r, c in enumerate(pivots):
-        sol[c] = red[r][ncols]
+        sol[c] = FieldElement(spec, red[r][ncols])
     return tuple(sol)
 
 
-def rank(rows: Sequence[Sequence[FieldElement]], spec: FieldSpec) -> int:
-    if not rows:
-        return 0
-    return len(rref(rows, spec)[1])
+def _echelon_insert(basis: dict[int, list], v: list, ring) -> list | None:
+    """Reduce raw v against basis; insert and return it if independent, else None.
+
+    basis maps each pivot column to a raw row that is 1 there and 0 before it.
+    """
+    mul, sub = ring._mul, ring._sub
+    for c in range(len(v)):
+        a = v[c]
+        if not a:
+            continue
+        row = basis.get(c)
+        if row is None:
+            inv = ring._inv(a)
+            basis[c] = v = [mul(b, inv) for b in v]
+            return v
+        v = [sub(x, mul(a, y)) if y else x for x, y in zip(v, row)]
+    return None
+
+
+def invariant_span_dim(mats: Sequence[Matrix], seed: Sequence[FieldElement]) -> int:
+    """Dimension of the smallest subspace that contains seed and that mats map into itself."""
+    spec = mats[0].spec
+    if any(m.spec != spec for m in mats):
+        raise FieldMismatch("matrices over different fields")
+    ring = spec._ring
+    basis: dict[int, list] = {}
+    v = _echelon_insert(basis, [spec.element(a).value for a in seed], ring)
+    queue = [] if v is None else [v]
+    while queue and len(basis) < len(seed):
+        v = queue.pop()
+        for m in mats:
+            w = _echelon_insert(basis, [_dot(row, v, ring) for row in m.rows], ring)
+            if w is not None:
+                queue.append(w)
+    return len(basis)
+
+
+def intertwiners(pairs: Sequence[tuple[Matrix, Matrix]]) -> list[Matrix]:
+    """Basis of the matrices T with T a = b T for every pair (a, b) of n x n matrices.
+
+    The basis is nullspace's, over the entries of T read row by row.
+    """
+    spec = pairs[0][0].spec
+    ring = spec._ring
+    n = pairs[0][0].nrows
+    if any(m.spec != spec for pair in pairs for m in pair):
+        raise FieldMismatch("matrices over different fields")
+    rows, zero = [], spec.zero
+    for a, b in pairs:
+        for i in range(n):
+            for j in range(n):
+                # entry (i, j) of T a - b T as a row over the unknowns T[k][l]
+                row = [ring.zero] * (n * n)
+                row[i * n:(i + 1) * n] = [a.rows[k][j] for k in range(n)]
+                for k in range(n):
+                    row[k * n + j] = ring._sub(row[k * n + j], b.rows[i][k])
+                rows.append([FieldElement(spec, v) if v else zero for v in row])
+    return [Matrix._raw(spec, ([e.value for e in vec[i * n:(i + 1) * n]] for i in range(n)))
+            for vec in nullspace(rows, spec, n * n)]
 
 
 def is_invertible(m: Matrix) -> bool:
-    return m.nrows == m.ncols and rank(m.rows, m.spec) == m.nrows
+    basis: dict[int, list] = {}
+    ring = m.spec._ring
+    return m.nrows == m.ncols and all(_echelon_insert(basis, list(r), ring) is not None for r in m.rows)

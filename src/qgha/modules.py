@@ -31,8 +31,8 @@ from .errors import (
     SearchSpaceTooLarge,
     UnsupportedField,
 )
-from .fields import FieldElement, FieldSpec, extension_points
-from .linalg import Matrix, is_invertible, nullspace, poly_on_matrix
+from .fields import FieldElement, FieldSpec, frobenius_degree
+from .linalg import Matrix, intertwiners, invariant_span_dim, is_invertible, poly_on_matrix
 from .poly import _divisors
 from .spectra import LambdaOrbit, MuSequence, NuTable, enumerate_lambda_orbits, nu_table
 
@@ -226,23 +226,8 @@ def is_simple_bruteforce(rep: MatrixRep, bound: int = 10 ** 6) -> bool:
     if field.order ** rep.dim > bound:
         raise SearchSpaceTooLarge(f"|F|^dim = {field.order ** rep.dim} exceeds bound {bound}")
     n = rep.dim
-    if n == 1:
-        return True
     mats = (rep.x, rep.y, rep.h)
-    for seed in _projective_points(field, n):
-        basis: dict[int, tuple[FieldElement, ...]] = {}
-        queue = [seed]
-        _echelon_insert(basis, seed, field)
-        while queue and len(basis) < n:
-            v = queue.pop()
-            for m in mats:
-                w = m.apply(v)
-                reduced = _echelon_insert(basis, w, field)
-                if reduced is not None:
-                    queue.append(reduced)
-        if len(basis) < n:
-            return False
-    return True
+    return n == 1 or all(invariant_span_dim(mats, seed) == n for seed in _projective_points(field, n))
 
 
 def _projective_points(field: FieldSpec, n: int):
@@ -252,24 +237,6 @@ def _projective_points(field: FieldSpec, n: int):
         prefix = (field.zero,) * lead + (field.one,)
         for tail in itertools.product(elems, repeat=n - lead - 1):
             yield prefix + tail
-
-
-def _echelon_insert(basis: dict[int, tuple[FieldElement, ...]], v, field: FieldSpec):
-    """Reduce v against the echelon basis; insert and return it if independent."""
-    v = list(v)
-    n = len(v)
-    for c in range(n):
-        if v[c].is_zero:
-            continue
-        row = basis.get(c)
-        if row is None:
-            inv = v[c].inverse()
-            vec = tuple(a * inv for a in v)
-            basis[c] = vec
-            return vec
-        coef = v[c]
-        v = [a - coef * b for a, b in zip(v, row)]
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -335,22 +302,9 @@ def iso_bruteforce(
     if r1.dim != r2.dim:
         return False
     field = r1.field
-    n = r1.dim
-    rows = []
-    for m1, m2 in ((r1.x, r2.x), (r1.y, r2.y), (r1.h, r2.h)):
-        for i in range(n):
-            for j in range(n):
-                # entry (i, j) of T m1 - m2 T as a row over the unknowns T[a][b]
-                row = [field.zero] * (n * n)
-                for b in range(n):
-                    row[i * n + b] = row[i * n + b] + m1[b, j]
-                for a in range(n):
-                    row[a * n + j] = row[a * n + j] - m2[i, a]
-                rows.append(row)
-    basis = nullspace(rows, field, n * n)
-    if not basis:
+    mats = intertwiners(((r1.x, r2.x), (r1.y, r2.y), (r1.h, r2.h)))
+    if not mats:
         return False
-    mats = [Matrix(field, [vec[i * n : (i + 1) * n] for i in range(n)]) for vec in basis]
     d = len(mats)
     if field.order is None:
         if d > 1:
@@ -465,10 +419,9 @@ def enumerate_c_extensions(
         raise UnsupportedField("extension search starts from a prime base field")
     if alg.q.is_zero:
         raise QZeroUnsupported("classification of simple modules needs q != 0")
-
-    def simples_over(ext: FieldSpec):
-        ext_alg = extend_algebra(alg, ext)
-        return lambda alpha: ((ext_alg, ModuleSpec.family_c(alpha, n))
-                              if _first_nu_zero(nu_table(ext_alg, alpha, n)) == n else None)
-
-    return list(extension_points(alg.field.char, range(2, bound + 1), simples_over))
+    out = []
+    for m in range(2, bound + 1):
+        ext_alg = extend_algebra(alg, FieldSpec.extension(alg.field.char, m))
+        out += [(ext_alg, ModuleSpec.family_c(alpha, n)) for alpha in ext_alg.field.elements()
+                if _first_nu_zero(nu_table(ext_alg, alpha, n)) == n and frobenius_degree(alpha) == m]
+    return out

@@ -82,7 +82,12 @@ class _Parser:
             kind, text, pos = self.peek()
             if kind == "op" and text == "*":
                 self.next()
-                value = value * self.factor()
+                rhs = self.factor()
+                if self.max_degree is not None and value.degree + rhs.degree > self.max_degree:
+                    raise DegreeOverflow(
+                        f"product degree {value.degree + rhs.degree} exceeds cap {self.max_degree}"
+                    )
+                value = value * rhs
             elif kind == "op" and text == "/":
                 self.next()
                 value = self._divide(value, self.factor(), pos)
@@ -111,16 +116,22 @@ class _Parser:
             kind, text, pos = self.next()
             if kind != "int":
                 raise PolyParseError("exponent must be a nonnegative integer", pos)
-            n = int(text)
+            n = self._int(text, pos)
             if self.max_degree is not None and value.degree * n > self.max_degree:
                 raise DegreeOverflow(f"power degree {value.degree * n} exceeds cap {self.max_degree}")
             return value ** n
         return value
 
+    def _int(self, text: str, pos: int) -> int:
+        try:
+            return int(text)
+        except ValueError:  # past sys.get_int_max_str_digits()
+            raise PolyParseError(f"integer of {len(text)} digits is too long", pos) from None
+
     def atom(self):
         kind, text, pos = self.next()
         if kind == "int":
-            return self.one * int(text)
+            return self.one * self._int(text, pos)
         if kind == "name":
             if text in self.atoms:
                 return self.atoms[text]
@@ -150,8 +161,9 @@ def _as_scalar(value):
 def parse_poly(text: str, spec: FieldSpec, var: str = "h", max_degree: int | None = None) -> Poly:
     """A polynomial in one variable over spec; u is a scalar over extensions.
 
-    With max_degree set, a power p^n with deg p * n above it raises
-    DegreeOverflow before it is computed.
+    With max_degree set, a power p^n with deg p * n above it, or a product
+    p * r with deg p + deg r above it, raises DegreeOverflow before it is
+    computed.
     """
     atoms = {var: Poly.gen(spec)}
     if spec.is_extension and var != "u":
@@ -172,9 +184,15 @@ def parse_element(text: str, alg: AlgebraSpec) -> PBWElement:
 
 
 def parse_scalar(text: str, spec: FieldSpec):
-    """A single field element, e.g. '3', '-7/2', 'u^2+1'."""
-    p = parse_poly(text, spec)
-    if not p.is_constant:
+    """A single field element, e.g. '3', '-7/2', 'u^2+1'.
+
+    A power or product of non-constants is refused before it is computed.
+    """
+    try:
+        p = parse_poly(text, spec, max_degree=0)
+    except DegreeOverflow:
+        p = None
+    if p is None or not p.is_constant:
         raise PolyParseError("expected a scalar, found a polynomial", 0)
     return p.constant_value()
 

@@ -17,8 +17,8 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .errors import DegreeOverflow, FieldMismatch, UnsupportedField, ZeroArgument
-from .fields import FieldElement, FieldSpec, extension_points
+from .errors import DegreeOverflow, FieldMismatch, ZeroArgument
+from .fields import FieldElement, FieldSpec
 
 
 class Poly:
@@ -272,21 +272,3 @@ def roots_in_field(p: Poly) -> set[FieldElement]:
         return rational_roots(p)
     return {a for a in p.spec.elements() if p(a).is_zero}
 
-
-def roots_in_extensions(p: Poly, bound: int = 6) -> list[tuple[FieldElement, FieldSpec]]:
-    """Roots of p over GF(p^m) for 1 <= m <= bound, base field prime.
-
-    Each root is reported once, in the smallest field containing it (its
-    Frobenius orbit has size exactly m), so distinct entries are distinct
-    elements of the algebraic closure.
-    """
-    if not p.spec.is_prime_field:
-        raise UnsupportedField("extension search starts from a prime field")
-    if p.is_zero:
-        raise ZeroArgument("zero polynomial has every root")
-
-    def roots_over(ext: FieldSpec):
-        lifted = p.map_coefficients(ext.embed, ext)
-        return lambda a: (a, ext) if lifted(a).is_zero else None
-
-    return list(extension_points(p.spec.char, range(1, bound + 1), roots_over))

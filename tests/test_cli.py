@@ -263,6 +263,26 @@ def test_degree_cap_bounds_f_and_g_powers(capsys):
     assert code == 0 and out == "x\n", err
 
 
+def test_degree_cap_bounds_f_and_g_products(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "normalize", "--field", "Q", "--q", "1",
+                             "--f", "*".join(["(h^512)"] * 200), "--g", "0", "x")
+    assert code == 1 and "error:" in err and out == ""
+    assert time.perf_counter() - start < 1.0
+
+
+def test_oversized_scalars_and_integers_exit_2(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "normalize", "--field", "Q", "--q", "h^200000",
+                             "--f", "h", "--g", "0", "x")
+    assert code == 2 and "expected a scalar, found a polynomial" in err and out == ""
+    assert time.perf_counter() - start < 1.0
+    for expr in ("9" * 5000 + "*x", "x^" + "9" * 5000):
+        code, out, err = run_cli(capsys, "normalize", "--field", "Q", "--q", "1",
+                                 "--f", "h", "--g", "0", expr)
+        assert code == 2 and "too long" in err and out == ""
+
+
 def test_negative_verdicts_still_exit_0(capsys):
     code, out, _ = run_cli(capsys, "check-iso", *BASE,
                            "--family", "C", "--alpha", "1", "--dim", "4",

@@ -208,8 +208,9 @@ def test_rref_large_prime_matches_generic(p):
             rows.append([c1 * x + c2 * y for x, y in zip(*basis)])
         red, pivots = rref(rows, F)
         raw = [[e.value for e in r] for r in rows]
-        assert ([[e.value for e in r] for r in red], pivots) == _rref_generic(raw, F)
+        assert (red, pivots) == _rref_generic(raw, F)
         # each input row is the sum of the reduced rows weighted by its pivot entries
         for row in rows:
-            combo = [sum((row[c] * red[r][j] for r, c in enumerate(pivots)), F.zero) for j in range(4)]
+            combo = [sum((row[c] * F.element(red[r][j]) for r, c in enumerate(pivots)), F.zero)
+                     for j in range(4)]
             assert combo == row

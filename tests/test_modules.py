@@ -5,6 +5,7 @@ import pytest
 from qgha import modules
 from qgha.algebra import AlgebraSpec
 from qgha.errors import (
+    FieldMismatch,
     InvalidSpec,
     QZeroUnsupported,
     SearchInconclusive,
@@ -279,6 +280,30 @@ def test_enumerate_modules_are_simple_and_distinct():
             expected = i == j
             assert iso_structural(alg, s1, s2) == expected
             assert iso_bruteforce(reps[i], reps[j]) == expected
+
+
+def test_bruteforce_oracles_over_extension_fields():
+    # GF(p^k) entries are tuple raw values, a path the GF(5) checks never take
+    for F in (FieldSpec.extension(2, 2), FieldSpec.extension(3, 2)):
+        u = F.generator
+        h = Poly.gen(F)
+        alg = AlgebraSpec(F, u, h * h, h * u + Poly.one(F))
+        for n in (1, 2, 3):
+            mods = enumerate_simples(alg, n)
+            reps = [build_matrix_rep(alg, s) for s in mods]
+            assert all(is_simple_bruteforce(rep) for rep in reps)
+            for s1, r1 in zip(mods, reps):
+                for s2, r2 in zip(mods, reps):
+                    assert iso_bruteforce(r1, r2) == iso_structural(alg, s1, s2)
+
+
+def test_matrix_coerces_entries():
+    F7 = FieldSpec.prime(7)
+    with pytest.raises(FieldMismatch):
+        Matrix(FieldSpec.prime(5), [[F7.element(6)]])
+    m = Matrix(F5, [[7, F5.element(3)]])
+    assert m == Matrix(F5, [[F5.element(2), 3]])
+    assert m[0, 0] == F5.element(2) and str(m) == "[2, 3]"
 
 
 def test_enumerate_guards():

@@ -1,6 +1,7 @@
 """Parser grammar, error offsets, and render round-trips."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -65,6 +66,24 @@ def test_power_degree_cap():
     assert parse_poly("h^513", QQ).degree == 513  # no cap by default
 
 
+def test_power_degree_cap_bounds_products():
+    assert parse_poly("h^300 * h^212", F5, max_degree=512).degree == 512
+    assert parse_poly("0 * h^512 * h^512", F5, max_degree=512).is_zero
+    with pytest.raises(DegreeOverflow):
+        parse_poly("h^300 * h^213", F5, max_degree=512)
+    assert parse_poly("h^300 * h^213", F5).degree == 513  # no cap by default
+
+
+def test_long_integers_raise_parse_errors():
+    digits = "9" * 5000  # longer than int() converts by default
+    with pytest.raises(PolyParseError) as e:
+        parse_poly(f"h + {digits}", QQ)
+    assert e.value.position == 4
+    with pytest.raises(PolyParseError) as e:
+        parse_poly(f"h^{digits}", QQ, max_degree=512)
+    assert e.value.position == 2
+
+
 def test_division_rules():
     assert parse_poly("h/2", QQ) == Poly(QQ, [QQ.zero, QQ.element(Fraction(1, 2))])
     assert parse_poly("(h^2 - 1)/3", F5) == Poly.from_ints(F5, [3, 0, 2])
@@ -96,6 +115,13 @@ def test_parse_scalar():
         parse_scalar("h", QQ)
     with pytest.raises(PolyParseError):
         parse_scalar("h + 1", F49)
+    assert parse_scalar("h - h + 3^2", F5).value == 4
+    # powers and products of h are refused before they are computed
+    start = time.perf_counter()
+    for text in ("h^200000", "(h + 1)^2 - h", "h * h"):
+        with pytest.raises(PolyParseError, match="expected a scalar, found a polynomial"):
+            parse_scalar(text, QQ)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_parse_field_forms():

@@ -6,12 +6,11 @@ from fractions import Fraction
 import pytest
 
 from qgha.algebra import AlgebraSpec
-from qgha.errors import DegreeOverflow, DivisionByZero, FieldMismatch, UnsupportedField, ZeroArgument
+from qgha.errors import DegreeOverflow, DivisionByZero, FieldMismatch, ZeroArgument
 from qgha.fields import FieldSpec
 from qgha.poly import (
     Poly,
     rational_roots,
-    roots_in_extensions,
     roots_in_field,
 )
 
@@ -102,24 +101,6 @@ def test_rational_roots():
     assert rational_roots(Poly.from_ints(QQ, [-2, 0, 1])) == set()
     with pytest.raises(ZeroArgument):
         roots_in_field(Poly.zero(QQ))
-
-
-def test_roots_in_extensions():
-    # h^2 + 1 over GF(7): -1 is not a QR mod 7, so roots appear first in GF(49)
-    p = Poly.from_ints(F7 := FieldSpec.prime(7), [1, 0, 1])
-    assert roots_in_field(p) == set()
-    found = roots_in_extensions(p, bound=2)
-    assert len(found) == 2
-    for root, spec in found:
-        assert spec.degree == 2
-        lifted = p.map_coefficients(spec.embed, spec)
-        assert lifted(root).is_zero
-    # h^2 - 1 factors already over GF(7); the bound-6 search adds nothing new
-    p2 = Poly.from_ints(F7, [-1, 0, 1])
-    found2 = roots_in_extensions(p2, bound=3)
-    assert [spec.degree for _, spec in found2] == [1, 1]
-    with pytest.raises(UnsupportedField):
-        roots_in_extensions(Poly.one(QQ), 2)
 
 
 def test_poly_hash_consistency():

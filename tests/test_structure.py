@@ -106,7 +106,7 @@ def test_centralizer_of_h():
         e = PBWElement(alg, terms)
         if e.is_zero:
             continue
-        weight_zero = set(e.weight_decompose()) <= {0}
+        weight_zero = {i - k for i, k in e.terms} <= {0}
         assert commutes_with_h(e) == weight_zero
 
 
@@ -126,7 +126,7 @@ def test_center_root_of_unity_gf5():
     )
     w = conformal_witness(alg)
     z4 = w.z ** 4
-    basis = center_basis_truncated(alg, 4, z4.h_degree())
+    basis = center_basis_truncated(alg, 4, max(p.degree for p in z4.terms.values()))
     assert len(basis) == 2
     x, y, h = generators(alg)
     for b in basis:
