@@ -39,6 +39,7 @@ from .spectra import (
     NuTable,
     enumerate_lambda_orbits,
     mu_period,
+    mu_periods,
     nu_increment,
     nu_table,
     orbit_from_seed,
@@ -82,6 +83,7 @@ __all__ = [
     "iso_bruteforce",
     "iso_structural",
     "mu_period",
+    "mu_periods",
     "multiplicative_order",
     "nu_increment",
     "nu_table",

@@ -236,14 +236,30 @@ class _ExtensionRing(_Ring):
         return tuple(_trimmed(x % self.p for x in slots[2 * k - 2::4 * k - 3]))
 
     def _inv(self, a):
-        """Extended Euclid against the modulus, which is irreducible."""
-        base = self.base
-        r0, r1, s0, s1 = self.modulus, list(a), [], [1]
-        while r1:
-            q, r = base._poly_divmod(r0, r1)
-            r0, r1, s0, s1 = r1, r, s1, base._poly_sub(s0, base._poly_mul(q, s1))
-        c = pow(r0[0], -1, self.p)
-        return tuple(v * c % self.p for v in s0)
+        """Extended Euclid against the modulus, which is irreducible.
+
+        Keeps s0 a = r0 and s1 a = r1 modulo the modulus.  Each step cancels
+        the leading term of r0 with c u^shift r1 and takes the same multiple
+        of s1 from s0; r0 never reaches 0 while r1 is not constant, since
+        gcd(modulus, a) = 1.
+        """
+        p = self.p
+        r0, r1, s0, s1 = list(self.modulus), list(a), [], [1]
+        while len(r1) > 1:
+            inv = pow(r1[-1], -1, p)
+            while len(r0) >= len(r1):
+                shift = len(r0) - len(r1)
+                c = r0[-1] * inv % p
+                for i, v in enumerate(r1, shift):
+                    r0[i] = (r0[i] - c * v) % p
+                s0 += [0] * (len(s1) + shift - len(s0))
+                for i, v in enumerate(s1, shift):
+                    s0[i] = (s0[i] - c * v) % p
+                while not r0[-1]:
+                    r0.pop()
+            r0, r1, s0, s1 = r1, r0, s1, s0
+        c = pow(r1[0], -1, p)
+        return tuple(_trimmed(v * c % p for v in s1))
 
     def _poly_mul(self, a: list, b: list) -> list:
         """Each coefficient gets a block of 2k-1 slots, one per power of u.
@@ -339,6 +355,15 @@ class FieldSpec:
                 raise UnsupportedField("modulus is not irreducible")
         object.__setattr__(self, "modulus", mod)
         object.__setattr__(self, "_ring", _ExtensionRing(self.char, mod))
+
+    def __eq__(self, other):
+        # every element operation compares specs, and they are nearly always one object;
+        # dataclass still generates __hash__ from the same three fields
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.char, self.degree, self.modulus) == (other.char, other.degree, other.modulus)
 
     # -- classification ----------------------------------------------------
 

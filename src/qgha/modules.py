@@ -34,7 +34,7 @@ from .errors import (
 from .fields import FieldElement, FieldSpec, frobenius_degree
 from .linalg import Matrix, intertwiners, invariant_span_dim, is_invertible, poly_on_matrix
 from .poly import _divisors
-from .spectra import LambdaOrbit, MuSequence, NuTable, enumerate_lambda_orbits, nu_table
+from .spectra import LambdaOrbit, MuSequence, NuTable, enumerate_lambda_orbits, mu_periods, nu_table
 
 
 @dataclass(frozen=True)
@@ -347,10 +347,12 @@ def enumerate_simples(alg: AlgebraSpec, n: int) -> list[ModuleSpec]:
     """Every simple n-dimensional module exactly once, as classification data.
 
     Families A and B run over divisors l of n: each period-l orbit and
-    each anchor whose mu-sequence has period n/l contributes one (lambda,
-    mu) class after collapsing the m possible re-anchorings mu(0) ->
-    mu(jl), and then one module per unit gamma.  Family C contributes one
-    module per alpha with nu_alpha(n) = 0 and nu_alpha(i) != 0 before.
+    each anchor whose mu-sequence has period m = n/l contributes one
+    (lambda, mu) class after collapsing the m possible re-anchorings
+    mu(0) -> mu(jl), and then one module per unit gamma.  The period rule
+    is computed once per orbit (mu_periods), so only anchors of period m
+    are visited.  Family C contributes one module per alpha with
+    nu_alpha(n) = 0 and nu_alpha(i) != 0 before.
     The three families and distinct data never collide, so the list is
     irredundant without any matrix computation.
     """
@@ -370,11 +372,18 @@ def enumerate_simples(alg: AlgebraSpec, n: int) -> list[ModuleSpec]:
         for orbit in enumerate_lambda_orbits(field, alg.f, l):
             if orbit.period != l:
                 continue
+            # a fixed anchor exists only when q^l != 1; it alone has period 1,
+            # and every other anchor has period ord(q^l) >= 2
+            fixed, period = mu_periods(orbit, alg.q, alg.g)
+            if m == period:
+                anchors = (beta for beta in field.elements() if beta != fixed)
+            elif m == 1 and fixed is not None:
+                anchors = (fixed,)
+            else:
+                continue
             seen: set[tuple] = set()
-            for beta in field.elements():
+            for beta in anchors:
                 mu = MuSequence(orbit, alg.q, alg.g, beta)
-                if mu.period != m:
-                    continue
                 window = mu.values(n)
                 # collapse the m re-anchorings beta -> mu(j l) to one
                 # canonical representative per isomorphism class

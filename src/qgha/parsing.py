@@ -8,7 +8,9 @@ Errors carry the character offset of the first offending token.
 
 from __future__ import annotations
 
+import math
 import re
+import sys
 
 from .algebra import AlgebraSpec, PBWElement
 from .errors import DegreeOverflow, DivisionByZero, PolyParseError
@@ -116,22 +118,17 @@ class _Parser:
             kind, text, pos = self.next()
             if kind != "int":
                 raise PolyParseError("exponent must be a nonnegative integer", pos)
-            n = self._int(text, pos)
+            n = _int(text, pos)
             if self.max_degree is not None and value.degree * n > self.max_degree:
                 raise DegreeOverflow(f"power degree {value.degree * n} exceeds cap {self.max_degree}")
+            _check_rational_power(_as_scalar(value), n, pos)
             return value ** n
         return value
-
-    def _int(self, text: str, pos: int) -> int:
-        try:
-            return int(text)
-        except ValueError:  # past sys.get_int_max_str_digits()
-            raise PolyParseError(f"integer of {len(text)} digits is too long", pos) from None
 
     def atom(self):
         kind, text, pos = self.next()
         if kind == "int":
-            return self.one * self._int(text, pos)
+            return self.one * _int(text, pos)
         if kind == "name":
             if text in self.atoms:
                 return self.atoms[text]
@@ -143,6 +140,23 @@ class _Parser:
                 raise PolyParseError("expected ')'", pos)
             return value
         raise PolyParseError(f"expected a value, found {text!r}" if text else "unexpected end of input", pos)
+
+
+def _int(text: str, pos: int) -> int:
+    try:
+        return int(text)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise PolyParseError(f"integer of {len(text)} digits is too long", pos) from None
+
+
+def _check_rational_power(scalar, n: int, pos: int) -> None:
+    """Refuse c^n over Q before computing it when it would pass the integer digit limit."""
+    if scalar is None or not scalar.spec.is_rationals:
+        return
+    limit = sys.get_int_max_str_digits()
+    base = max(abs(scalar.value.numerator), scalar.value.denominator)
+    if limit and base > 1 and n >= limit / math.log10(base):
+        raise PolyParseError(f"power would have more than {limit} digits", pos)
 
 
 def _as_scalar(value):
@@ -207,8 +221,8 @@ def parse_field(text: str) -> FieldSpec:
     m = _FIELD.match(text)
     if m is None:
         raise PolyParseError("expected Q, GF(p) or GF(p^k)[,mod=...]", 0)
-    p = int(m.group(1))
-    k = int(m.group(2)) if m.group(2) else 1
+    p = _int(m.group(1), m.start(1))
+    k = _int(m.group(2), m.start(2)) if m.group(2) else 1
     if m.group(3) is None:
         return FieldSpec.prime(p) if k == 1 else FieldSpec.extension(p, k)
     base = FieldSpec.prime(p)

@@ -214,16 +214,18 @@ def nu_increment(orbit: LambdaOrbit, q: FieldElement, g: Poly) -> FieldElement:
     return acc
 
 
-def mu_period(orbit: LambdaOrbit, q: FieldElement, g: Poly, anchor: FieldElement) -> int:
-    """Least m >= 1 with mu(i + m |lambda|) = mu(i) for all i, 0 if none exists.
+def mu_periods(orbit: LambdaOrbit, q: FieldElement, g: Poly) -> tuple[FieldElement | None, int]:
+    """The mu-period rule of one orbit: (fixed anchor or None, period of every other anchor).
 
     Writing Q = q^l and Xi for the one-period drift, mu(k l) follows the
-    affine iteration beta -> Q beta + Xi, so periodicity reduces to:
+    affine iteration beta -> Q beta + Xi, so the period depends on the
+    anchor only through whether it is the fixed point of that iteration:
 
-      Q = 1:  Xi = 0 gives period 1; otherwise the period is the additive
-              order of Xi (the characteristic, or infinite over Q).
-      Q != 1: the fixed point is Xi / (1 - Q); anchors there have period 1
-              and every other anchor has period ord(Q).
+      Q = 1:  no anchor is singled out; Xi = 0 gives period 1, otherwise
+              the period is the additive order of Xi (the characteristic,
+              or 0 for infinite over Q).
+      Q != 1: the fixed point Xi / (1 - Q) has period 1 and every other
+              anchor has period ord(Q).
     """
     if q.is_zero:
         raise QZero("mu-periodicity needs q != 0")
@@ -231,12 +233,18 @@ def mu_period(orbit: LambdaOrbit, q: FieldElement, g: Poly, anchor: FieldElement
     big_q = q ** orbit.period
     xi = nu_increment(orbit, q, g)
     if big_q.is_one:
-        if xi.is_zero:
-            return 1
-        return spec.char  # 0 in characteristic zero: no finite period
-    if anchor == xi / (spec.one - big_q):
-        return 1
-    return multiplicative_order(big_q)
+        return None, 1 if xi.is_zero else spec.char
+    return xi / (spec.one - big_q), multiplicative_order(big_q)
+
+
+def mu_period(orbit: LambdaOrbit, q: FieldElement, g: Poly, anchor: FieldElement) -> int:
+    """Least m >= 1 with mu(i + m |lambda|) = mu(i) for all i, 0 if none exists.
+
+    The rule is computed once per orbit by mu_periods; this applies it to
+    one anchor.
+    """
+    fixed, period = mu_periods(orbit, q, g)
+    return 1 if anchor == fixed else period
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Command-line verbs: payloads, schemas, exit codes, determinism."""
 
 import json
+import shlex
 import time
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -281,6 +283,28 @@ def test_oversized_scalars_and_integers_exit_2(capsys):
         code, out, err = run_cli(capsys, "normalize", "--field", "Q", "--q", "1",
                                  "--f", "h", "--g", "0", expr)
         assert code == 2 and "too long" in err and out == ""
+
+
+def test_rational_constant_powers_capped_at_digit_limit(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "normalize", "--field", "Q", "--q", "3^10000000",
+                             "--f", "h", "--g", "0", "x")
+    assert code == 2 and "digits (at offset 2)" in err and out == ""
+    assert time.perf_counter() - start < 1.0
+    for field, q in (("Q", "3^100"), ("GF(5)", "3^10000000")):
+        code, out, err = run_cli(capsys, "normalize", "--field", field, "--q", q,
+                                 "--f", "h", "--g", "0", "x")
+        assert code == 0 and out == "x\n", err
+
+
+def test_readme_command_lines_exit_0(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    lines = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+    assert len(lines) >= 10 and all(argv[0] == "qgha" for argv in lines)
+    for argv in lines:
+        code, _, err = run_cli(capsys, *argv[1:])
+        assert code == 0, (argv, err)
 
 
 def test_negative_verdicts_still_exit_0(capsys):

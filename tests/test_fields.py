@@ -106,6 +106,13 @@ def test_extension_enumeration_and_inverse():
             assert a * a.inverse() == F8.one
 
 
+@pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (7, 2), (2, 8)])
+def test_extension_inverse_every_unit(p, k):
+    F = FieldSpec.extension(p, k)
+    for a in F.units():
+        assert a * a.inverse() == F.one
+
+
 def test_bad_characteristic():
     with pytest.raises(UnsupportedField):
         FieldSpec.prime(6)

@@ -1,8 +1,10 @@
 """Module construction, relation checks, simplicity, isomorphism, enumeration."""
 
+import itertools
+
 import pytest
 
-from qgha import modules
+from qgha import modules, spectra
 from qgha.algebra import AlgebraSpec
 from qgha.errors import (
     FieldMismatch,
@@ -12,7 +14,7 @@ from qgha.errors import (
     SearchSpaceTooLarge,
     UnsupportedField,
 )
-from qgha.fields import FieldSpec, frobenius_degree
+from qgha.fields import FieldElement, FieldSpec, frobenius_degree
 from qgha.linalg import Matrix
 from qgha.modules import (
     MatrixRep,
@@ -27,8 +29,9 @@ from qgha.modules import (
     iso_structural,
     verify_relations,
 )
-from qgha.poly import Poly
-from qgha.spectra import MuSequence, orbit_from_seed
+from qgha.parsing import parse_field
+from qgha.poly import Poly, _divisors
+from qgha.spectra import MuSequence, enumerate_lambda_orbits, mu_period, orbit_from_seed
 
 QQ = FieldSpec.rationals()
 F5 = FieldSpec.prime(5)
@@ -265,6 +268,65 @@ def test_enumerate_counts_frozen():
     assert by_family[1] == [("A", 12), ("B", 4), ("C", 1)]
     assert by_family[2] == [("A", 4), ("B", 0), ("C", 0)]
     assert by_family[4] == [("A", 20), ("B", 16), ("C", 4)]
+
+
+def per_anchor_families_ab(alg, n):
+    """Families A and B with mu_period tested at every anchor: the reference for enumerate_simples."""
+    field = alg.field
+    units = sorted(field.units(), key=FieldElement.sort_key)
+    specs_a, specs_b = [], []
+    for l in _divisors(n):
+        m = n // l
+        for orbit in enumerate_lambda_orbits(field, alg.f, l):
+            if orbit.period != l:
+                continue
+            seen = set()
+            for beta in field.elements():
+                if mu_period(orbit, alg.q, alg.g, beta) != m:
+                    continue
+                mu = MuSequence(orbit, alg.q, alg.g, beta)
+                window = mu.values(n)
+                shifts = [tuple(window[(t + j * l) % n].sort_key() for t in range(n)) for j in range(m)]
+                best = min(range(m), key=lambda j: shifts[j])
+                if shifts[best] in seen:
+                    continue
+                seen.add(shifts[best])
+                canon = mu.shifted(best * l) if best else mu
+                for gamma in units:
+                    specs_a.append(ModuleSpec.family_a(canon, gamma))
+                    if any(v.is_zero for v in window):
+                        specs_b.append(ModuleSpec.family_b(canon, gamma))
+    return specs_a + specs_b
+
+
+@pytest.mark.parametrize("text", ["GF(2)", "GF(3)", "GF(2^2)", "GF(5)", "GF(7)", "GF(3^2)"])
+def test_enumerate_matches_per_anchor_filter(text):
+    field = parse_field(text)
+    h, one = Poly.gen(field), Poly.one(field)
+    fs = (h, h * h, h * h + one, h * h * h)
+    gs = (Poly.zero(field), one, h, h * h + h)
+    for q, f, g in itertools.product(field.units(), fs, gs):
+        alg = AlgebraSpec(field, q, f, g)
+        for n in range(1, 5):
+            got = [s for s in enumerate_simples(alg, n) if s.family != "C"]
+            assert got == per_anchor_families_ab(alg, n), (field, q, f.render(), g.render(), n)
+
+
+def test_enumerate_computes_one_order_per_orbit(monkeypatch):
+    calls = []
+    real = spectra.multiplicative_order
+
+    def counting(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(spectra, "multiplicative_order", counting)
+    F = FieldSpec.extension(2, 8)
+    h = Poly.gen(F)
+    alg = AlgebraSpec(F, F.generator, h * h, h)
+    orbits = [o for l in (1, 2) for o in enumerate_lambda_orbits(F, alg.f, l) if o.period == l]
+    assert enumerate_simples(alg, 2)
+    assert 0 < len(calls) <= len(orbits)
 
 
 def test_enumerate_modules_are_simple_and_distinct():

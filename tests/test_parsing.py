@@ -84,6 +84,14 @@ def test_long_integers_raise_parse_errors():
     assert e.value.position == 2
 
 
+def test_parse_field_long_integers_raise_parse_errors():
+    digits = "7" * 5000
+    for text, position in ((f"GF({digits})", 3), (f"GF(7^{digits})", 5)):
+        with pytest.raises(PolyParseError) as e:
+            parse_field(text)
+        assert e.value.position == position
+
+
 def test_division_rules():
     assert parse_poly("h/2", QQ) == Poly(QQ, [QQ.zero, QQ.element(Fraction(1, 2))])
     assert parse_poly("(h^2 - 1)/3", F5) == Poly.from_ints(F5, [3, 0, 2])

@@ -13,6 +13,7 @@ from qgha.spectra import (
     MuSequence,
     enumerate_lambda_orbits,
     mu_period,
+    mu_periods,
     nu_increment,
     nu_table,
     orbit_from_seed,
@@ -129,8 +130,8 @@ def brute_mu_period(mu, limit=600):
     return 0
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_mu_period_matches_bruteforce(p):
+def random_orbit_grid(p):
+    """(orbit, q, g, beta) over GF(p) for random f, g, q and one random anchor per orbit."""
     field = FieldSpec.prime(p)
     rng = random.Random(40 + p)
     for _ in range(20):
@@ -140,10 +141,26 @@ def test_mu_period_matches_bruteforce(p):
         g = Poly(field, [field.random_element(rng) for _ in range(3)])
         q = field.element(rng.randrange(1, p))
         for orbit in enumerate_lambda_orbits(field, f, p):
-            beta = field.random_element(rng)
-            got = mu_period(orbit, q, g, beta)
+            yield orbit, q, g, field.random_element(rng)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_mu_period_matches_bruteforce(p):
+    for orbit, q, g, beta in random_orbit_grid(p):
+        got = mu_period(orbit, q, g, beta)
+        want = brute_mu_period(MuSequence(orbit, q, g, beta))
+        assert got == want, (p, orbit.f.render(), g.render(), q, beta, got, want)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_mu_periods_matches_bruteforce(p):
+    for orbit, q, g, beta in random_orbit_grid(p):
+        fixed, period = mu_periods(orbit, q, g)
+        if fixed is not None:
+            assert brute_mu_period(MuSequence(orbit, q, g, fixed)) == 1
+        if beta != fixed:
             want = brute_mu_period(MuSequence(orbit, q, g, beta))
-            assert got == want, (p, f.render(), g.render(), q, beta, got, want)
+            assert period == want, (p, orbit.f.render(), g.render(), q, beta, period, want)
 
 
 def test_mu_period_char_p_case():
