@@ -8,8 +8,10 @@ with q a scalar and f, g polynomials over the coefficient field.  Words
 rewrite onto the basis x^i p(h) y^k; an element is a finite sum of such
 monomials keyed by the pair (i, k).  Multiplication reduces to the
 straightening rule for y^k x^m, which is computed once per (k, m) and
-memoized on the algebra, plus substitution h -> f(h) when h-polynomials
-move across powers of x or y, which is memoized only within one product.
+memoized on the algebra, plus the substitution sigma^k: p(h) -> p(f^[k](h))
+when h-polynomials move across x^k or y^k.  sigma^k runs Poly.compose
+against the powers of the iterate f^[k] that the algebra keeps; a result
+sigma^k(p) is kept only within one product.
 """
 
 from __future__ import annotations
@@ -30,7 +32,9 @@ class AlgebraSpec:
     degree_cap bounds the h-degree of every intermediate polynomial; deep
     substitutions grow degrees like (deg f)^k, so runaway computations fail
     fast with DegreeOverflow instead of consuming the machine.  The memos of
-    f^[k], theta_k and the straightening rules live on the instance, outside eq/hash/repr.
+    f^[k], its powers (_powers[k], about 2 sqrt(degree_cap) of them, none
+    above the cap), theta_k and the straightening rules live on the
+    instance, outside eq/hash/repr.
     """
 
     field: FieldSpec
@@ -44,24 +48,25 @@ class AlgebraSpec:
             raise FieldMismatch("q, f and g must live over the declared field")
         if max(1, self.f.degree, self.g.degree) > self.degree_cap:
             raise DegreeOverflow(f"degree cap {self.degree_cap} must be at least 1, deg f and deg g")
-        vars(self).update(_iterates=[Poly.gen(self.field)], _thetas=[Poly.zero(self.field)], _rules={})
+        vars(self).update(_iterates=[Poly.gen(self.field), self.f], _powers={},
+                          _thetas=[Poly.zero(self.field)], _rules={})
 
     def sigma(self, p: Poly) -> Poly:
         """The endomorphism p(h) -> p(f(h))."""
-        return p.compose(self.f, self.degree_cap)
+        return self.sigma_power(p, 1)
 
     def sigma_power(self, p: Poly, k: int) -> Poly:
-        """sigma^k(p) = p(f^[k](h)), one substitution against the iterate."""
+        """sigma^k(p) = p(f^[k](h)), one substitution against the memoized powers of the iterate."""
         if k == 0 or p.is_constant:
             return p
-        return p.compose(self.f_iterate(k), self.degree_cap)
+        return p.compose(self.f_iterate(k), self.degree_cap, self._powers.setdefault(k, []))
 
     def f_iterate(self, k: int) -> Poly:
         """Compositional power f^[k], with f^[0] = h."""
         if k < 0:
             raise ValueError("f is iterated k >= 0 times")
         while len(self._iterates) <= k:
-            self._iterates.append(self._iterates[-1].compose(self.f, self.degree_cap))
+            self._iterates.append(self.sigma(self._iterates[-1]))
         return self._iterates[k]
 
     def q_power(self, i: int) -> FieldElement:

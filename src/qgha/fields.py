@@ -5,8 +5,9 @@ and over GF(p^k) the trimmed u-coefficient tuple, low to high, of a residue
 modulo a monic irreducible.  Only this module knows that format, except that
 a raw value is falsy exactly when it is zero.  Each FieldSpec builds one
 private ring of its kind for raw values: coerce, add, neg, sub, mul and inv
-of elements, and add, sub, mul and divmod of polynomials held as trimmed
-lists, low to high.  FieldElement, poly.Poly and linalg delegate to it.
+of elements, and add, sub, mul, divmod and scalar linear combination of
+polynomials held as trimmed lists, low to high.  FieldElement, poly.Poly and
+linalg delegate to it.
 
 Polynomial products are Kronecker substitutions (Schoenhage 1982; Harvey,
 JSC 2009): each factor is packed into one big int of fixed-width slots and
@@ -109,6 +110,18 @@ class _Ring:
     def _poly_sub(self, a: list, b: list) -> list:
         return self._poly_add(a, [self._neg(v) for v in b])
 
+    def _poly_lincomb(self, coeffs: Sequence, polys: Sequence[list]) -> list:
+        """sum c_i polys[i] over the pairs of coeffs and polys: scalar products only."""
+        add, mul = self._add, self._mul
+        out: list = []
+        for c, poly in zip(coeffs, polys):
+            if not c:
+                continue
+            out += [self.zero] * (len(poly) - len(out))
+            for i, v in enumerate(poly):
+                out[i] = add(out[i], mul(c, v))
+        return _trimmed(out)
+
     def _poly_divmod(self, a: list, b: list) -> tuple[list, list]:
         if not b:
             raise DivisionByZero("polynomial division by zero")
@@ -154,6 +167,19 @@ class _RationalRing(_Ring):
             borrow = 2 * t >= full
             out.append(Fraction(t - full if borrow else t, d))
         return out
+
+    def _poly_lincomb(self, coeffs: Sequence, polys: Sequence[list]) -> list:
+        """Integer sums over one common denominator, then one Fraction per coefficient."""
+        terms = [(c, poly) for c, poly in zip(coeffs, polys) if c and poly]
+        if not terms:
+            return []
+        d = math.lcm(*[c.denominator * math.lcm(*[v.denominator for v in poly]) for c, poly in terms])
+        out = [0] * max(len(poly) for _, poly in terms)
+        for c, poly in terms:
+            m = c.numerator * (d // c.denominator)
+            for i, v in enumerate(poly):
+                out[i] += m * v.numerator // v.denominator
+        return [Fraction(t, d) for t in _trimmed(out)]
 
 
 class _PrimeRing(_Ring):

@@ -89,10 +89,13 @@ class _Parser:
                     raise DegreeOverflow(
                         f"product degree {value.degree + rhs.degree} exceeds cap {self.max_degree}"
                     )
+                _check_rational_product(value, rhs, pos)
                 value = value * rhs
             elif kind == "op" and text == "/":
                 self.next()
-                value = self._divide(value, self.factor(), pos)
+                rhs = self.factor()
+                _check_rational_product(value, rhs, pos)
+                value = self._divide(value, rhs, pos)
             else:
                 return value
 
@@ -157,6 +160,29 @@ def _check_rational_power(scalar, n: int, pos: int) -> None:
     base = max(abs(scalar.value.numerator), scalar.value.denominator)
     if limit and base > 1 and n >= limit / math.log10(base):
         raise PolyParseError(f"power would have more than {limit} digits", pos)
+
+
+def _check_rational_product(lhs, rhs, pos: int) -> None:
+    """Refuse lhs * rhs or lhs / rhs over Q before computing it when it could pass the digit limit.
+
+    The bound is the sum of the factors' largest numerator or denominator
+    digit counts, the rule _check_rational_power applies to c^n.
+    """
+    limit = sys.get_int_max_str_digits()
+    digits = _rational_digits(lhs) if limit else None
+    if digits is not None and digits + _rational_digits(rhs) >= limit:
+        raise PolyParseError(f"product would have more than {limit} digits", pos)
+
+
+def _rational_digits(value):
+    """log10 of the largest numerator or denominator of a Poly or PBWElement over Q, else None."""
+    if isinstance(value, Poly):
+        spec, polys = value.spec, (value,)
+    else:
+        spec, polys = value.alg.field, value.terms.values()
+    if not spec.is_rationals:
+        return None
+    return max((math.log10(max(abs(v.numerator), v.denominator)) for p in polys for v in p.values), default=0)
 
 
 def _as_scalar(value):

@@ -166,18 +166,38 @@ class Poly:
             acc = add(mul(acc, x), c)
         return FieldElement(spec, acc)
 
-    def compose(self, inner: "Poly", max_degree: int | None = None) -> "Poly":
-        """self(inner), guarded by an optional cap on the result degree."""
+    def compose(self, inner: "Poly", max_degree: int | None = None, powers: list | None = None) -> "Poly":
+        """self(inner), guarded by an optional cap on the result degree.
+
+        Paterson-Stockmeyer: the coefficients split into blocks of
+        B = 2 isqrt(deg) + 1, each block is a scalar combination of
+        inner^0 .. inner^(B-1), and Horner steps in inner^B join the blocks,
+        so a degree-d polynomial costs about sqrt(d) products and one of
+        degree <= 2 costs none beyond the powers.  powers holds the raw
+        values of inner^0, inner^1, ... built so far and is extended in
+        place, which lets a caller keep it across compositions with one
+        inner; without it the powers are built for this call only.
+        """
         self._check(inner)
         if max_degree is not None and self.degree >= 1 and inner.degree >= 1:
             if self.degree * inner.degree > max_degree:
                 raise DegreeOverflow(
                     f"composition degree {self.degree * inner.degree} exceeds cap {max_degree}"
                 )
+        d = self.degree
+        if d < 1:
+            return self
         ring = self.spec._ring
+        block = 2 * math.isqrt(d) + 1
+        powers = [] if powers is None else powers
+        if not powers:
+            powers += [[ring.one], list(inner.values)]
+        while len(powers) <= min(d, block):
+            powers.append(ring._poly_mul(powers[-1], inner.values))
         acc: list = []
-        for c in reversed(self.values):
-            acc = ring._poly_add(ring._poly_mul(acc, inner.values), [c])
+        for start in reversed(range(0, d + 1, block)):
+            head = ring._poly_lincomb(self.values[start:start + block], powers)
+            acc = ring._poly_add(ring._poly_mul(acc, powers[block]), head) if acc else head
         return self._wrap(acc)
 
     def map_coefficients(self, fn: Callable[[FieldElement], FieldElement], spec: FieldSpec) -> "Poly":

@@ -1,10 +1,13 @@
 """Normal-form engine: straightening, theta, iota, weights, commutators."""
 
 import gc
+import math
 import random
 import weakref
 
 import pytest
+from test_acceptance import parameter_sets
+from test_poly import horner
 
 from qgha.algebra import (
     AlgebraSpec,
@@ -118,6 +121,12 @@ def test_iota_antiautomorphism():
         u, v = random_element(alg, rng), random_element(alg, rng)
         assert (u * v).iota() == v.iota() * u.iota()
         assert u.iota().iota() == u
+    # the ten criterion-1 algebras: sigma^k acts on both sides of each product
+    for alg in parameter_sets():
+        for _ in range(30):
+            u, v = random_element(alg, rng), random_element(alg, rng)
+            assert (u * v).iota() == v.iota() * u.iota(), str(alg)
+            assert u.iota().iota() == u
     assert PBWElement.h(alg).iota() == PBWElement.h(alg)
     assert PBWElement.x(alg).iota() == PBWElement.y(alg)
 
@@ -169,6 +178,35 @@ def test_degree_cap():
     for cap, f, g in ((0, (0, 1), (0, 1)), (2, (0, 0, 0, 1), (0, 1)), (2, (0, 1), (0, 0, 0, 1))):
         with pytest.raises(DegreeOverflow):
             alg_f5(2, f, g, cap=cap)
+
+
+def test_sigma_power_matches_repeated_horner():
+    # sigma^k(p) is p substituted k times into f; f = 0, constant, h + 1 (deep k) and deg 3
+    rng = random.Random(17)
+    for F in (QQ, F5):
+        for f, depth in (((), 6), ((3,), 6), ((1, 1), 80), ((2, 0, 1, 1), 3)):
+            alg = AlgebraSpec(F, F.element(2), Poly.from_ints(F, f), Poly.gen(F), degree_cap=4096)
+            ks = list(range(depth + 1))
+            rng.shuffle(ks)  # memo lists warmed in no particular order
+            for k in ks:
+                for _ in range(3):
+                    p = Poly(F, [F.random_element(rng) for _ in range(rng.randint(1, 8))])
+                    expected = p
+                    for _ in range(k):
+                        expected = horner(expected, alg.f)
+                    assert alg.sigma_power(p, k) == expected, (F, f, k)
+
+
+def test_sigma_power_memo_holds_about_sqrt_cap_powers():
+    cap = 4096
+    alg = AlgebraSpec(QQ, QQ.element(2), Poly.from_ints(QQ, [1, 0, 1]), Poly.gen(QQ), degree_cap=cap)
+    theta(alg, 10)  # composes theta_9, of degree 256, with f
+    x, y, _ = generators(alg)
+    assert not (y ** 4 * x ** 4).is_zero
+    assert 1 in alg._powers
+    for powers in alg._powers.values():
+        assert len(powers) <= 2 * math.isqrt(cap) + 2
+        assert max(len(v) for v in powers) - 1 <= cap
 
 
 def test_deep_theta_matches_closed_form():

@@ -2,6 +2,7 @@
 
 import json
 import shlex
+import sys
 import time
 from importlib import resources
 from pathlib import Path
@@ -295,6 +296,21 @@ def test_rational_constant_powers_capped_at_digit_limit(capsys):
         code, out, err = run_cli(capsys, "normalize", "--field", field, "--q", q,
                                  "--f", "h", "--g", "0", "x")
         assert code == 0 and out == "x\n", err
+
+
+def test_rational_constant_products_capped_at_digit_limit(capsys):
+    # each factor passes the power check; the product would not render
+    for expr, offset in (("3^9000*3^9000*x", 6), ("3^9000*x*3^9000", 8), ("x/3^9000/3^9000", 8)):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "normalize", "--field", "Q", "--q", "1",
+                                 "--f", "h", "--g", "0", expr)
+        assert code == 2 and out == "", err
+        assert f"product would have more than {sys.get_int_max_str_digits()} digits (at offset {offset})" in err
+        assert time.perf_counter() - start < 1.0
+    for field, expr in (("Q", "3^4000*3^4000*x"), ("GF(5)", "3^9000*3^9000*x"), ("GF(5)", "3^9000*x*3^9000")):
+        code, out, err = run_cli(capsys, "normalize", "--field", field, "--q", "1",
+                                 "--f", "h", "--g", "0", expr)
+        assert code == 0 and out.startswith("x"), err
 
 
 def test_readme_command_lines_exit_0(capsys):

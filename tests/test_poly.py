@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgha.algebra import AlgebraSpec
 from qgha.errors import DegreeOverflow, DivisionByZero, FieldMismatch, ZeroArgument
@@ -16,6 +18,23 @@ from qgha.poly import (
 
 QQ = FieldSpec.rationals()
 F5 = FieldSpec.prime(5)
+COMPOSE_FIELDS = [QQ, F5, FieldSpec.extension(7, 2), FieldSpec.extension(2, 3)]
+
+
+def horner(p: Poly, inner: Poly) -> Poly:
+    """p(inner) by Horner's rule on Poly arithmetic: the oracle for compose."""
+    acc = Poly.zero(p.spec)
+    for c in reversed(p.coeffs):
+        acc = acc * inner + Poly.constant(p.spec, c)
+    return acc
+
+
+def random_poly(spec: FieldSpec, degree: int, rng: random.Random) -> Poly:
+    """A polynomial of exactly this degree (-1 is the zero polynomial)."""
+    if degree < 0:
+        return Poly.zero(spec)
+    units = list(spec.units()) if spec.order else [spec.element(Fraction(rng.randint(1, 9), rng.randint(1, 9)))]
+    return Poly(spec, [spec.random_element(rng) for _ in range(degree)] + [rng.choice(units)])
 
 
 def test_zero_degree_sentinel():
@@ -59,9 +78,32 @@ def test_compose_and_sigma_power():
 def test_compose_degree_guard():
     f = Poly.from_ints(QQ, [0, 0, 0, 1])
     p = Poly.monomial(QQ, 4)
-    with pytest.raises(DegreeOverflow):
-        p.compose(f, max_degree=10)
+    powers = []
+    with pytest.raises(DegreeOverflow, match=r"^composition degree 12 exceeds cap 10$"):
+        p.compose(f, max_degree=10, powers=powers)
+    assert powers == []  # refused before any power is built
     assert p.compose(f, max_degree=12).degree == 12
+
+
+@pytest.mark.parametrize("F", COMPOSE_FIELDS, ids=str)
+@settings(max_examples=60, deadline=None)
+@given(degree=st.integers(0, 40), inner_degree=st.integers(-1, 4), first=st.integers(0, 40),
+       seed=st.integers(0, 2**32), reuse=st.booleans())
+def test_compose_matches_horner(F, degree, inner_degree, first, seed, reuse):
+    rng = random.Random(seed)
+    p, inner = random_poly(F, degree, rng), random_poly(F, inner_degree, rng)
+    if not reuse:
+        assert p.compose(inner) == horner(p, inner)
+        return
+    # one powers list across two compositions, the first of another degree
+    powers = []
+    warm = random_poly(F, first, rng)
+    assert warm.compose(inner, powers=powers) == horner(warm, inner)
+    assert p.compose(inner, powers=powers) == horner(p, inner)
+    assert all(Poly(F, v) == inner ** j for j, v in enumerate(powers))
+    # every degree <= 2 is one scalar combination: at most inner^2 is built
+    if max(degree, first) <= 2:
+        assert len(powers) <= 3
 
 
 def test_render_and_negative_coefficients():
