@@ -41,6 +41,12 @@ class DegreeOverflow(QghaError):
     code = "degree_overflow"
 
 
+class DigitLimitExceeded(QghaError, ValueError):
+    """A computed rational has more digits than Python will convert to text."""
+
+    code = "digit_limit"
+
+
 class UnsupportedDegF(QghaError):
     """Operation requires deg f > 1 (lower degrees are out of scope)."""
 

@@ -30,6 +30,7 @@ from functools import lru_cache, partial
 from typing import Iterator, Sequence
 
 from .errors import (
+    DigitLimitExceeded,
     DivisionByZero,
     FieldMismatch,
     UnsupportedField,
@@ -609,7 +610,12 @@ class FieldElement:
         v = self.value
         if isinstance(v, tuple):
             return _render_u_poly(v)
-        return str(v)
+        try:
+            return str(v)
+        except ValueError:  # past sys.get_int_max_str_digits()
+            raise DigitLimitExceeded(
+                f"a rational with more than {sys.get_int_max_str_digits()} digits cannot be rendered"
+            ) from None
 
     def __repr__(self):
         return f"<{self} in {self.spec}>"

@@ -2,16 +2,22 @@
 
 A Matrix holds its entries as raw values of the field's ring (see fields),
 and its arithmetic runs on them; entries become field elements only when
-read.  rref takes rows of field elements, unwraps them once and returns
-raw rows, eliminating through numpy on int64 residues over GF(p) with
-(p-1)^2 + p < 2^63 (the hot path for centers and iso searches).  nullspace
-and solve wrap only the vectors they return.  A subspace grown one vector
-at a time stays in echelon form through one incremental routine, which
-serves both invariant-subspace closures and invertibility.
+read.  Elimination has a private raw core: _rref, _nullspace and _solve
+take rows of raw values and return raw rows or vectors, and the public
+rref and nullspace only unwrap their element rows and wrap what they
+return.  Over GF(p) with (p-1)^2 + p < 2^63 rows are reduced through
+numpy on int64 residues; over Q elimination is fraction-free on primitive
+integer rows, and Fractions appear only when the reduced rows are divided
+by their pivots; GF(p^k) and larger primes use the element-wise loop.  A
+subspace grown one vector at a time stays in echelon form through one
+incremental routine, which serves both invariant-subspace closures and
+invertibility.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -211,14 +217,85 @@ def _rref_prime(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[in
     return a.tolist(), pivots
 
 
-def rref(rows: Sequence[Sequence[FieldElement]], spec: FieldSpec) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form, as rows of raw ring values, and the pivot columns."""
-    raw = [[e.value for e in r] for r in rows]
-    if not raw or not raw[0]:
-        return raw, []
+def _rref_rational(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Fraction-free Gauss-Jordan over Q on primitive integer rows.
+
+    Each row is scaled to integers with content 1.  The pivot of column c
+    is the candidate entry of least absolute value, made positive.
+    Clearing column c of row i against the pivot row r replaces row i by
+    a row_i - b row_r (a, b the pivot and row_i[c] over their gcd, so a is
+    1 whenever the pivot divides row_i[c]) divided by its content, so no
+    Fraction is built inside the loop.  Only the reduced rows are divided
+    by their pivots at the end; the reduced echelon form is unique, so the
+    result equals _rref_generic's.
+    """
+    ints = []
+    for row in rows:
+        den = math.lcm(*[v.denominator for v in row])
+        row = [v.numerator * (den // v.denominator) for v in row]
+        content = math.gcd(*row)
+        ints.append([v // content for v in row] if content > 1 else row)
+    nrows, ncols = len(ints), len(ints[0])
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        nonzero = [i for i in range(r, nrows) if ints[i][c]]
+        if not nonzero:
+            continue
+        pivot = min(nonzero, key=lambda i: abs(ints[i][c]))
+        ints[r], ints[pivot] = ints[pivot], ints[r]
+        if ints[r][c] < 0:
+            ints[r] = [-v for v in ints[r]]
+        prow, lead = ints[r], ints[r][c]
+        for i in range(nrows):
+            row, b = ints[i], ints[i][c]
+            if i == r or not b:
+                continue
+            g = math.gcd(lead, b)
+            a, b = lead // g, b // g
+            if a == 1:
+                row = [x - b * y if y else x for x, y in zip(row, prow)]
+            else:
+                row = [a * x - b * y if y else a * x for x, y in zip(row, prow)]
+            content = math.gcd(*row)
+            ints[i] = [v // content for v in row] if content > 1 else row
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    zero = Fraction(0)
+    out = [[Fraction(v, row[c]) if v else zero for v in row] for row, c in zip(ints, pivots)]
+    return out + [[zero] * ncols for _ in range(nrows - r)], pivots
+
+
+def _rref(rows: list[list], spec: FieldSpec) -> tuple[list[list], list[int]]:
+    """rref on raw rows, which it may overwrite."""
+    if not rows or not rows[0]:
+        return rows, []
+    if spec.is_rationals:
+        return _rref_rational(rows)
     # numpy works in int64: residues stay below p and products below p^2
     numpy_safe = spec.is_prime_field and (spec.char - 1) ** 2 + spec.char < 2 ** 63
-    return _rref_prime(raw, spec.char) if numpy_safe else _rref_generic(raw, spec)
+    return _rref_prime(rows, spec.char) if numpy_safe else _rref_generic(rows, spec)
+
+
+def rref(rows: Sequence[Sequence[FieldElement]], spec: FieldSpec) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form, as rows of raw ring values, and the pivot columns."""
+    return _rref([[e.value for e in r] for r in rows], spec)
+
+
+def _nullspace(rows: list[list], spec: FieldSpec, ncols: int) -> list[list]:
+    """nullspace on raw rows, which it may overwrite; returns raw vectors."""
+    red, pivots = _rref(rows, spec)
+    ring = spec._ring
+    basis = []
+    for fc in sorted(set(range(ncols)) - set(pivots)):
+        vec = [ring.zero] * ncols
+        vec[fc] = ring.one
+        for row, c in zip(red, pivots):
+            vec[c] = ring._neg(row[fc])
+        basis.append(vec)
+    return basis
 
 
 def nullspace(rows: Sequence[Sequence[FieldElement]], spec: FieldSpec, ncols: int | None = None) -> list[Vector]:
@@ -229,32 +306,22 @@ def nullspace(rows: Sequence[Sequence[FieldElement]], spec: FieldSpec, ncols: in
     """
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
-    red, pivots = rref(rows, spec)
-    ring = spec._ring
-    pivot_of_col = {c: r for r, c in enumerate(pivots)}
-    free = [c for c in range(ncols) if c not in pivot_of_col]
-    basis = []
-    for fc in free:
-        vec = [ring.zero] * ncols
-        vec[fc] = ring.one
-        for c, r in pivot_of_col.items():
-            vec[c] = ring._neg(red[r][fc])
-        basis.append(tuple(FieldElement(spec, v) for v in vec))
-    return basis
+    raw = [[e.value for e in r] for r in rows]
+    return [tuple(FieldElement(spec, v) for v in vec) for vec in _nullspace(raw, spec, ncols)]
 
 
-def solve(rows: Sequence[Sequence[FieldElement]], rhs: Sequence[FieldElement], spec: FieldSpec) -> Vector | None:
-    """One solution of A v = b with free coordinates set to zero, or None."""
+def _solve(rows: list[list], spec: FieldSpec) -> list | None:
+    """A raw v with A v = b from the raw augmented rows [A | b], free coordinates 0, or None."""
     if not rows:
-        return ()
-    ncols = len(rows[0])
-    red, pivots = rref([list(r) + [b] for r, b in zip(rows, rhs)], spec)
+        return []
+    ncols = len(rows[0]) - 1
+    red, pivots = _rref(rows, spec)
     if ncols in pivots:
         return None
-    sol = [spec.zero] * ncols
-    for r, c in enumerate(pivots):
-        sol[c] = FieldElement(spec, red[r][ncols])
-    return tuple(sol)
+    sol = [spec._ring.zero] * ncols
+    for row, c in zip(red, pivots):
+        sol[c] = row[ncols]
+    return sol
 
 
 def _echelon_insert(basis: dict[int, list], v: list, ring) -> list | None:
@@ -304,7 +371,7 @@ def intertwiners(pairs: Sequence[tuple[Matrix, Matrix]]) -> list[Matrix]:
     n = pairs[0][0].nrows
     if any(m.spec != spec for pair in pairs for m in pair):
         raise FieldMismatch("matrices over different fields")
-    rows, zero = [], spec.zero
+    rows = []
     for a, b in pairs:
         for i in range(n):
             for j in range(n):
@@ -313,9 +380,9 @@ def intertwiners(pairs: Sequence[tuple[Matrix, Matrix]]) -> list[Matrix]:
                 row[i * n:(i + 1) * n] = [a.rows[k][j] for k in range(n)]
                 for k in range(n):
                     row[k * n + j] = ring._sub(row[k * n + j], b.rows[i][k])
-                rows.append([FieldElement(spec, v) if v else zero for v in row])
-    return [Matrix._raw(spec, ([e.value for e in vec[i * n:(i + 1) * n]] for i in range(n)))
-            for vec in nullspace(rows, spec, n * n)]
+                rows.append(row)
+    return [Matrix._raw(spec, (vec[i * n:(i + 1) * n] for i in range(n)))
+            for vec in _nullspace(rows, spec, n * n)]
 
 
 def is_invertible(m: Matrix) -> bool:

@@ -124,7 +124,7 @@ class _Parser:
             n = _int(text, pos)
             if self.max_degree is not None and value.degree * n > self.max_degree:
                 raise DegreeOverflow(f"power degree {value.degree * n} exceeds cap {self.max_degree}")
-            _check_rational_power(_as_scalar(value), n, pos)
+            _check_rational_power(value, n, pos)
             return value ** n
         return value
 
@@ -152,13 +152,15 @@ def _int(text: str, pos: int) -> int:
         raise PolyParseError(f"integer of {len(text)} digits is too long", pos) from None
 
 
-def _check_rational_power(scalar, n: int, pos: int) -> None:
-    """Refuse c^n over Q before computing it when it would pass the integer digit limit."""
-    if scalar is None or not scalar.spec.is_rationals:
-        return
+def _check_rational_power(value, n: int, pos: int) -> None:
+    """Refuse value^n over Q before computing it when it would pass the integer digit limit.
+
+    The bound is n times the digit count of the largest numerator or
+    denominator among value's coefficients.
+    """
     limit = sys.get_int_max_str_digits()
-    base = max(abs(scalar.value.numerator), scalar.value.denominator)
-    if limit and base > 1 and n >= limit / math.log10(base):
+    digits = _rational_digits(value) if limit else None
+    if digits and n * digits >= limit:
         raise PolyParseError(f"power would have more than {limit} digits", pos)
 
 

@@ -98,6 +98,17 @@ class Poly:
         if self.spec != other.spec:
             raise FieldMismatch("polynomials over different fields")
 
+    @staticmethod
+    def _raw(spec: FieldSpec, values: Iterable) -> "Poly":
+        """A polynomial over spec from raw values, trailing zeros trimmed here."""
+        values = list(values)
+        while values and not values[-1]:
+            values.pop()
+        out = object.__new__(Poly)
+        object.__setattr__(out, "spec", spec)
+        object.__setattr__(out, "values", tuple(values))
+        return out
+
     def _wrap(self, values: Iterable) -> "Poly":
         """A polynomial over this field from already trimmed raw values."""
         out = object.__new__(Poly)

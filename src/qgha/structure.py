@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import AlgebraSpec, PBWElement, commutator, q_commutator, theta
-from .errors import UnsupportedDegF
-from .fields import FieldElement
-from .linalg import nullspace, solve
+from .errors import DegreeOverflow, UnsupportedDegF
+from .linalg import _nullspace, _solve
 from .poly import Poly
 
 
@@ -48,19 +47,24 @@ def conformal_witness(alg: AlgebraSpec) -> ConformalWitness | None:
     """
     field = alg.field
     bound = _conformal_degree_bound(alg)
+    # column d <= bound holds the raw coefficients of sigma(h^d) - q h^d, the last one g's
     cols = []
     for d in range(bound + 1):
-        image = alg.sigma(Poly.monomial(field, d)) - alg.q * Poly.monomial(field, d)
-        cols.append(image)
-    nrows = max([c.degree for c in cols] + [alg.g.degree, 0]) + 1
-    rows = [[cols[d].coefficient(e) for d in range(bound + 1)] for e in range(nrows)]
-    rhs = [alg.g.coefficient(e) for e in range(nrows)]
-    sol = solve(rows, rhs, field)
+        h_d = Poly.monomial(field, d)
+        cols.append((alg.sigma(h_d) - alg.q * h_d).values)
+    cols.append(alg.g.values)
+    nrows = max(max(len(c) for c in cols), 1)
+    sol = _solve(_coefficient_rows(cols, nrows, field._ring.zero), field)
     if sol is None:
         return None
-    a = Poly(field, sol)
+    a = Poly._raw(field, sol)
     z = (PBWElement.x(alg) * PBWElement.y(alg) - PBWElement.h_poly(alg, a)) * alg.q
     return ConformalWitness(alg, a, z)
+
+
+def _coefficient_rows(cols: list, nrows: int, zero) -> list[list]:
+    """The first nrows rows of the matrix whose column d holds the raw coefficients cols[d]."""
+    return [[c[e] if e < len(c) else zero for c in cols] for e in range(nrows)]
 
 
 @dataclass(frozen=True)
@@ -109,6 +113,13 @@ def center_basis_truncated(alg: AlgebraSpec, max_xy: int, max_h: int) -> list[PB
     same cascade makes it commute with x, with y and with h, so the window
     intersected with the center is precisely this solution space.
 
+    The rows of that linear system are assembled from raw ring values: the
+    powers of f come from one polynomial product each, q^k is one scalar,
+    and h^d and h^d theta_{k+1} are shifts.  The kernel goes through the
+    raw nullspace, and each kernel vector becomes polynomials once.  Only
+    theta_1 .. theta_max_xy are built.  A window with max_h deg f past
+    degree_cap raises DegreeOverflow before any product.
+
     Requires deg f >= 2; lower degrees fall outside this computation's
     supported regime.
     """
@@ -116,45 +127,36 @@ def center_basis_truncated(alg: AlgebraSpec, max_xy: int, max_h: int) -> list[PB
         raise UnsupportedDegF("center computation requires deg f >= 2")
     if max_xy < 0 or max_h < 0:
         raise ValueError("truncation bounds must be nonnegative")
+    if max_h * alg.f.degree > alg.degree_cap:
+        raise DegreeOverflow(f"center window degree {max_h * alg.f.degree} exceeds cap {alg.degree_cap}")
     field = alg.field
+    ring = field._ring
+    zero, one, mul = ring.zero, ring.one, ring._mul
     width = max_h + 1
     ncols = (max_xy + 1) * width
 
-    # precompute the column polynomials q^k f^d - h^d and h^d theta_{k+1}
-    f_pows = [Poly.one(field)]
+    f_pows = [[one]]
     for _ in range(max_h):
-        f_pows.append(f_pows[-1] * alg.f)
+        f_pows.append(ring._poly_mul(f_pows[-1], alg.f.values))
 
-    rows: list[list[FieldElement]] = []
+    rows: list[list] = []
     for k in range(max_xy + 1):
-        qk = alg.q_power(k)
-        th = theta(alg, k + 1)
-        contribs: dict[int, Poly] = {}
-        for d in range(width):
-            contribs[k * width + d] = qk * f_pows[d] - Poly.monomial(field, d)
-            if k < max_xy and not th.is_zero:
-                contribs[(k + 1) * width + d] = Poly.monomial(field, d) * th
-        height = max((p.degree for p in contribs.values()), default=-1) + 1
-        for e in range(height):
-            row = [field.zero] * ncols
-            nonzero = False
-            for col, p in contribs.items():
-                c = p.coefficient(e)
-                if not c.is_zero:
-                    row[col] = c
-                    nonzero = True
-            if nonzero:
-                rows.append(row)
+        # column k*width + d holds q^k f^d - h^d, column (k+1)*width + d holds h^d theta_{k+1}
+        qk = alg.q_power(k).value
+        th = theta(alg, k + 1).values if k < max_xy else ()
+        block = [[zero] * ncols for _ in range(max(len(f_pows[-1]), max_h + len(th)))]
+        for d, fp in enumerate(f_pows):
+            col = k * width + d
+            for e, v in enumerate(fp):
+                block[e][col] = mul(qk, v)
+            block[d][col] = ring._sub(block[d][col], one)
+            for e, v in enumerate(th, d):
+                block[e][col + width] = v
+        rows += [row for row in block if any(row)]
 
-    basis = []
-    for vec in nullspace(rows, field, ncols):
-        terms = {}
-        for k in range(max_xy + 1):
-            p = Poly(field, vec[k * width : (k + 1) * width])
-            if not p.is_zero:
-                terms[(k, k)] = p
-        basis.append(PBWElement(alg, terms))
-    return basis
+    return [PBWElement(alg, {(k, k): Poly._raw(field, vec[k * width:(k + 1) * width])
+                             for k in range(max_xy + 1)})
+            for vec in _nullspace(rows, field, ncols)]
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +194,9 @@ def domain_check(alg: AlgebraSpec) -> DomainReport:
     # coefficient space maps into the deg g dimensional space of residues
     # mod g, so a kernel vector exists.
     dg = alg.g.degree
-    cols = [alg.sigma(Poly.monomial(field, d)) % alg.g for d in range(dg + 1)]
-    rows = [[cols[d].coefficient(e) for d in range(dg + 1)] for e in range(dg)]
-    kernel = nullspace(rows, field, dg + 1)
-    p0 = Poly(field, kernel[0])
+    cols = [(alg.sigma(Poly.monomial(field, d)) % alg.g).values for d in range(dg + 1)]
+    kernel = _nullspace(_coefficient_rows(cols, dg, field._ring.zero), field, dg + 1)
+    p0 = Poly._raw(field, kernel[0])
     quot, rem = divmod(alg.sigma(p0), alg.g)
     assert rem.is_zero
     right = PBWElement.monomial(alg, 1, quot, 1) - PBWElement.h_poly(alg, p0)

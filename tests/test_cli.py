@@ -4,6 +4,7 @@ import json
 import shlex
 import sys
 import time
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -12,6 +13,8 @@ import pytest
 from referencing import Registry, Resource
 
 from qgha.cli import main
+from qgha.errors import DigitLimitExceeded
+from qgha.fields import FieldSpec
 
 
 def _load_schemas():
@@ -311,6 +314,37 @@ def test_rational_constant_products_capped_at_digit_limit(capsys):
         code, out, err = run_cli(capsys, "normalize", "--field", field, "--q", "1",
                                  "--f", "h", "--g", "0", expr)
         assert code == 0 and out.startswith("x"), err
+
+
+def test_center_window_past_degree_cap_fails_fast(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "center", *BASE, "--max-xy", "1", "--max-h", "5000",
+                             "--degree-cap", "512")
+    assert code == 1 and "center window degree 10000 exceeds cap 512" in err and out == ""
+    assert time.perf_counter() - start < 1.0
+
+
+def test_power_of_non_constant_capped_at_digit_limit(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "normalize", "--field", "Q", "--q", "1", "--f", "h", "--g", "0",
+                             "(3^4000*h)^3")
+    assert code == 2 and out == "", err
+    assert f"power would have more than {sys.get_int_max_str_digits()} digits (at offset 11)" in err
+    assert time.perf_counter() - start < 1.0
+    code, out, err = run_cli(capsys, "normalize", "--field", "Q", "--q", "1", "--f", "h", "--g", "0",
+                             "(3^1000*h)^3")
+    assert code == 0 and out.endswith("*h^3\n"), err
+
+
+def test_unrenderable_rational_is_a_typed_error(capsys):
+    # straightening y^3 x^3 multiplies in q^9, about 17,000 digits
+    code, out, err = run_cli(capsys, "normalize", "--field", "Q", "--q", "3^4000", "--f", "h", "--g", "0",
+                             "y^3*x^3")
+    assert code == 1 and out == ""
+    assert err == f"error: a rational with more than {sys.get_int_max_str_digits()} digits cannot be rendered\n"
+    with pytest.raises(DigitLimitExceeded) as info:
+        str(FieldSpec.rationals().element(Fraction(1, 3 ** 10000)))
+    assert info.value.code == "digit_limit"
 
 
 def test_readme_command_lines_exit_0(capsys):

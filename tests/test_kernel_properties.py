@@ -5,7 +5,9 @@ GF(7^2).  Element and polynomial arithmetic is checked against oracles
 written here on the documented value formats: Fractions, int residues and
 trimmed u-coefficient tuples.  Division is checked through a = q*b + r with
 deg r < deg b, and, where sympy is installed, GF(p) products and division
-are checked against sympy.Poly(..., modulus=p).
+are checked against sympy.Poly(..., modulus=p).  The fraction-free Q
+elimination is checked against the element-wise one and against sympy's
+Matrix.rref on random rational matrices.
 """
 
 import random
@@ -214,3 +216,46 @@ def test_rref_large_prime_matches_generic(p):
             combo = [sum((row[c] * F.element(red[r][j]) for r, c in enumerate(pivots)), F.zero)
                      for j in range(4)]
             assert combo == row
+
+
+# -- fraction-free elimination over Q -----------------------------------------
+
+
+def rationals():
+    small = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    # numerators and denominators of 30 to 40 digits
+    huge = st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(10**29, 10**40))
+    return st.just(Fraction(0)) | small | huge
+
+
+@st.composite
+def rational_matrices(draw):
+    """Dense or low-rank (tall, wide, square) matrices up to 12 x 12 with some zero rows and columns."""
+    nrows, ncols = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    if draw(st.booleans()):
+        rank = draw(st.integers(0, min(nrows, ncols)))
+        left = [[draw(rationals()) for _ in range(rank)] for _ in range(nrows)]
+        right = [[draw(rationals()) for _ in range(ncols)] for _ in range(rank)]
+        rows = [[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in zip(*right)] if rank else
+                [Fraction(0)] * ncols for row in left]
+    else:
+        rows = [[draw(rationals()) for _ in range(ncols)] for _ in range(nrows)]
+    zero_rows = draw(st.sets(st.integers(0, max(nrows - 1, 0)), max_size=2)) if nrows else set()
+    zero_cols = draw(st.sets(st.integers(0, max(ncols - 1, 0)), max_size=2)) if ncols else set()
+    negated = draw(st.sets(st.integers(0, max(nrows - 1, 0)), max_size=nrows)) if nrows else set()
+    return [[Fraction(0) if i in zero_rows or j in zero_cols else -v if i in negated else v
+             for j, v in enumerate(row)] for i, row in enumerate(rows)]
+
+
+@SETTINGS
+@given(rows=rational_matrices())
+def test_rational_rref_matches_generic_and_sympy(rows):
+    sympy = pytest.importorskip("sympy")
+    red, pivots = rref([[QQ.element(v) for v in row] for row in rows], QQ)
+    assert (red, pivots) == _rref_generic([list(row) for row in rows], QQ)
+    assert all(type(v) is Fraction for row in red for v in row)
+    ncols = len(rows[0]) if rows else 0
+    m = sympy.Matrix(len(rows), ncols, [sympy.Rational(v.numerator, v.denominator) for row in rows for v in row])
+    expect, expect_pivots = m.rref()
+    assert pivots == list(expect_pivots)
+    assert red == [[Fraction(int(v.p), int(v.q)) for v in row] for row in expect.tolist()]

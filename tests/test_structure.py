@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from qgha.algebra import AlgebraSpec, PBWElement, commutator, generators
-from qgha.errors import UnsupportedDegF
+from qgha.algebra import AlgebraSpec, PBWElement, commutator, generators, theta
+from qgha.errors import DegreeOverflow, UnsupportedDegF
 from qgha.fields import FieldSpec
 from qgha.linalg import nullspace
 from qgha.poly import Poly
@@ -168,6 +168,71 @@ def test_center_monotone_in_window():
     large = center_basis_truncated(alg, 4, 8)
     for b in small:
         assert _in_span(large, b)
+
+
+def _center_elementwise(alg, max_xy, max_h):
+    """The center solve assembled entry by entry from field elements: the oracle for the raw assembly."""
+    field = alg.field
+    width = max_h + 1
+    ncols = (max_xy + 1) * width
+    f_pows = [Poly.one(field)]
+    for _ in range(max_h):
+        f_pows.append(f_pows[-1] * alg.f)
+    rows = []
+    for k in range(max_xy + 1):
+        qk = alg.q_power(k)
+        th = theta(alg, k + 1)
+        contribs = {}
+        for d in range(width):
+            contribs[k * width + d] = qk * f_pows[d] - Poly.monomial(field, d)
+            if k < max_xy and not th.is_zero:
+                contribs[(k + 1) * width + d] = Poly.monomial(field, d) * th
+        height = max((p.degree for p in contribs.values()), default=-1) + 1
+        for e in range(height):
+            row = [field.zero] * ncols
+            for col, p in contribs.items():
+                row[col] = p.coefficient(e)
+            if any(not c.is_zero for c in row):
+                rows.append(row)
+    basis = []
+    for vec in nullspace(rows, field, ncols):
+        terms = {(k, k): Poly(field, vec[k * width:(k + 1) * width]) for k in range(max_xy + 1)}
+        basis.append(PBWElement(alg, terms))
+    return basis
+
+
+@pytest.mark.parametrize("field,qs", [
+    (QQ, [-1, 2, QQ.element(1) / 3]),
+    (F5, [2, 4, 1]),
+    (FieldSpec.extension(7, 2), [FieldSpec.extension(7, 2).generator, 6]),
+    (FieldSpec.extension(2, 3), [FieldSpec.extension(2, 3).generator, 1]),
+], ids=["Q", "GF(5)", "GF(7^2)", "GF(2^3)"])
+def test_center_matches_elementwise_assembly(field, qs):
+    rng = random.Random(str(field))
+    for q in qs:
+        for conformal in (False, True):
+            f = Poly(field, [field.random_element(rng), field.random_element(rng), field.one])
+            if conformal:
+                a = Poly(field, [field.random_element(rng), field.one])
+                g = a.compose(f) - a * field.element(q)
+            else:
+                g = Poly(field, [field.random_element(rng) for _ in range(3)])
+            alg = AlgebraSpec(field, field.element(q), f, g)
+            for max_xy in range(4):
+                for max_h in range(7):
+                    expect = [b.render() for b in _center_elementwise(alg, max_xy, max_h)]
+                    assert [b.render() for b in center_basis_truncated(alg, max_xy, max_h)] == expect
+
+
+def test_center_window_past_degree_cap():
+    alg = AlgebraSpec(F5, F5.element(2), Poly.from_ints(F5, [0, 0, 1]), Poly.gen(F5), degree_cap=16)
+    with pytest.raises(DegreeOverflow, match="center window degree 18 exceeds cap 16"):
+        center_basis_truncated(alg, 1, 9)
+    assert center_basis_truncated(alg, 1, 8) == [PBWElement.one(alg)]
+    # the window needs theta_1 .. theta_max_xy only: deg theta_5 = 16, deg theta_6 = 32
+    assert center_basis_truncated(alg, 5, 0) == [PBWElement.one(alg)]
+    with pytest.raises(DegreeOverflow, match="composition degree 32 exceeds cap 16"):
+        center_basis_truncated(alg, 6, 0)
 
 
 def test_center_requires_deg_f_at_least_two():
