@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import random
 import sys
 from array import array
 from dataclasses import dataclass, field
@@ -33,6 +34,7 @@ from .errors import (
     DigitLimitExceeded,
     DivisionByZero,
     FieldMismatch,
+    SearchSpaceTooLarge,
     UnsupportedField,
     ZeroArgument,
 )
@@ -185,6 +187,7 @@ class _RationalRing(_Ring):
 
 class _PrimeRing(_Ring):
     zero, one = 0, 1
+    k = 1  # a residue is its own single slot (see _ExtensionRing._to_slots)
 
     def __init__(self, p: int):
         self.p = p
@@ -212,6 +215,15 @@ class _PrimeRing(_Ring):
     def _inv(self, a):
         return pow(a, -1, self.p)
 
+    def _to_slots(self, values: list[int]) -> list[int]:
+        return values
+
+    def _from_slots(self, slots: list[int]) -> list[int]:
+        return slots
+
+    def _scale_matrix(self, d: int) -> list[list[int]]:
+        return [[d]]
+
     def _poly_mul(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
         if not a or not b:
             return []
@@ -228,6 +240,7 @@ class _ExtensionRing(_Ring):
         self.p, self.k, self.modulus = p, len(modulus) - 1, list(modulus)
         self.base = _PrimeRing(p)
         k = self.k
+        self._pads = [(0,) * (k - n) for n in range(k + 1)]
         # u^(k+e) mod modulus for 0 <= e <= k-2
         self.table = [self.base._poly_divmod([0] * (k + e) + [1], self.modulus)[1] for e in range(k - 1)]
         # An element product is folded by one more product, with the matrix
@@ -247,13 +260,25 @@ class _ExtensionRing(_Ring):
         return (n,) if n else ()
 
     def _add(self, a, b):
-        return tuple(self.base._poly_add(a, b))
+        if not a or not b:  # most sums in PBW products have a zero term
+            return a or b
+        p = self.p
+        out = [(x + y) % p for x, y in itertools.zip_longest(a, b, fillvalue=0)]
+        while out and not out[-1]:
+            out.pop()
+        return tuple(out)
 
     def _neg(self, a):
         return tuple(-v % self.p for v in a)
 
     def _sub(self, a, b):
-        return tuple(self.base._poly_sub(a, b))
+        if not b:
+            return a
+        p = self.p
+        out = [(x - y) % p for x, y in itertools.zip_longest(a, b, fillvalue=0)]
+        while out and not out[-1]:
+            out.pop()
+        return tuple(out)
 
     def _mul(self, a, b):
         if not a or not b:
@@ -287,6 +312,30 @@ class _ExtensionRing(_Ring):
             r0, r1, s0, s1 = r1, r0, s1, s0
         c = pow(r1[0], -1, p)
         return tuple(_trimmed(v * c % p for v in s1))
+
+    def _to_slots(self, values: Sequence[tuple]) -> list[int]:
+        """The k residues of each value, u^0 first, in one flat list: the format linalg's kernel reduces."""
+        pads = self._pads
+        return [d for v in values for d in v + pads[len(v)]]
+
+    def _from_slots(self, slots: Sequence[int]) -> list[tuple]:
+        return [c if c[-1] else tuple(_trimmed(c)) if any(c) else () for c in zip(*[iter(slots)] * self.k)]
+
+    def _scale_matrix(self, d) -> list[list[int]]:
+        """Row jk + s, column t: slot s of d u^(j+t), for j, s, t < k.
+
+        These are the matrices over GF(p) of multiplying by d u^j, j < k,
+        transposed and stacked: times a (k, n) array whose column e holds
+        the slots of entry e, rows jk..jk+k-1 of the product hold the slots
+        of d u^j times each entry.  Each power of u is a shift, with u^k
+        folded back as minus the modulus's lower terms.
+        """
+        p, k, low = self.p, self.k, self.modulus[:-1]
+        w = [list(d) + [0] * (k - len(d))]
+        for _ in range(2 * k - 2):
+            top = w[-1][-1]
+            w.append([(v - top * m) % p for v, m in zip([0] + w[-1][:-1], low)])
+        return [[w[j + t][s] for t in range(k)] for j in range(k) for s in range(k)]
 
     def _poly_mul(self, a: list, b: list) -> list:
         """Each coefficient gets a block of 2k-1 slots, one per power of u.
@@ -621,16 +670,60 @@ class FieldElement:
         return f"<{self} in {self.spec}>"
 
 
+# Pollard-Brent rho gets this many squarings per factorization: under a second
+# on a 2-core Xeon (Python 3.11), and enough to split off prime factors up to
+# about 10^12.
+_RHO_STEPS = 1 << 20
+
+
 def _factorize(n: int) -> dict[int, int]:
+    """Prime factorization of n >= 1; SearchSpaceTooLarge when it would take long.
+
+    Trial division runs up to 1000 or sqrt n; a cofactor that is_prime
+    does not accept is split by Pollard-Brent rho (Pollard 1975; Brent
+    1980) with a fixed seed, which is refused once it has used _RHO_STEPS
+    steps.
+    """
     out: dict[int, int] = {}
     d = 2
-    while d * d <= n:
+    while d < 1000 and d * d <= n:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+        d += 1
+    rng, steps, left = None, 0, [n] if n > 1 else []
+    while left:
+        m = left.pop()
+        if m < d * d or (m < _MR_BOUND and is_prime(m)):  # m has no factor below d
+            out[m] = out.get(m, 0) + 1
+            continue
+        rng = rng or random.Random(0)
+        g = m
+        while g == m:  # a cycle closed mod m itself: retry with another polynomial
+            y, c = rng.randrange(m), rng.randrange(1, m)
+            g = q = r = 1
+            while g == 1:
+                if steps >= _RHO_STEPS:
+                    raise SearchSpaceTooLarge(f"{m} was not split within {_RHO_STEPS} rho steps")
+                x = y
+                for _ in range(r):
+                    y = (y * y + c) % m
+                for i in range(0, r, 128):  # one gcd per 128 differences
+                    ys = y
+                    for _ in range(min(128, r - i)):
+                        y = (y * y + c) % m
+                        q = q * abs(x - y) % m
+                    g = math.gcd(q, m)
+                    if g != 1:
+                        break
+                steps += 2 * r
+                r *= 2
+            if g == m:  # the batch overshot: replay it one difference at a time
+                g = 1
+                while g == 1:
+                    ys = (ys * ys + c) % m
+                    g = math.gcd(abs(x - ys), m)
+        left += [g, m // g]
     return out
 
 
@@ -638,7 +731,8 @@ def multiplicative_order(a: FieldElement) -> int:
     """Order of a in the multiplicative group; 0 encodes infinite order.
 
     Finite-field orders divide p^k - 1 and are found by stripping prime
-    factors; over Q only 1 and -1 have finite order.
+    factors, so SearchSpaceTooLarge when p^k - 1 is too hard to factor
+    (see _factorize); over Q only 1 and -1 have finite order.
     """
     if a.is_zero:
         raise ZeroArgument("zero has no multiplicative order")

@@ -5,13 +5,15 @@ and its arithmetic runs on them; entries become field elements only when
 read.  Elimination has a private raw core: _rref, _nullspace and _solve
 take rows of raw values and return raw rows or vectors, and the public
 rref and nullspace only unwrap their element rows and wrap what they
-return.  Over GF(p) with (p-1)^2 + p < 2^63 rows are reduced through
-numpy on int64 residues; over Q elimination is fraction-free on primitive
-integer rows, and Fractions appear only when the reduced rows are divided
-by their pivots; GF(p^k) and larger primes use the element-wise loop.  A
-subspace grown one vector at a time stays in echelon form through one
-incremental routine, which serves both invariant-subspace closures and
-invertibility.
+return.  Over GF(p^k), k = 1 for GF(p), with k (p-1)^2 + p < 2^63, one
+numpy kernel reduces rows whose entries are k int64 residues each, one per
+power of u; multiplying by a field element is a k x k matrix over GF(p)
+that the field's ring builds.  Over Q elimination is fraction-free on
+primitive integer rows, and Fractions appear only when the reduced rows
+are divided by their pivots; fields past the int64 guard use the
+element-wise loop.  A subspace grown one vector at a time stays in echelon
+form through one incremental routine, which serves both invariant-subspace
+closures and invertibility.
 """
 
 from __future__ import annotations
@@ -192,29 +194,44 @@ def _rref_generic(rows: list[list], spec: FieldSpec) -> tuple[list[list], list[i
     return rows, pivots
 
 
-def _rref_prime(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    a = np.array(rows, dtype=np.int64) % p
-    nrows, ncols = a.shape
-    pivots: list[int] = []
-    r = 0
+def _fits_int64(p: int, k: int) -> bool:
+    """Whether _rref_slots is exact over GF(p^k): an update subtracts k products of residues below p."""
+    return k * (p - 1) ** 2 + p < 2 ** 63
+
+
+def _rref_slots(rows: list[list], ring) -> tuple[list[list], list[int]]:
+    """Gauss-Jordan over GF(p^k), k = 1 for GF(p), on int64 residues.
+
+    a[i, t, c] is the residue at u^t of entry (i, c).  The ring's scale
+    matrix of the pivot's inverse, times the pivot row's slots, stacks u^j
+    times the scaled pivot row for j < k; one matmul of every nonzero lead's
+    slots with that block clears the column, and the pivot row, cleared too,
+    is then replaced by its scaled form.  Left of column c the pivot row is
+    zero, so only slots from column c on change.  Rows are never swapped:
+    the pivot is the first unused row with a nonzero lead.
+    """
+    p, k = ring.p, ring.k
+    flat = np.array([ring._to_slots(r) for r in rows], dtype=np.int64)
+    nrows, ncols = flat.shape[0], flat.shape[1] // k
+    a = flat.reshape(nrows, ncols, k).transpose(0, 2, 1)
+    used: dict[int, int] = {}  # pivot row -> its column, in pivot order
     for c in range(ncols):
-        col = a[r:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
+        lead = a[:, :, c]
+        nonzero = np.nonzero(lead)[0]  # a row repeats once per nonzero slot; repeats write equal rows
+        r = next((i for i in nonzero.tolist() if i not in used), None)
+        if r is None:
             continue
-        pivot = r + int(nz[0])
-        if pivot != r:
-            a[[r, pivot]] = a[[pivot, r]]
-        a[r] = (a[r] * pow(int(a[r, c]), -1, p)) % p
-        mask = np.nonzero(a[:, c])[0]
-        mask = mask[mask != r]
-        if mask.size:
-            a[mask] = (a[mask] - np.outer(a[mask, c], a[r])) % p
-        pivots.append(c)
-        r += 1
-        if r == nrows:
+        scale = np.array(ring._scale_matrix(ring._inv(ring._from_slots(lead[r].tolist())[0])), dtype=np.int64)
+        rest = a[:, :, c:]
+        block = scale @ rest[r] % p
+        rest[nonzero] = (rest[nonzero] - (lead[nonzero] @ block.reshape(k, -1)).reshape(-1, k, ncols - c)) % p
+        rest[r] = block[:k]
+        used[r] = c
+        if len(used) == nrows:
             break
-    return a.tolist(), pivots
+    out = flat.tolist()  # pivot rows in pivot order, then the rest, which are zero
+    order = [*used, *(i for i in range(nrows) if i not in used)]
+    return [ring._from_slots(out[i]) for i in order], list(used.values())
 
 
 def _rref_rational(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -274,9 +291,7 @@ def _rref(rows: list[list], spec: FieldSpec) -> tuple[list[list], list[int]]:
         return rows, []
     if spec.is_rationals:
         return _rref_rational(rows)
-    # numpy works in int64: residues stay below p and products below p^2
-    numpy_safe = spec.is_prime_field and (spec.char - 1) ** 2 + spec.char < 2 ** 63
-    return _rref_prime(rows, spec.char) if numpy_safe else _rref_generic(rows, spec)
+    return _rref_slots(rows, spec._ring) if _fits_int64(spec.char, spec.degree) else _rref_generic(rows, spec)
 
 
 def rref(rows: Sequence[Sequence[FieldElement]], spec: FieldSpec) -> tuple[list[list], list[int]]:

@@ -131,6 +131,18 @@ def test_mu(capsys):
     assert infinite["muPeriod"] == 0
 
 
+def test_mu_over_word_size_prime_is_fast(capsys):
+    # p - 1 = 2 * 100000000000000181, a prime, and 3 is a square mod p, so
+    # ord(3) = (p - 1) / 2; factoring p - 1 by trial division took about 27 s
+    p = 200000000000000363
+    start = time.perf_counter()
+    code = main(["mu", "--field", f"GF({p})", "--q", "3", "--f", "h", "--g", "h",
+                 "--alpha", "1", "--beta", "3", "--json"])
+    assert time.perf_counter() - start < 2
+    assert code == 0 and pow(3, (p - 1) // 2, p) == 1
+    assert json.loads(capsys.readouterr().out)["muPeriod"] == (p - 1) // 2
+
+
 def test_nu(capsys):
     payload = run_json(capsys, "nu", *BASE, "--alpha", "1", "--k", "4", schema="qgha:nu")
     assert payload == {"alpha": "1", "values": ["0", "1", "3", "2", "0"]}

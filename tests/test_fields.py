@@ -1,6 +1,7 @@
 """Scalar arithmetic over Q, GF(p) and GF(p^k)."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,9 +9,11 @@ import pytest
 from qgha.errors import (
     DivisionByZero,
     FieldMismatch,
+    SearchSpaceTooLarge,
     UnsupportedField,
     ZeroArgument,
 )
+from qgha import fields
 from qgha.fields import (
     FieldElement,
     FieldSpec,
@@ -159,6 +162,56 @@ def test_multiplicative_order_against_iteration():
                 power = power * a
                 count += 1
             assert multiplicative_order(a) == count
+
+
+def test_multiplicative_order_prime_fields_below_200():
+    # oracle: the first power of a that is 1, on plain residues
+    for p in filter(is_prime, range(200)):
+        F = FieldSpec.prime(p)
+        for a in range(1, p):
+            power, count = a, 1
+            while power != 1:
+                power, count = power * a % p, count + 1
+            assert multiplicative_order(F.element(a)) == count
+
+
+def _trial_division(n):
+    out, d = Counter(), 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] += 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] += 1
+    return dict(out)
+
+
+def test_factorize_matches_trial_division():
+    rng = random.Random(3)
+    for n in [*range(1, 3000), *(rng.randrange(10**6, 10**9) for _ in range(100))]:
+        assert fields._factorize(n) == _trial_division(n)
+
+
+def test_factorize_splits_products_of_large_primes():
+    # cofactors past trial division are split by rho and certified by is_prime
+    rng = random.Random(4)
+    primes = [q for q in (rng.randrange(10**5, 10**10) for _ in range(2000)) if is_prime(q)][:12]
+    for a, b, c in zip(primes[::3], primes[1::3], primes[2::3]):
+        assert fields._factorize(4 * 997 * a * b**2 * c) == dict(Counter([2, 2, 997, a, b, b, c]))
+
+
+def test_factorize_refuses_past_rho_budget(monkeypatch):
+    p, q = 10**15 + 37, 10**15 + 91
+    assert is_prime(p) and is_prime(q)
+    with pytest.raises(SearchSpaceTooLarge):
+        fields._factorize(p * q)
+    monkeypatch.setattr(fields, "_RHO_STEPS", 0)
+    # 600960379 - 1 = 2 * 3 * 10007 * 10009, and no trial divisor splits 10007 * 10009
+    with pytest.raises(SearchSpaceTooLarge):
+        multiplicative_order(FieldSpec.prime(600960379).element(7))
+    # 2039 - 1 = 2 * 1019, and a prime cofactor needs no rho step
+    assert multiplicative_order(FieldSpec.prime(2039).element(2038)) == 2
 
 
 def test_order_divides_group_order():

@@ -7,9 +7,11 @@ trimmed u-coefficient tuples.  Division is checked through a = q*b + r with
 deg r < deg b, and, where sympy is installed, GF(p) products and division
 are checked against sympy.Poly(..., modulus=p).  The fraction-free Q
 elimination is checked against the element-wise one and against sympy's
-Matrix.rref on random rational matrices.
+Matrix.rref on random rational matrices, and the int64 slot kernel against
+the element-wise one over GF(5), GF(7^2), GF(2^3), GF(3^3) and GF(2^8).
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -18,7 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgha.fields import FieldSpec
-from qgha.linalg import _rref_generic, rref
+from qgha import linalg
+from qgha.linalg import _fits_int64, _rref, _rref_generic, rref
 from qgha.poly import Poly
 
 QQ = FieldSpec.rationals()
@@ -198,9 +201,12 @@ def test_prime_field_against_sympy(F, data):
 
 
 @pytest.mark.parametrize("p", [2**31 - 1, 4294967311])
-def test_rref_large_prime_matches_generic(p):
-    # products of residues of 4294967311 overflow int64
+def test_rref_large_prime_matches_generic(p, monkeypatch):
+    # products of residues of 4294967311 overflow int64, so only it takes the element-wise loop
     F = FieldSpec.prime(p)
+    calls = []
+    generic = linalg._rref_generic
+    monkeypatch.setattr(linalg, "_rref_generic", lambda rows, spec: calls.append(1) or generic(rows, spec))
     rng = random.Random(p)
     for _ in range(50):
         basis = [[F.element(rng.randrange(p)) for _ in range(4)] for _ in range(2)]
@@ -216,6 +222,24 @@ def test_rref_large_prime_matches_generic(p):
             combo = [sum((row[c] * F.element(red[r][j]) for r, c in enumerate(pivots)), F.zero)
                      for j in range(4)]
             assert combo == row
+    assert len(calls) == (0 if p == 2**31 - 1 else 50)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 64])
+def test_int64_guard_boundary(k):
+    # the largest p with k (p-1)^2 + p < 2^63; p need not be prime, and no field is built
+    p = math.isqrt(2**63 // k) + 2
+    while k * (p - 1) ** 2 + p >= 2**63:
+        p -= 1
+    assert k * p**2 + p + 1 >= 2**63
+    assert _fits_int64(p, k) and _fits_int64(p - 1, k)
+    assert not _fits_int64(p + 1, k) and not _fits_int64(p + 2, k)
+
+
+def test_int64_guard_named_fields():
+    assert _fits_int64(5, 1) and _fits_int64(7, 2) and _fits_int64(2, 8)
+    assert _fits_int64(2**31 - 1, 1) and _fits_int64(2**31 - 1, 2)
+    assert not _fits_int64(4294967311, 1) and not _fits_int64(2**31 - 1, 3)
 
 
 # -- fraction-free elimination over Q -----------------------------------------
@@ -229,26 +253,26 @@ def rationals():
 
 
 @st.composite
-def rational_matrices(draw):
-    """Dense or low-rank (tall, wide, square) matrices up to 12 x 12 with some zero rows and columns."""
+def matrices(draw, values, zero):
+    """Dense or low-rank (tall, wide, square) matrices up to 12 x 12 with up to two zero rows and columns."""
     nrows, ncols = draw(st.integers(0, 12)), draw(st.integers(0, 12))
     if draw(st.booleans()):
         rank = draw(st.integers(0, min(nrows, ncols)))
-        left = [[draw(rationals()) for _ in range(rank)] for _ in range(nrows)]
-        right = [[draw(rationals()) for _ in range(ncols)] for _ in range(rank)]
-        rows = [[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in zip(*right)] if rank else
-                [Fraction(0)] * ncols for row in left]
+        left = [[draw(values) for _ in range(rank)] for _ in range(nrows)]
+        right = [[draw(values) for _ in range(ncols)] for _ in range(rank)]
+        rows = [[sum((a * b for a, b in zip(row, col)), zero) for col in zip(*right)] if rank else
+                [zero] * ncols for row in left]
     else:
-        rows = [[draw(rationals()) for _ in range(ncols)] for _ in range(nrows)]
+        rows = [[draw(values) for _ in range(ncols)] for _ in range(nrows)]
     zero_rows = draw(st.sets(st.integers(0, max(nrows - 1, 0)), max_size=2)) if nrows else set()
     zero_cols = draw(st.sets(st.integers(0, max(ncols - 1, 0)), max_size=2)) if ncols else set()
     negated = draw(st.sets(st.integers(0, max(nrows - 1, 0)), max_size=nrows)) if nrows else set()
-    return [[Fraction(0) if i in zero_rows or j in zero_cols else -v if i in negated else v
+    return [[zero if i in zero_rows or j in zero_cols else -v if i in negated else v
              for j, v in enumerate(row)] for i, row in enumerate(rows)]
 
 
 @SETTINGS
-@given(rows=rational_matrices())
+@given(rows=matrices(rationals(), Fraction(0)))
 def test_rational_rref_matches_generic_and_sympy(rows):
     sympy = pytest.importorskip("sympy")
     red, pivots = rref([[QQ.element(v) for v in row] for row in rows], QQ)
@@ -259,3 +283,26 @@ def test_rational_rref_matches_generic_and_sympy(rows):
     expect, expect_pivots = m.rref()
     assert pivots == list(expect_pivots)
     assert red == [[Fraction(int(v.p), int(v.q)) for v in row] for row in expect.tolist()]
+
+
+# -- the int64 slot kernel over finite fields ----------------------------------
+
+SLOT_FIELDS = [F5, F49, FieldSpec.extension(2, 3), FieldSpec.extension(3, 3), FieldSpec.extension(2, 8)]
+
+
+@pytest.mark.parametrize("F", SLOT_FIELDS, ids=str)
+@SETTINGS
+@given(data=st.data())
+def test_slot_rref_matches_generic(F, data):
+    assert _fits_int64(F.char, F.degree)
+    rows = [[v.value for v in row] for row in data.draw(matrices(elements(F), F.zero))]
+    red, pivots = _rref([list(row) for row in rows], F)
+    expect, expect_pivots = _rref_generic([list(row) for row in rows], F)
+    assert pivots == expect_pivots
+    assert red == expect
+    for row in red:
+        for v in row:
+            if F.is_extension:
+                assert type(v) is tuple and (not v or v[-1]) and len(v) <= F.degree
+            else:
+                assert type(v) is int and 0 <= v < F.char
