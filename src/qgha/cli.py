@@ -10,7 +10,9 @@ raised by the library, 2 for usage and parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 
 from .algebra import AlgebraSpec, PBWElement, theta
@@ -387,8 +389,12 @@ _HANDLERS = {
 }
 
 
+# parse_args leaves the parser as it was, so one serves every call
+_parser = functools.lru_cache(maxsize=1)(build_parser)
+
+
 def run(argv: list[str]) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     alg = _build_algebra(args)
     payload, lines = _HANDLERS[args.verb](alg, args)
     if args.json:
@@ -401,12 +407,19 @@ def run(argv: list[str]) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        return run(sys.argv[1:] if argv is None else argv)
+        code = run(sys.argv[1:] if argv is None else argv)
+        sys.stdout.flush()
+        return code
     except PolyParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except QghaError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader left early (qgha ... | head); what is still buffered
+        # goes to devnull, so the flush at exit raises nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -28,7 +28,7 @@ from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DigitLimitExceeded,
@@ -107,7 +107,8 @@ class _Ring:
         out = list(a)
         add = self._add
         for i, v in enumerate(b):
-            out[i] = add(out[i], v)
+            if v:
+                out[i] = add(out[i], v)
         return _trimmed(out)
 
     def _poly_sub(self, a: list, b: list) -> list:
@@ -122,7 +123,8 @@ class _Ring:
                 continue
             out += [self.zero] * (len(poly) - len(out))
             for i, v in enumerate(poly):
-                out[i] = add(out[i], mul(c, v))
+                if v:
+                    out[i] = add(out[i], mul(c, v))
         return _trimmed(out)
 
     def _poly_divmod(self, a: list, b: list) -> tuple[list, list]:
@@ -283,6 +285,10 @@ class _ExtensionRing(_Ring):
     def _mul(self, a, b):
         if not a or not b:
             return ()
+        if len(a) == 1 or len(b) == 1:  # a prime-field scalar scales digits; nothing to reduce
+            (c,), v = (a, b) if len(a) == 1 else (b, a)
+            p = self.p
+            return tuple([c * d % p for d in v])
         k, w = self.k, self.elem_width
         slots = _unpack(_pack(a, w) * _pack(b, w) * self.fold, w, k * (4 * k - 3))
         return tuple(_trimmed(x % self.p for x in slots[2 * k - 2::4 * k - 3]))
@@ -500,12 +506,21 @@ class FieldSpec:
         return FieldElement(self, (0, 1))
 
     def elements(self) -> Iterator["FieldElement"]:
-        """All elements in a fixed order; infinite fields are refused."""
+        """All elements in sort_key order: the n-th has sort_key n.  Infinite fields are refused."""
+        for v in self._raw_elements():
+            yield FieldElement(self, v)
+
+    def _raw_elements(self) -> Iterable:
+        """The raw values of elements(), in order: range(p) over GF(p).
+
+        Over GF(p^k) the n-th is the base-p digits of n, low first, which is
+        already a trimmed reduced tuple; they are made as they are read.
+        """
         if self.order is None:
             raise UnsupportedField("cannot enumerate an infinite field")
-        p, k = self.char, self.degree
-        for n in range(self.order):
-            yield self.element(n if k == 1 else [n // p ** i % p for i in range(k)])
+        if self.degree == 1:
+            return range(self.char)
+        return map(partial(_digits, p=self.char), range(self.order))
 
     def units(self) -> Iterator["FieldElement"]:
         for a in self.elements():
@@ -534,6 +549,15 @@ class FieldSpec:
             return f"GF({self.char})"
         mod = _render_u_poly(self.modulus)
         return f"GF({self.char}^{self.degree}),mod={mod}"
+
+
+def _digits(n: int, p: int) -> tuple[int, ...]:
+    """The base-p digits of n, lowest first, with no trailing zeros."""
+    out = []
+    while n:
+        n, d = divmod(n, p)
+        out.append(d)
+    return tuple(out)
 
 
 def _render_u_poly(coeffs: Sequence[int]) -> str:

@@ -49,7 +49,7 @@ class Matrix:
         """A matrix over spec from rows of raw values, stored as given."""
         out = object.__new__(Matrix)
         object.__setattr__(out, "spec", spec)
-        object.__setattr__(out, "rows", tuple(tuple(r) for r in rows))
+        object.__setattr__(out, "rows", tuple(map(tuple, rows)))
         return out
 
     @staticmethod

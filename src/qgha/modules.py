@@ -14,6 +14,11 @@ q != 0 and the field is big enough to hold the eigenvalue data:
 Modules from different families are never isomorphic except across A/B,
 where an explicit gamma relation decides; within a family the data is
 unique up to a simultaneous shift of (lambda, mu).
+
+Enumeration over a finite field makes one pass over it: f and g are
+tabulated at every point on raw values (spectra._PointTable), and the
+lambda-orbits, mu-windows and family-C nu-tests are read from the tables.
+build_matrix_rep builds its rows from raw recurrences as well.
 """
 
 from __future__ import annotations
@@ -33,8 +38,15 @@ from .errors import (
 )
 from .fields import FieldElement, FieldSpec, frobenius_degree
 from .linalg import Matrix, intertwiners, invariant_span_dim, is_invertible, poly_on_matrix
-from .poly import _divisors
-from .spectra import LambdaOrbit, MuSequence, NuTable, enumerate_lambda_orbits, mu_periods, nu_table
+from .spectra import (
+    LambdaOrbit,
+    MuSequence,
+    NuTable,
+    _PointTable,
+    enumerate_lambda_orbits,
+    mu_periods,
+    nu_table,
+)
 
 
 @dataclass(frozen=True)
@@ -91,7 +103,7 @@ class ModuleSpec:
                 raise InvalidSpec("gamma must be a unit")
             if self.mu.period == 0:
                 raise InvalidSpec("mu-sequence is not periodic")
-            if self.family == "B" and not any(v.is_zero for v in self.mu.values(self.dim)):
+            if self.family == "B" and all(self.mu._raw_values(self.dim)):
                 raise InvalidSpec("family B needs mu to vanish somewhere")
             return None
         if self.family == "C":
@@ -126,39 +138,44 @@ class MatrixRep:
 
 
 def build_matrix_rep(alg: AlgebraSpec, spec: ModuleSpec) -> MatrixRep:
-    """Matrices of the module described by spec; basis vector j is column j."""
+    """Matrices of the module described by spec; basis vector j is column j.
+
+    x has a band below the diagonal and y one above it, each closed by a
+    corner entry in families A and B; h is diagonal.  After spec.validate,
+    everything runs on raw values: the mu-values come from their recurrence,
+    family C takes its nu-values and h-eigenvalues from the nu table that
+    validate returns, and the rows are built from raw values, so no entry is
+    coerced on its own.
+    """
     nu = spec.validate(alg)
     field = alg.field
+    ring = field._ring
     n = spec.dim
-    if spec.family == "A":
-        mu = spec.mu.values(n + 1)
-        lam = [spec.orbit.value(j) for j in range(n)]
-        x = {(j + 1, j): field.one for j in range(n - 1)}
-        x[(0, n - 1)] = spec.gamma
-        y = {(j - 1, j): mu[j] for j in range(1, n)}
-        y[(n - 1, 0)] = mu[0] / spec.gamma
-    elif spec.family == "B":
-        mu = spec.mu.values(n + 1)
-        lam = [spec.orbit.value(j) for j in range(n)]
-        x = {(j + 1, j): mu[j + 1] for j in range(n - 1)}
-        x[(0, n - 1)] = spec.gamma * mu[n]
-        y = {(j - 1, j): field.one for j in range(1, n)}
-        y[(n - 1, 0)] = spec.gamma.inverse()
+    ones = [ring.one] * (n - 1)
+    if spec.family == "C":
+        lam = [v.value for v in nu.points]
+        x_band, x_corner = ones, None
+        y_band, y_corner = [v.value for v in nu.values[1:n]], None
     else:
-        lam = []
-        point = spec.alpha
-        for _ in range(n):
-            lam.append(point)
-            point = alg.f(point)
-        x = {(j + 1, j): field.one for j in range(n - 1)}
-        y = {(j - 1, j): nu.value(j) for j in range(1, n)}
-    return MatrixRep(
-        field,
-        n,
-        Matrix.from_entries(field, n, n, x),
-        Matrix.from_entries(field, n, n, y),
-        Matrix.diagonal(field, lam),
-    )
+        mu = spec.mu._raw_values(n + 1)
+        lam = [v.value for v in spec.orbit.values] * spec.mu.period  # n = l m
+        gamma = spec.gamma.value
+        if spec.family == "A":
+            x_band, x_corner = ones, gamma
+            y_band, y_corner = mu[1:n], ring._mul(mu[0], ring._inv(gamma))
+        else:
+            x_band, x_corner = mu[1:n], ring._mul(gamma, mu[n])
+            y_band, y_corner = ones, ring._inv(gamma)
+    zeros = (ring.zero,) * n
+
+    def row(j, v):
+        """The row with v in column j, or the zero row when v is None."""
+        return zeros if v is None else zeros[:j] + (v,) + zeros[j + 1:]
+
+    x = [row(n - 1, x_corner)] + [row(j, v) for j, v in enumerate(x_band)]
+    y = [row(j + 1, v) for j, v in enumerate(y_band)] + [row(0, y_corner)]
+    h = [row(j, v) for j, v in enumerate(lam)]
+    return MatrixRep(field, n, Matrix._raw(field, x), Matrix._raw(field, y), Matrix._raw(field, h))
 
 
 @dataclass(frozen=True)
@@ -344,17 +361,26 @@ def _combine(mats: list[Matrix], coeffs, field: FieldSpec) -> Matrix:
 
 
 def enumerate_simples(alg: AlgebraSpec, n: int) -> list[ModuleSpec]:
-    """Every simple n-dimensional module exactly once, as classification data.
+    """The simple n-dimensional modules whose classification data lies in F, each once.
 
-    Families A and B run over divisors l of n: each period-l orbit and
-    each anchor whose mu-sequence has period m = n/l contributes one
-    (lambda, mu) class after collapsing the m possible re-anchorings
-    mu(0) -> mu(jl), and then one module per unit gamma.  The period rule
-    is computed once per orbit (mu_periods), so only anchors of period m
-    are visited.  Family C contributes one module per alpha with
-    nu_alpha(n) = 0 and nu_alpha(i) != 0 before.
-    The three families and distinct data never collide, so the list is
-    irredundant without any matrix computation.
+    The paper classifies over an algebraically closed field; this lists
+    only the modules with lambda, mu, gamma (or alpha) in F itself, so it
+    can miss simple modules that are defined over F: U(h_3) = H_1(h, h)
+    over GF(3) in dimension 3 has 18, of which this lists 10.
+
+    f and g are tabulated once at every point of F on raw values
+    (spectra._PointTable), and everything below reads those tables.
+    Families A and B run over the lambda-orbits of period l dividing n:
+    with m = n/l, an anchor beta whose mu-sequence has period m gives the
+    window mu(t) = q^t beta + c_t, where q^t and the drift c_t are computed
+    once per orbit.  Its m re-anchorings beta -> mu(j l) give isomorphic
+    modules; the class is listed once, anchored at its smallest member,
+    and then once per unit gamma.  The period rule is computed once per
+    orbit (mu_periods), so only anchors of period m are visited.  Family C
+    contributes one module per alpha whose nu-sequence first vanishes at
+    n.  The three families and distinct data never collide, so the list
+    is irredundant without any matrix computation; it is in sort_key
+    order within each orbit and family.
     """
     if n < 1:
         raise InvalidSpec("dimension must be at least 1")
@@ -364,43 +390,57 @@ def enumerate_simples(alg: AlgebraSpec, n: int) -> list[ModuleSpec]:
     if field.order is None:
         raise UnsupportedField("enumeration needs a finite coefficient field")
 
+    table = _PointTable(field, alg.f, alg.g)
+    ring = field._ring
+    add, mul, q = ring._add, ring._mul, alg.q.value
+    points, index = table.points, table.index
+    units = [table.element(i) for i in range(1, len(points))]
     specs_a: list[ModuleSpec] = []
     specs_b: list[ModuleSpec] = []
-    units = sorted(field.units(), key=FieldElement.sort_key)
-    for l in _divisors(n):
+    for orbit in enumerate_lambda_orbits(field, alg.f, n, table):
+        l = orbit.period
+        if n % l:
+            continue
         m = n // l
-        for orbit in enumerate_lambda_orbits(field, alg.f, l):
-            if orbit.period != l:
-                continue
-            # a fixed anchor exists only when q^l != 1; it alone has period 1,
-            # and every other anchor has period ord(q^l) >= 2
-            fixed, period = mu_periods(orbit, alg.q, alg.g)
-            if m == period:
-                anchors = (beta for beta in field.elements() if beta != fixed)
-            elif m == 1 and fixed is not None:
-                anchors = (fixed,)
-            else:
-                continue
-            seen: set[tuple] = set()
-            for beta in anchors:
-                mu = MuSequence(orbit, alg.q, alg.g, beta)
-                window = mu.values(n)
-                # collapse the m re-anchorings beta -> mu(j l) to one
-                # canonical representative per isomorphism class
-                shifts = [tuple(window[(t + j * l) % n].sort_key() for t in range(n)) for j in range(m)]
-                best = min(range(m), key=lambda j: shifts[j])
-                if shifts[best] in seen:
+        # a fixed anchor exists only when q^l != 1; it alone has period 1,
+        # and every other anchor has period ord(q^l) >= 2
+        fixed, period = mu_periods(orbit, alg.q, alg.g)
+        if m != period and not (m == 1 and fixed is not None):
+            continue
+        # mu(t) = q^t beta + c_t with c_0 = 0 and c_{t+1} = q c_t + g(lambda(t))
+        g_orbit = [table.g[index[v.value]] for v in orbit.values]
+        qt, c = [ring.one], [ring.zero]
+        for t in range(n):
+            qt.append(mul(q, qt[-1]))
+            c.append(add(mul(q, c[-1]), g_orbit[t % l]))
+        # mu(t) vanishes for t < n exactly at the anchor -c_t / q^t
+        vanishing = {mul(ring._neg(c[t]), ring._inv(qt[t])) for t in range(n)}
+        if m != period:
+            anchors = [index[fixed.value]]
+        else:
+            # the class of beta is beta -> mu(l) = q^l beta + c_l iterated m
+            # times; scanning in sort_key order meets each class first at its
+            # smallest member
+            ql, cl = qt[l], c[l]
+            skip = [False] * len(points)
+            if fixed is not None:
+                skip[index[fixed.value]] = True
+            anchors = []
+            for b in range(len(points)):
+                if skip[b]:
                     continue
-                seen.add(shifts[best])
-                canon = mu.shifted(best * l) if best else mu
-                has_zero = any(v.is_zero for v in window)
-                for gamma in units:
-                    specs_a.append(ModuleSpec.family_a(canon, gamma))
-                    if has_zero:
-                        specs_b.append(ModuleSpec.family_b(canon, gamma))
+                anchors.append(b)
+                v = points[b]
+                for _ in range(m - 1):
+                    v = add(mul(ql, v), cl)
+                    skip[index[v]] = True
+        for b in anchors:
+            mu = MuSequence(orbit, alg.q, alg.g, table.element(b))
+            specs_a += [ModuleSpec.family_a(mu, gamma) for gamma in units]
+            if points[b] in vanishing:
+                specs_b += [ModuleSpec.family_b(mu, gamma) for gamma in units]
 
-    specs_c = [ModuleSpec.family_c(alpha, n) for alpha in field.elements()
-               if _first_nu_zero(nu_table(alg, alpha, n)) == n]
+    specs_c = [ModuleSpec.family_c(table.element(i), n) for i in table.nu_first_zero_at(alg.q, n)]
     return specs_a + specs_b + specs_c
 
 
@@ -431,6 +471,7 @@ def enumerate_c_extensions(
     out = []
     for m in range(2, bound + 1):
         ext_alg = extend_algebra(alg, FieldSpec.extension(alg.field.char, m))
-        out += [(ext_alg, ModuleSpec.family_c(alpha, n)) for alpha in ext_alg.field.elements()
-                if _first_nu_zero(nu_table(ext_alg, alpha, n)) == n and frobenius_degree(alpha) == m]
+        table = _PointTable(ext_alg.field, ext_alg.f, ext_alg.g)
+        alphas = map(table.element, table.nu_first_zero_at(ext_alg.q, n))
+        out += [(ext_alg, ModuleSpec.family_c(alpha, n)) for alpha in alphas if frobenius_degree(alpha) == m]
     return out

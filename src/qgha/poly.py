@@ -168,14 +168,16 @@ class Poly:
 
     def __call__(self, x: FieldElement) -> FieldElement:
         """Horner evaluation."""
-        spec = self.spec
-        ring = spec._ring
+        return FieldElement(self.spec, self._at(self.spec.element(x).value))
+
+    def _at(self, x):
+        """Horner evaluation at a raw value, returning a raw value."""
+        ring = self.spec._ring
         add, mul = ring._add, ring._mul
-        x = spec.element(x).value
         acc = ring.zero
         for c in reversed(self.values):
             acc = add(mul(acc, x), c)
-        return FieldElement(spec, acc)
+        return acc
 
     def compose(self, inner: "Poly", max_degree: int | None = None, powers: list | None = None) -> "Poly":
         """self(inner), guarded by an optional cap on the result degree.

@@ -7,12 +7,19 @@ with period a multiple of the cycle length whenever it is periodic at all.
 The nu-values are the mu-sequence started at 0 over the (not necessarily
 periodic) forward orbit of a point; they control the third family of
 modules and the simplicity test.
+
+Over a finite field, _PointTable evaluates f and g once at every point, on
+raw values, for the length of one call: the orbit walk, the nu-test of
+every point and the enumeration of simple modules read positions and raw
+values from it instead of evaluating f and g point by point.  The
+recurrences of MuSequence and nu_table also run on raw values and wrap
+only their results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 from .algebra import AlgebraSpec
 from .errors import InvalidSpec, QZero, UnsupportedField
@@ -91,12 +98,87 @@ def orbit_from_seed(f: Poly, alpha: FieldElement, max_steps: int = 64) -> Lambda
     raise InvalidSpec(f"no cycle through {alpha} found within {limit} steps")
 
 
-def enumerate_lambda_orbits(field: FieldSpec, f: Poly, max_period: int) -> list[LambdaOrbit]:
+class _PointTable:
+    """f, and g when given, at every point of one finite field, on raw values.
+
+    Point i is the i-th element of field.elements(), whose sort_key is i, so
+    positions order points as sort_key does.  next[i] is the position of
+    f(point i) and g[i] the raw value of g there.  A table is built for one
+    call and never kept.
+    """
+
+    def __init__(self, field: FieldSpec, f: Poly, g: Poly | None = None):
+        self.field = field
+        points = field._raw_elements()
+        if isinstance(points, range):  # GF(p): a residue is its own position
+            self.points = self.index = points
+        else:
+            self.points = list(points)
+            self.index = {v: i for i, v in enumerate(self.points)}
+        self.next = [self.index[f._at(v)] for v in self.points]
+        self.g = [g._at(v) for v in self.points] if g is not None else None
+
+    def element(self, i: int) -> FieldElement:
+        return FieldElement(self.field, self.points[i])
+
+    def cycles(self, max_period: int) -> list[list[int]]:
+        """Every cycle of f with period <= max_period, as positions.
+
+        Each cycle starts at its smallest position, and they are sorted by
+        (period, positions): the order of LambdaOrbit.canonical and _key.
+        """
+        nxt = self.next
+        state = [0] * len(nxt)  # 0 unseen, 1 on the current path, 2 explored
+        out = []
+        for start in range(len(nxt)):
+            path, i = [], start
+            while not state[i]:
+                state[i] = 1
+                path.append(i)
+                i = nxt[i]
+            # the walk rejoined its own path (a fresh cycle) or an explored point
+            if state[i] == 1:
+                cycle = path[path.index(i):]
+                if len(cycle) <= max_period:
+                    s = cycle.index(min(cycle))
+                    out.append(cycle[s:] + cycle[:s])
+            for j in path:
+                state[j] = 2
+        out.sort(key=lambda c: (len(c), c))
+        return out
+
+    def nu_first_zero_at(self, q: FieldElement, n: int) -> list[int]:
+        """Positions alpha whose nu-sequence first vanishes at n: nu(n) = 0, nu(i) != 0 for 0 < i < n.
+
+        Runs nu(i+1) = q nu(i) + g(f^[i](alpha)) on the tables, stopping at
+        the first zero.
+        """
+        ring = self.field._ring
+        add, mul, q = ring._add, ring._mul, q.value
+        nxt, g = self.next, self.g
+        out = []
+        for alpha in range(len(nxt)):
+            nu, i = ring.zero, alpha
+            for t in range(1, n + 1):
+                nu = add(mul(q, nu), g[i])
+                if not nu:
+                    break
+                i = nxt[i]
+            if not nu and t == n:
+                out.append(alpha)
+        return out
+
+
+def enumerate_lambda_orbits(
+    field: FieldSpec, f: Poly, max_period: int, table: _PointTable | None = None
+) -> list[LambdaOrbit]:
     """All cycles of alpha -> f(alpha) with period at most max_period.
 
-    Over a finite field this walks the whole functional graph once.  Over Q
-    only fixed points are enumerable (roots of f(h) - h); longer periods
-    would need algebraic number arithmetic, so they are refused.
+    Over a finite field this tabulates f once on raw values (or takes the
+    caller's table of f over field) and walks the functional graph on
+    positions; only the reported cycles become (validated) LambdaOrbits.
+    Over Q only fixed points are enumerable (roots of f(h) - h); longer
+    periods would need algebraic number arithmetic, so they are refused.
     """
     if max_period < 1:
         return []
@@ -108,31 +190,8 @@ def enumerate_lambda_orbits(field: FieldSpec, f: Poly, max_period: int) -> list[
             raise UnsupportedField("f = h fixes every rational; the orbit set is infinite")
         fixed = sorted(roots_in_field(diff), key=FieldElement.sort_key)
         return [LambdaOrbit(f, (a,)) for a in fixed]
-
-    orbits = []
-    visited: set[FieldElement] = set()
-    for start in field.elements():
-        if start in visited:
-            continue
-        # walk forward until we rejoin this path (a fresh cycle) or reach a
-        # previously explored point (whose cycle is already recorded)
-        path = [start]
-        index = {start: 0}
-        current = start
-        while True:
-            current = f(current)
-            if current in index:
-                cycle = path[index[current]:]
-                if len(cycle) <= max_period:
-                    orbits.append(LambdaOrbit(f, tuple(cycle)).canonical())
-                break
-            if current in visited:
-                break
-            index[current] = len(path)
-            path.append(current)
-        visited.update(path)
-    orbits.sort(key=lambda o: (o.period, o._key()))
-    return orbits
+    table = table or _PointTable(field, f)
+    return [LambdaOrbit(f, tuple(map(table.element, cycle))) for cycle in table.cycles(max_period)]
 
 
 # ---------------------------------------------------------------------------
@@ -186,12 +245,21 @@ class MuSequence:
 
     def values(self, count: int) -> tuple[FieldElement, ...]:
         """(mu(0), ..., mu(count-1)) by running the recurrence once."""
+        spec = self.field
+        return tuple(FieldElement(spec, v) for v in self._raw_values(count))
+
+    def _raw_values(self, count: int) -> list:
+        """values(count) as raw values; g is evaluated once per orbit point."""
         if count <= 0:
-            return ()
-        out = [self.anchor]
+            return []
+        ring = self.field._ring
+        add, mul, q = ring._add, ring._mul, self.q.value
+        g_at = [self.g._at(v.value) for v in self.orbit.values[:count - 1]]
+        l = len(g_at) or 1
+        out = [self.anchor.value]
         for i in range(count - 1):
-            out.append(self.q * out[-1] + self.g(self.orbit.value(i)))
-        return tuple(out)
+            out.append(add(mul(q, out[-1]), g_at[i % l]))
+        return out
 
     @cached_property
     def period(self) -> int:
@@ -257,11 +325,13 @@ class NuTable:
     """nu(0..count) along the forward f-orbit of alpha, nu(0) = 0.
 
     nu(i+1) = q nu(i) + g(f^[i](alpha)); these are the y-coefficients of
-    the third module family and its simplicity obstructions.
+    the third module family and its simplicity obstructions.  points holds
+    f^[i](alpha) for i < count, the h-eigenvalues of that family.
     """
 
     alpha: FieldElement
     values: tuple[FieldElement, ...]
+    points: tuple[FieldElement, ...]
 
     def value(self, i: int) -> FieldElement:
         return self.values[i]
@@ -270,9 +340,11 @@ class NuTable:
 def nu_table(alg: AlgebraSpec, alpha: FieldElement, count: int) -> NuTable:
     if alpha.spec != alg.field:
         raise InvalidSpec("alpha must lie in the coefficient field")
-    values = [alg.field.zero]
-    point = alpha
+    ring = alg.field._ring
+    add, mul, q = ring._add, ring._mul, alg.q.value
+    values, points = [ring.zero], [alpha.value]
     for _ in range(count):
-        values.append(alg.q * values[-1] + alg.g(point))
-        point = alg.f(point)
-    return NuTable(alpha, tuple(values))
+        values.append(add(mul(q, values[-1]), alg.g._at(points[-1])))
+        points.append(alg.f._at(points[-1]))
+    wrap = partial(FieldElement, alg.field)
+    return NuTable(alpha, tuple(map(wrap, values)), tuple(map(wrap, points[:count])))

@@ -1,7 +1,11 @@
 """Command-line verbs: payloads, schemas, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import os
 import shlex
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -12,6 +16,8 @@ import jsonschema
 import pytest
 from referencing import Registry, Resource
 
+import qgha
+from qgha import cli
 from qgha.cli import main
 from qgha.errors import DigitLimitExceeded
 from qgha.fields import FieldSpec
@@ -385,3 +391,60 @@ def test_enumerate_deterministic(capsys):
         outputs.append(capsys.readouterr().out)
         assert code == 0
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def _run_fresh_parser(argv):
+    """cli.run's steps with a parser built for this call alone; returns (code, stdout)."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        args = cli.build_parser().parse_args(argv)
+        payload, lines = cli._HANDLERS[args.verb](cli._build_algebra(args), args)
+        if args.json:
+            print(json.dumps(payload, indent=2))
+        else:
+            for line in lines:
+                print(line)
+    return 0, buf.getvalue()
+
+
+def test_parser_reused_across_calls(capsys):
+    calls = [
+        ["enumerate", *BASE, "--dim", "2", "--json"],
+        ["nu", *BASE, "--alpha", "1", "--k", "4"],
+        ["check-simple", *BASE, "--family", "C", "--alpha", "1", "--dim", "4", "--brute"],
+        ["enumerate", *BASE, "--dim", "1"],
+    ]
+    got = [run_cli(capsys, *argv)[:2] for argv in calls]
+    assert got == [_run_fresh_parser(argv) for argv in calls]
+    assert cli._parser() is cli._parser()
+
+
+def _subprocess_env():
+    env = dict(os.environ)
+    src = str(Path(qgha.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def test_python_dash_m_matches_main(capsys):
+    argv = ["enumerate", "--field", "GF(5)", "--q", "2", "--f", "h^3", "--g", "h", "--dim", "4"]
+    for extra in ([], ["--json"]):
+        code, out, _ = run_cli(capsys, *argv, *extra)
+        proc = subprocess.run([sys.executable, "-m", "qgha", *argv, *extra], capture_output=True,
+                              text=True, env=_subprocess_env(), timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")
+
+
+def test_reader_closing_the_pipe_exits_1_without_traceback():
+    # as in `qgha enumerate ... | head -2`: the JSON is far larger than a pipe
+    # buffer, so the writer is still writing when the reader leaves
+    argv = ["enumerate", "--field", "GF(2^8)", "--q", "u", "--f", "h^2", "--g", "h", "--dim", "2", "--json"]
+    proc = subprocess.Popen([sys.executable, "-m", "qgha", *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=_subprocess_env())
+    head = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert head == [b"{\n", b'  "dim": 2,\n']
+    assert err == b""

@@ -30,8 +30,15 @@ from qgha.modules import (
     verify_relations,
 )
 from qgha.parsing import parse_field
-from qgha.poly import Poly, _divisors
-from qgha.spectra import MuSequence, enumerate_lambda_orbits, mu_period, orbit_from_seed
+from qgha.poly import Poly
+from qgha.spectra import (
+    LambdaOrbit,
+    MuSequence,
+    enumerate_lambda_orbits,
+    mu_periods,
+    nu_table,
+    orbit_from_seed,
+)
 
 QQ = FieldSpec.rationals()
 F5 = FieldSpec.prime(5)
@@ -270,46 +277,135 @@ def test_enumerate_counts_frozen():
     assert by_family[4] == [("A", 20), ("B", 16), ("C", 4)]
 
 
-def per_anchor_families_ab(alg, n):
-    """Families A and B with mu_period tested at every anchor: the reference for enumerate_simples."""
-    field = alg.field
+def reference_orbits(alg, n):
+    """Cycles of f with period dividing n, found by iterating f from every point.
+
+    Each starts at its smallest point, and they come sorted by (period, points).
+    """
+    field, f = alg.field, alg.f
+    image = {a: f(a) for a in field.elements()}
+    cycles = set()
+    for a in field.elements():
+        path = [a]
+        while image[path[-1]] not in path:
+            path.append(image[path[-1]])
+        cycle = path[path.index(image[path[-1]]):]
+        s = min(range(len(cycle)), key=lambda i: cycle[i].sort_key())
+        cycles.add(tuple(cycle[s:] + cycle[:s]))
+    found = sorted(cycles, key=lambda c: (len(c), [v.sort_key() for v in c]))
+    return [LambdaOrbit(f, c) for c in found if n % len(c) == 0]
+
+
+def reference_simples(alg, n):
+    """enumerate_simples by per-anchor filters on field elements, with Poly.__call__ for f and g.
+
+    Families A and B apply the mu-period rule at every anchor, compute each
+    window by the recurrence and keep the anchor of smallest window among
+    its m re-anchorings; family C runs each alpha's nu-recurrence to n.
+    """
+    field, q, f, g = alg.field, alg.q, alg.f, alg.g
     units = sorted(field.units(), key=FieldElement.sort_key)
     specs_a, specs_b = [], []
-    for l in _divisors(n):
+    for orbit in reference_orbits(alg, n):
+        l = orbit.period
         m = n // l
-        for orbit in enumerate_lambda_orbits(field, alg.f, l):
-            if orbit.period != l:
+        # spectra.mu_period at every anchor, with its per-orbit rule computed once
+        fixed, period = mu_periods(orbit, q, g)
+        seen = set()
+        for beta in field.elements():
+            if (1 if beta == fixed else period) != m:
                 continue
-            seen = set()
-            for beta in field.elements():
-                if mu_period(orbit, alg.q, alg.g, beta) != m:
-                    continue
-                mu = MuSequence(orbit, alg.q, alg.g, beta)
-                window = mu.values(n)
-                shifts = [tuple(window[(t + j * l) % n].sort_key() for t in range(n)) for j in range(m)]
-                best = min(range(m), key=lambda j: shifts[j])
-                if shifts[best] in seen:
-                    continue
-                seen.add(shifts[best])
-                canon = mu.shifted(best * l) if best else mu
-                for gamma in units:
-                    specs_a.append(ModuleSpec.family_a(canon, gamma))
-                    if any(v.is_zero for v in window):
-                        specs_b.append(ModuleSpec.family_b(canon, gamma))
-    return specs_a + specs_b
+            window = [beta]
+            for t in range(n - 1):
+                window.append(q * window[-1] + g(orbit.value(t)))
+            shifts = [tuple(window[(t + j * l) % n].sort_key() for t in range(n)) for j in range(m)]
+            best = min(range(m), key=lambda j: shifts[j])
+            if shifts[best] in seen:
+                continue
+            seen.add(shifts[best])
+            canon = MuSequence(orbit, q, g, window[best * l])
+            for gamma in units:
+                specs_a.append(ModuleSpec.family_a(canon, gamma))
+                if any(v.is_zero for v in window):
+                    specs_b.append(ModuleSpec.family_b(canon, gamma))
+    specs_c = []
+    for alpha in field.elements():
+        nu, point = [field.zero], alpha
+        for _ in range(n):
+            nu.append(q * nu[-1] + g(point))
+            point = f(point)
+        if [i for i in range(1, n + 1) if nu[i].is_zero][:1] == [n]:
+            specs_c.append(ModuleSpec.family_c(alpha, n))
+    return specs_a + specs_b + specs_c
 
 
-@pytest.mark.parametrize("text", ["GF(2)", "GF(3)", "GF(2^2)", "GF(5)", "GF(7)", "GF(3^2)"])
+def reference_matrix_rep(alg, spec):
+    """build_matrix_rep entry by entry on field elements, coerced through Matrix."""
+    field, n = alg.field, spec.dim
+    if spec.family == "C":
+        nu, lam = [field.zero], [spec.alpha]
+        for j in range(n):
+            nu.append(alg.q * nu[-1] + alg.g(lam[-1]))
+            lam.append(alg.f(lam[-1]))
+        x = {(j + 1, j): field.one for j in range(n - 1)}
+        y = {(j - 1, j): nu[j] for j in range(1, n)}
+    else:
+        lam = [spec.orbit.value(j) for j in range(n)]
+        mu = [spec.mu.anchor]
+        for j in range(n):
+            mu.append(alg.q * mu[-1] + alg.g(spec.orbit.value(j)))
+        if spec.family == "A":
+            x = {(j + 1, j): field.one for j in range(n - 1)}
+            x[(0, n - 1)] = spec.gamma
+            y = {(j - 1, j): mu[j] for j in range(1, n)}
+            y[(n - 1, 0)] = mu[0] / spec.gamma
+        else:
+            x = {(j + 1, j): mu[j + 1] for j in range(n - 1)}
+            x[(0, n - 1)] = spec.gamma * mu[n]
+            y = {(j - 1, j): field.one for j in range(1, n)}
+            y[(n - 1, 0)] = spec.gamma.inverse()
+    return MatrixRep(field, n, Matrix.from_entries(field, n, n, x), Matrix.from_entries(field, n, n, y),
+                     Matrix.diagonal(field, lam[:n]))
+
+
+@pytest.mark.parametrize("text", ["GF(2)", "GF(3)", "GF(2^2)", "GF(5)", "GF(7)", "GF(3^2)", "GF(7^2)", "GF(2^8)"])
 def test_enumerate_matches_per_anchor_filter(text):
     field = parse_field(text)
     h, one = Poly.gen(field), Poly.one(field)
     fs = (h, h * h, h * h + one, h * h * h)
     gs = (Poly.zero(field), one, h, h * h + h)
-    for q, f, g in itertools.product(field.units(), fs, gs):
+    qs = list(field.units())
+    max_dim = 4
+    if field.order > 10:
+        # f = h would fix every point and list 10^4 to 10^5 modules, which
+        # the small fields cover
+        u = field.generator
+        qs, fs = [u, u + field.one], (h * h, h * h * h)
+        max_dim = 3 if field.order < 100 else 2
+    for q, f, g in itertools.product(qs, fs, gs):
         alg = AlgebraSpec(field, q, f, g)
-        for n in range(1, 5):
-            got = [s for s in enumerate_simples(alg, n) if s.family != "C"]
-            assert got == per_anchor_families_ab(alg, n), (field, q, f.render(), g.render(), n)
+        for n in range(1, max_dim + 1):
+            got = enumerate_simples(alg, n)
+            assert got == reference_simples(alg, n), (field, q, f.render(), g.render(), n)
+            for spec in got:
+                assert build_matrix_rep(alg, spec) == reference_matrix_rep(alg, spec), spec.describe()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_c_extensions_match_nu_table_filter(p):
+    field = FieldSpec.prime(p)
+    h, one = Poly.gen(field), Poly.one(field)
+    for q, f, g in itertools.product(field.units(), (h + one, h * h, h * h * h + h), (one, h * h + one)):
+        alg = AlgebraSpec(field, q, f, g)
+        for n in (1, 2, 3):
+            expected = []
+            for m in (2, 3):
+                ext_alg = extend_algebra(alg, FieldSpec.extension(p, m))
+                for alpha in ext_alg.field.elements():
+                    nu = nu_table(ext_alg, alpha, n).values
+                    if [i for i in range(1, n + 1) if nu[i].is_zero][:1] == [n] and frobenius_degree(alpha) == m:
+                        expected.append((ext_alg, ModuleSpec.family_c(alpha, n)))
+            assert enumerate_c_extensions(alg, n, 3) == expected, (q, f.render(), g.render(), n)
 
 
 def test_enumerate_computes_one_order_per_orbit(monkeypatch):
