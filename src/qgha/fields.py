@@ -285,10 +285,6 @@ class _ExtensionRing(_Ring):
     def _mul(self, a, b):
         if not a or not b:
             return ()
-        if len(a) == 1 or len(b) == 1:  # a prime-field scalar scales digits; nothing to reduce
-            (c,), v = (a, b) if len(a) == 1 else (b, a)
-            p = self.p
-            return tuple([c * d % p for d in v])
         k, w = self.k, self.elem_width
         slots = _unpack(_pack(a, w) * _pack(b, w) * self.fold, w, k * (4 * k - 3))
         return tuple(_trimmed(x % self.p for x in slots[2 * k - 2::4 * k - 3]))

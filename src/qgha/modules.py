@@ -43,7 +43,6 @@ from .spectra import (
     MuSequence,
     NuTable,
     _PointTable,
-    enumerate_lambda_orbits,
     mu_periods,
     nu_table,
 )
@@ -397,7 +396,8 @@ def enumerate_simples(alg: AlgebraSpec, n: int) -> list[ModuleSpec]:
     units = [table.element(i) for i in range(1, len(points))]
     specs_a: list[ModuleSpec] = []
     specs_b: list[ModuleSpec] = []
-    for orbit in enumerate_lambda_orbits(field, alg.f, n, table):
+    for cycle in table.cycles(n):
+        orbit = LambdaOrbit(alg.f, tuple(map(table.element, cycle)))
         l = orbit.period
         if n % l:
             continue
@@ -407,12 +407,11 @@ def enumerate_simples(alg: AlgebraSpec, n: int) -> list[ModuleSpec]:
         fixed, period = mu_periods(orbit, alg.q, alg.g)
         if m != period and not (m == 1 and fixed is not None):
             continue
-        # mu(t) = q^t beta + c_t with c_0 = 0 and c_{t+1} = q c_t + g(lambda(t))
-        g_orbit = [table.g[index[v.value]] for v in orbit.values]
-        qt, c = [ring.one], [ring.zero]
-        for t in range(n):
+        # mu(t) = q^t beta + c_t, where the drift c_t is the sequence anchored at 0
+        c = MuSequence(orbit, alg.q, alg.g, field.zero)._raw_values(n + 1)
+        qt = [ring.one]
+        for _ in range(n):
             qt.append(mul(q, qt[-1]))
-            c.append(add(mul(q, c[-1]), g_orbit[t % l]))
         # mu(t) vanishes for t < n exactly at the anchor -c_t / q^t
         vanishing = {mul(ring._neg(c[t]), ring._inv(qt[t])) for t in range(n)}
         if m != period:

@@ -162,21 +162,19 @@ class _PointTable:
             for t in range(1, n + 1):
                 nu = add(mul(q, nu), g[i])
                 if not nu:
+                    if t == n:
+                        out.append(alpha)
                     break
                 i = nxt[i]
-            if not nu and t == n:
-                out.append(alpha)
         return out
 
 
-def enumerate_lambda_orbits(
-    field: FieldSpec, f: Poly, max_period: int, table: _PointTable | None = None
-) -> list[LambdaOrbit]:
+def enumerate_lambda_orbits(field: FieldSpec, f: Poly, max_period: int) -> list[LambdaOrbit]:
     """All cycles of alpha -> f(alpha) with period at most max_period.
 
-    Over a finite field this tabulates f once on raw values (or takes the
-    caller's table of f over field) and walks the functional graph on
-    positions; only the reported cycles become (validated) LambdaOrbits.
+    Over a finite field this tabulates f once on raw values and walks the
+    functional graph on positions; only the reported cycles become
+    (validated) LambdaOrbits.
     Over Q only fixed points are enumerable (roots of f(h) - h); longer
     periods would need algebraic number arithmetic, so they are refused.
     """
@@ -190,7 +188,7 @@ def enumerate_lambda_orbits(
             raise UnsupportedField("f = h fixes every rational; the orbit set is infinite")
         fixed = sorted(roots_in_field(diff), key=FieldElement.sort_key)
         return [LambdaOrbit(f, (a,)) for a in fixed]
-    table = table or _PointTable(field, f)
+    table = _PointTable(field, f)
     return [LambdaOrbit(f, tuple(map(table.element, cycle))) for cycle in table.cycles(max_period)]
 
 

@@ -397,7 +397,7 @@ def test_c_extensions_match_nu_table_filter(p):
     h, one = Poly.gen(field), Poly.one(field)
     for q, f, g in itertools.product(field.units(), (h + one, h * h, h * h * h + h), (one, h * h + one)):
         alg = AlgebraSpec(field, q, f, g)
-        for n in (1, 2, 3):
+        for n in (-1, 0, 1, 2, 3):  # no dimension below 1 has a simple module
             expected = []
             for m in (2, 3):
                 ext_alg = extend_algebra(alg, FieldSpec.extension(p, m))
