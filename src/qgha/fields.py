@@ -5,16 +5,23 @@ and over GF(p^k) the trimmed u-coefficient tuple, low to high, of a residue
 modulo a monic irreducible.  Only this module knows that format, except that
 a raw value is falsy exactly when it is zero.  Each FieldSpec builds one
 private ring of its kind for raw values: coerce, add, neg, sub, mul and inv
-of elements, and add, sub, mul, divmod and scalar linear combination of
-polynomials held as trimmed lists, low to high.  FieldElement, poly.Poly and
-linalg delegate to it.
+of elements, and from-values, add, sub, neg, scale, mul, divmod and scalar
+linear combination of polynomials.  FieldElement, poly.Poly and linalg
+delegate to it.
+
+A ring polynomial is one canonical value, low to high.  Over GF(p) and
+GF(p^k) it is the trimmed tuple of raw coefficients.  Over Q it is a _QPoly:
+integer numerators over one positive denominator with no common factor, so
+every polynomial operation runs on ints and ends with one gcd, not one
+Fraction per coefficient.  A _QPoly still reads as the tuple of its
+lowest-terms Fraction coefficients, which it builds once, on first read.
 
 Polynomial products are Kronecker substitutions (Schoenhage 1982; Harvey,
 JSC 2009): each factor is packed into one big int of fixed-width slots and
 the product's coefficients are read back from the slots.  GF(p^k) gives each
 coefficient 2k-1 slots, one per power of u, and folds u^k..u^(2k-2) back with
-a fixed table; GF(p) is the case k = 1.  Over Q the factors are cleared to
-one common denominator and the signed slots are read back with a borrow.
+a fixed table; GF(p) is the case k = 1.  Over Q the integer numerators are
+packed and the signed slots are read back with a borrow.
 """
 
 from __future__ import annotations
@@ -99,9 +106,17 @@ def _trimmed(values) -> list:
 
 
 class _Ring:
-    """Raw-value arithmetic of one field; subclasses supply the element ops and the product."""
+    """Raw-value arithmetic of one field; subclasses supply the element ops and the product.
 
-    def _poly_add(self, a: list, b: list) -> list:
+    The polynomial ops here serve GF(p) and GF(p^k): they take sequences of
+    raw values and return trimmed tuples.  _RationalRing overrides them.
+    """
+
+    def _poly_from(self, values: Iterable) -> tuple:
+        """The ring polynomial with these raw coefficients, low to high."""
+        return tuple(_trimmed(values))
+
+    def _poly_add(self, a: Sequence, b: Sequence) -> tuple:
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
@@ -109,12 +124,22 @@ class _Ring:
         for i, v in enumerate(b):
             if v:
                 out[i] = add(out[i], v)
-        return _trimmed(out)
+        return tuple(_trimmed(out))
 
-    def _poly_sub(self, a: list, b: list) -> list:
-        return self._poly_add(a, [self._neg(v) for v in b])
+    def _poly_sub(self, a, b):
+        return self._poly_add(a, self._poly_neg(b))
 
-    def _poly_lincomb(self, coeffs: Sequence, polys: Sequence[list]) -> list:
+    def _poly_neg(self, a: Sequence) -> tuple:
+        return tuple(map(self._neg, a))
+
+    def _poly_scale(self, a: Sequence, c) -> tuple:
+        """c a for a raw scalar c; a field has no zero divisors, so only c = 0 trims."""
+        if not c:
+            return ()
+        mul = self._mul
+        return tuple([mul(v, c) for v in a])
+
+    def _poly_lincomb(self, coeffs: Sequence, polys: Sequence) -> tuple:
         """sum c_i polys[i] over the pairs of coeffs and polys: scalar products only."""
         add, mul = self._add, self._mul
         out: list = []
@@ -125,9 +150,9 @@ class _Ring:
             for i, v in enumerate(poly):
                 if v:
                     out[i] = add(out[i], mul(c, v))
-        return _trimmed(out)
+        return tuple(_trimmed(out))
 
-    def _poly_divmod(self, a: list, b: list) -> tuple[list, list]:
+    def _poly_divmod(self, a: Sequence, b: Sequence) -> tuple[tuple, tuple]:
         if not b:
             raise DivisionByZero("polynomial division by zero")
         mul, sub = self._mul, self._sub
@@ -141,10 +166,111 @@ class _Ring:
             for i, v in enumerate(b):
                 rem[shift + i] = sub(rem[shift + i], mul(c, v))
             rem = _trimmed(rem)
-        return quot, rem
+        return tuple(quot), tuple(rem)
+
+
+class _QPoly:
+    """A polynomial over Q as integer numerators over one denominator.
+
+    den > 0, nums is a trimmed tuple of ints, low to high, and
+    gcd(den, *nums) = 1, so a polynomial has exactly one form and equality
+    and hashing compare (den, nums).  Build one with _canon unless the input
+    is known to be in that form.  As a sequence it reads as its lowest-terms
+    Fraction coefficients, made once, on first read; a slice is the
+    polynomial of the sliced coefficients.
+    """
+
+    __slots__ = ("den", "nums", "_read")
+
+    def __init__(self, den: int, nums: tuple[int, ...]):
+        self.den, self.nums, self._read = den, nums, None
+
+    def _fractions(self) -> tuple[Fraction, ...]:
+        if self._read is None:
+            d = self.den
+            self._read = tuple(map(Fraction, self.nums)) if d == 1 else tuple([Fraction(v, d) for v in self.nums])
+        return self._read
+
+    def __len__(self) -> int:
+        return len(self.nums)
+
+    def __bool__(self) -> bool:
+        return bool(self.nums)
+
+    def __iter__(self):
+        return iter(self._fractions())
+
+    def __reversed__(self):
+        return reversed(self._fractions())
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return _canon(self.den, list(self.nums[i]))
+        return self._fractions()[i]
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not _QPoly:
+            return NotImplemented
+        return self.den == other.den and self.nums == other.nums
+
+    def __hash__(self) -> int:
+        return hash((self.den, self.nums))
+
+    def __repr__(self) -> str:
+        return f"_QPoly({self.den}, {self.nums})"
+
+
+_QZERO = _QPoly(1, ())
+
+
+def _canon(den: int, nums: list[int]) -> _QPoly:
+    """The _QPoly of sum nums[i] u^i / den for den > 0: trimmed, common factor removed."""
+    while nums and not nums[-1]:
+        nums.pop()
+    if not nums:
+        return _QZERO
+    if den != 1:
+        g = math.gcd(den, *nums)  # den first: math.gcd skips the rest once it reaches 1
+        if g != 1:
+            den //= g
+            nums = [v // g for v in nums]
+    return _QPoly(den, tuple(nums))
+
+
+@lru_cache(maxsize=None)
+def _bias(width: int, count: int) -> int:
+    """The int whose count width-byte slots each hold half the slot range."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+
+
+def _signed_product(x: Sequence[int], y: Sequence[int]) -> list[int]:
+    """The coefficients of the product of two nonempty integer polynomials.
+
+    A factor with at most three terms is multiplied row by row.  Otherwise
+    both are packed with each slot offset by half its range, which is taken
+    back off as one constant; the slots are wide enough for twice any
+    product coefficient, so the product plus that offset in every slot reads
+    back slot by slot.
+    """
+    if len(x) > len(y):
+        x, y = y, x
+    if len(x) <= 3:
+        n = len(y)
+        out = [x[0] * v for v in y] + [0] * (len(x) - 1)
+        for i in range(1, len(x)):
+            if x[i]:
+                out[i:i + n] = map(operator.add, out[i:i + n], [x[i] * v for v in y])
+        return out
+    width = _width(2 * len(x) * max(map(abs, x)) * max(map(abs, y)))
+    half = 1 << (8 * width - 1)
+    a, b = (_pack([v + half for v in n], width) - _bias(width, len(n)) for n in (x, y))
+    count = len(x) + len(y) - 1
+    return [t - half for t in _unpack(a * b + _bias(width, count), width, count)]
 
 
 class _RationalRing(_Ring):
+    """Q: Fraction scalars and _QPoly polynomials, whose ops run on ints."""
+
     zero, one = Fraction(0), Fraction(1)
     _coerce = staticmethod(Fraction)
     _add = staticmethod(operator.add)
@@ -153,38 +279,83 @@ class _RationalRing(_Ring):
     _mul = staticmethod(operator.mul)
     _inv = staticmethod(partial(operator.truediv, 1))
 
-    def _poly_mul(self, a: list, b: list) -> list:
-        if not a or not b:
-            return []
-        da = math.lcm(*[v.denominator for v in a])
-        db = math.lcm(*[v.denominator for v in b])
-        na = [v.numerator * (da // v.denominator) for v in a]
-        nb = [v.numerator * (db // v.denominator) for v in b]
-        # twice the largest product coefficient, so each slot keeps a sign bit
-        width = _width(2 * min(len(a), len(b)) * max(map(abs, na)) * max(map(abs, nb)))
-        x, y = (_pack([v if v > 0 else 0 for v in n], width) - _pack([-v if v < 0 else 0 for v in n], width)
-                for n in (na, nb))
-        count = len(a) + len(b) - 1
-        full = 1 << (8 * width)
-        out, borrow, d = [], 0, da * db
-        for t in _unpack(x * y % (1 << (8 * width * count)), width, count):
-            t += borrow
-            borrow = 2 * t >= full
-            out.append(Fraction(t - full if borrow else t, d))
-        return out
+    def _poly_from(self, values: Iterable) -> _QPoly:
+        """Fractions or ints; over the lcm of their denominators the numerators share no factor with it."""
+        values = _trimmed(values)
+        if not values:
+            return _QZERO
+        den = math.lcm(*[v.denominator for v in values])
+        return _QPoly(den, tuple([v.numerator * (den // v.denominator) for v in values]))
 
-    def _poly_lincomb(self, coeffs: Sequence, polys: Sequence[list]) -> list:
-        """Integer sums over one common denominator, then one Fraction per coefficient."""
-        terms = [(c, poly) for c, poly in zip(coeffs, polys) if c and poly]
+    def _poly_add(self, a: _QPoly, b: _QPoly) -> _QPoly:
+        if not a:
+            return b
+        if not b:
+            return a
+        x, y, den = a.nums, b.nums, a.den
+        if den != b.den:
+            den = den // math.gcd(den, b.den) * b.den
+            x, y = [v * (den // a.den) for v in x], [v * (den // b.den) for v in y]
+        if len(x) < len(y):
+            x, y = y, x
+        out = list(map(operator.add, x, y))
+        out += x[len(y):]
+        return _canon(den, out)
+
+    def _poly_neg(self, a: _QPoly) -> _QPoly:
+        return _QPoly(a.den, tuple(map(operator.neg, a.nums)))
+
+    def _poly_scale(self, a: _QPoly, c: Fraction) -> _QPoly:
+        if not c or not a:
+            return _QZERO
+        n = c.numerator
+        return _canon(a.den * c.denominator, [v * n for v in a.nums])
+
+    def _poly_mul(self, a: _QPoly, b: _QPoly) -> _QPoly:
+        if not a or not b:
+            return _QZERO
+        return _canon(a.den * b.den, _signed_product(a.nums, b.nums))
+
+    def _poly_lincomb(self, coeffs: _QPoly, polys: Sequence[_QPoly]) -> _QPoly:
+        """Integer sums over the lcm of the denominators taking part, then one gcd."""
+        terms = [(c, poly) for c, poly in zip(coeffs.nums, polys) if c and poly]
         if not terms:
-            return []
-        d = math.lcm(*[c.denominator * math.lcm(*[v.denominator for v in poly]) for c, poly in terms])
+            return _QZERO
+        den = math.lcm(*[poly.den for _, poly in terms])
         out = [0] * max(len(poly) for _, poly in terms)
         for c, poly in terms:
-            m = c.numerator * (d // c.denominator)
-            for i, v in enumerate(poly):
-                out[i] += m * v.numerator // v.denominator
-        return [Fraction(t, d) for t in _trimmed(out)]
+            m, n = c * (den // poly.den), len(poly.nums)
+            out[:n] = map(operator.add, out, [m * v for v in poly.nums])
+        return _canon(coeffs.den * den, out)
+
+    def _poly_divmod(self, a: _QPoly, b: _QPoly) -> tuple[_QPoly, _QPoly]:
+        """Pseudo-division of the numerators: s A = Q B + R for an integer s > 0.
+
+        Each step multiplies the remainder and the quotient so far by the
+        least m > 0 that makes m times the leading term a multiple of B's
+        leading coefficient; then a = (Q db / (s da)) b + R / (s da).
+        """
+        if not b:
+            raise DivisionByZero("polynomial division by zero")
+        db = len(b.nums) - 1
+        n = len(a.nums) - db
+        if n <= 0:
+            return _QZERO, a
+        lc = b.nums[-1]
+        rem, quot, scale = list(a.nums), [0] * n, 1
+        for shift in reversed(range(n)):
+            top = rem[shift + db]
+            if not top:
+                continue
+            g = math.gcd(top, lc)
+            m, c = abs(lc) // g, (top if lc > 0 else -top) // g
+            if m != 1:
+                rem, quot, scale = [v * m for v in rem], [v * m for v in quot], scale * m
+            quot[shift] = c
+            for i, v in enumerate(b.nums, shift):
+                rem[i] -= c * v
+        den = scale * a.den
+        return _canon(den, [v * b.den for v in quot]), _canon(den, rem[:db])
 
 
 class _PrimeRing(_Ring):
@@ -226,13 +397,13 @@ class _PrimeRing(_Ring):
     def _scale_matrix(self, d: int) -> list[list[int]]:
         return [[d]]
 
-    def _poly_mul(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
+    def _poly_mul(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
         if not a or not b:
-            return []
+            return ()
         p = self.p
         width = _width(min(len(a), len(b)) * (p - 1) ** 2)
         prod = _pack(a, width) * _pack(b, width)
-        return [v % p for v in _unpack(prod, width, len(a) + len(b) - 1)]
+        return tuple([v % p for v in _unpack(prod, width, len(a) + len(b) - 1)])
 
 
 class _ExtensionRing(_Ring):
@@ -249,7 +420,7 @@ class _ExtensionRing(_Ring):
         # [I | table] whose column i is packed backwards from slot i*(4k-3):
         # slot i*(4k-3) + 2k-2 of the result then holds coefficient i.
         powers = [[int(i == d) for i in range(k)] for d in range(k)]
-        powers += [r + [0] * (k - len(r)) for r in self.table]  # u^d mod modulus, d < 2k-1
+        powers += [list(r) + [0] * (k - len(r)) for r in self.table]  # u^d mod modulus, d < 2k-1
         fold = [powers[2 * k - 2 - j][i] if j < 2 * k - 1 else 0 for i in range(k) for j in range(4 * k - 3)]
         self.elem_width = _width((2 * k - 1) * k * (p - 1) ** 3)
         self.fold = _pack(fold, self.elem_width)
@@ -339,7 +510,7 @@ class _ExtensionRing(_Ring):
             w.append([(v - top * m) % p for v, m in zip([0] + w[-1][:-1], low)])
         return [[w[j + t][s] for t in range(k)] for j in range(k) for s in range(k)]
 
-    def _poly_mul(self, a: list, b: list) -> list:
+    def _poly_mul(self, a: Sequence, b: Sequence) -> tuple:
         """Each coefficient gets a block of 2k-1 slots, one per power of u.
 
         Slot k+e of every block of the product is shifted down to slot 0,
@@ -347,7 +518,7 @@ class _ExtensionRing(_Ring):
         it into the block's low k slots; all blocks fold at once.
         """
         if not a or not b:
-            return []
+            return ()
         k, p = self.k, self.p
         stride, n = 2 * k - 1, len(a) + len(b) - 1
         # per pair of terms a slot sums k residue products, then k-1 table terms of each
@@ -361,7 +532,7 @@ class _ExtensionRing(_Ring):
             folded += (prod >> (8 * width * (k + e)) & first) * _pack(row, width)
         slots = _unpack(folded, width, n * stride)
         cols = [[v % p for v in slots[i::stride]] for i in range(k)]
-        return [c if c[-1] else tuple(_trimmed(c)) for c in zip(*cols)]
+        return tuple([c if c[-1] else tuple(_trimmed(c)) for c in zip(*cols)])
 
 
 def _monic_polys(p: int, degree: int) -> Iterator[tuple[int, ...]]:

@@ -47,6 +47,10 @@ from .spectra import (
     nu_table,
 )
 
+# enumerate_simples refuses to list more modules than this; a ModuleSpec takes
+# about 150 bytes before the CLI builds and prints its matrices
+_ENUMERATE_BUDGET = 1 << 20
+
 
 @dataclass(frozen=True)
 class ModuleSpec:
@@ -379,7 +383,9 @@ def enumerate_simples(alg: AlgebraSpec, n: int) -> list[ModuleSpec]:
     contributes one module per alpha whose nu-sequence first vanishes at
     n.  The three families and distinct data never collide, so the list
     is irredundant without any matrix computation; it is in sort_key
-    order within each orbit and family.
+    order within each orbit and family.  The modules are counted first,
+    and more than _ENUMERATE_BUDGET of them raise SearchSpaceTooLarge
+    before any ModuleSpec is built.
     """
     if n < 1:
         raise InvalidSpec("dimension must be at least 1")
@@ -394,8 +400,8 @@ def enumerate_simples(alg: AlgebraSpec, n: int) -> list[ModuleSpec]:
     add, mul, q = ring._add, ring._mul, alg.q.value
     points, index = table.points, table.index
     units = [table.element(i) for i in range(1, len(points))]
-    specs_a: list[ModuleSpec] = []
-    specs_b: list[ModuleSpec] = []
+    plan = []  # (orbit, anchors, the anchors that also give family B)
+    count = 0
     for cycle in table.cycles(n):
         orbit = LambdaOrbit(alg.f, tuple(map(table.element, cycle)))
         l = orbit.period
@@ -433,14 +439,30 @@ def enumerate_simples(alg: AlgebraSpec, n: int) -> list[ModuleSpec]:
                 for _ in range(m - 1):
                     v = add(mul(ql, v), cl)
                     skip[index[v]] = True
+        also_b = {b for b in anchors if points[b] in vanishing}
+        count += (len(anchors) + len(also_b)) * len(units)
+        _check_budget(count, n)
+        plan.append((orbit, anchors, also_b))
+    alphas = table.nu_first_zero_at(alg.q, n)
+    _check_budget(count + len(alphas), n)
+
+    specs_a: list[ModuleSpec] = []
+    specs_b: list[ModuleSpec] = []
+    for orbit, anchors, also_b in plan:
         for b in anchors:
             mu = MuSequence(orbit, alg.q, alg.g, table.element(b))
             specs_a += [ModuleSpec.family_a(mu, gamma) for gamma in units]
-            if points[b] in vanishing:
+            if b in also_b:
                 specs_b += [ModuleSpec.family_b(mu, gamma) for gamma in units]
-
-    specs_c = [ModuleSpec.family_c(table.element(i), n) for i in table.nu_first_zero_at(alg.q, n)]
+    specs_c = [ModuleSpec.family_c(table.element(i), n) for i in alphas]
     return specs_a + specs_b + specs_c
+
+
+def _check_budget(count: int, n: int):
+    if count > _ENUMERATE_BUDGET:
+        raise SearchSpaceTooLarge(
+            f"more than {_ENUMERATE_BUDGET} simple modules of dimension {n}; enumeration refused"
+        )
 
 
 def extend_algebra(alg: AlgebraSpec, ext: FieldSpec) -> AlgebraSpec:

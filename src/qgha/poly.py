@@ -3,11 +3,13 @@
 These are the coefficient polynomials p(h) sitting between the x and y
 powers of a normal-form word, and also double as polynomials in any other
 single variable (the extension generator u, a spectral parameter t).
-A polynomial holds its coefficients as raw values of the field's ring (see
-fields), low to high with trailing zeros trimmed; the zero polynomial has
-the empty tuple and reports degree -1.  Arithmetic runs on those values,
-where products are Kronecker substitutions, and FieldElements are built
-only when a caller reads coefficients.
+A polynomial holds the field ring's polynomial value (see fields): the
+trimmed tuple of raw coefficients, low to high, over GF(p) and GF(p^k), and
+over Q integer numerators over one denominator, which read as the tuple of
+lowest-terms Fractions.  The zero polynomial has no coefficients and reports
+degree -1.  Arithmetic runs on those values, where products are Kronecker
+substitutions, and FieldElements are built only when a caller reads
+coefficients.
 """
 
 from __future__ import annotations
@@ -22,16 +24,13 @@ from .fields import FieldElement, FieldSpec
 
 
 class Poly:
-    """values holds the raw coefficients; coeffs and coefficient() build elements on read."""
+    """values holds the ring polynomial; coeffs and coefficient() build elements on read."""
 
     __slots__ = ("spec", "values")
 
     def __init__(self, spec: FieldSpec, coeffs: Iterable[FieldElement]):
-        values = [spec.element(c).value for c in coeffs]
-        while values and not values[-1]:
-            values.pop()
         object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "values", tuple(values))
+        object.__setattr__(self, "values", spec._ring._poly_from([spec.element(c).value for c in coeffs]))
 
     def __setattr__(self, *_):
         raise AttributeError("Poly is immutable")
@@ -100,20 +99,17 @@ class Poly:
 
     @staticmethod
     def _raw(spec: FieldSpec, values: Iterable) -> "Poly":
-        """A polynomial over spec from raw values, trailing zeros trimmed here."""
-        values = list(values)
-        while values and not values[-1]:
-            values.pop()
+        """A polynomial over spec from raw coefficient values, trailing zeros allowed."""
         out = object.__new__(Poly)
         object.__setattr__(out, "spec", spec)
-        object.__setattr__(out, "values", tuple(values))
+        object.__setattr__(out, "values", spec._ring._poly_from(values))
         return out
 
-    def _wrap(self, values: Iterable) -> "Poly":
-        """A polynomial over this field from already trimmed raw values."""
+    def _wrap(self, values) -> "Poly":
+        """A polynomial over this field from a ring polynomial."""
         out = object.__new__(Poly)
         object.__setattr__(out, "spec", self.spec)
-        object.__setattr__(out, "values", tuple(values))
+        object.__setattr__(out, "values", values)
         return out
 
     def __add__(self, other: "Poly") -> "Poly":
@@ -123,8 +119,7 @@ class Poly:
         return self._wrap(self.spec._ring._poly_add(self.values, other.values))
 
     def __neg__(self) -> "Poly":
-        neg = self.spec._ring._neg
-        return self._wrap([neg(v) for v in self.values])
+        return self._wrap(self.spec._ring._poly_neg(self.values))
 
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
@@ -137,11 +132,7 @@ class Poly:
             self._check(other)
             return self._wrap(self.spec._ring._poly_mul(self.values, other.values))
         if isinstance(other, (int, Fraction, FieldElement)):
-            c = self.spec.element(other).value
-            if not c:
-                return self._wrap(())
-            mul = self.spec._ring._mul
-            return self._wrap([mul(v, c) for v in self.values])
+            return self._wrap(self.spec._ring._poly_scale(self.values, self.spec.element(other).value))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -186,8 +177,8 @@ class Poly:
         B = 2 isqrt(deg) + 1, each block is a scalar combination of
         inner^0 .. inner^(B-1), and Horner steps in inner^B join the blocks,
         so a degree-d polynomial costs about sqrt(d) products and one of
-        degree <= 2 costs none beyond the powers.  powers holds the raw
-        values of inner^0, inner^1, ... built so far and is extended in
+        degree <= 2 costs none beyond the powers.  powers holds the ring
+        polynomials inner^0, inner^1, ... built so far and is extended in
         place, which lets a caller keep it across compositions with one
         inner; without it the powers are built for this call only.
         """
@@ -204,10 +195,10 @@ class Poly:
         block = 2 * math.isqrt(d) + 1
         powers = [] if powers is None else powers
         if not powers:
-            powers += [[ring.one], list(inner.values)]
+            powers += [ring._poly_from([ring.one]), inner.values]
         while len(powers) <= min(d, block):
             powers.append(ring._poly_mul(powers[-1], inner.values))
-        acc: list = []
+        acc = ()
         for start in reversed(range(0, d + 1, block)):
             head = ring._poly_lincomb(self.values[start:start + block], powers)
             acc = ring._poly_add(ring._poly_mul(acc, powers[block]), head) if acc else head

@@ -135,7 +135,7 @@ def center_basis_truncated(alg: AlgebraSpec, max_xy: int, max_h: int) -> list[PB
     width = max_h + 1
     ncols = (max_xy + 1) * width
 
-    f_pows = [[one]]
+    f_pows = [ring._poly_from([one])]
     for _ in range(max_h):
         f_pows.append(ring._poly_mul(f_pows[-1], alg.f.values))
 

@@ -448,3 +448,25 @@ def test_reader_closing_the_pipe_exits_1_without_traceback():
     assert proc.wait(timeout=60) == 1
     assert head == [b"{\n", b'  "dim": 2,\n']
     assert err == b""
+
+
+# Q output recorded from the engine that held Q polynomials as one Fraction per
+# coefficient: normalize, multiply, theta, center, conformal and domain in text
+# and --json, with error exits.  Any change to these bytes is a change of output.
+Q_FIXTURE = json.loads((Path(__file__).parent / "fixtures" / "q_cli.json").read_text())
+
+
+@pytest.mark.parametrize("case", Q_FIXTURE, ids=lambda c: " ".join(c["argv"])[:80])
+def test_q_output_is_byte_identical_to_the_fixture(capsys, case):
+    assert run_cli(capsys, *case["argv"]) == (case["code"], case["stdout"], case["stderr"])
+
+
+def test_enumerate_refuses_past_the_module_budget(capsys):
+    # q = 1, f = g = h over GF(2^8) at dimension 2 has about 8.3 million
+    # family-A modules; the count is refused before any of them is built
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, "enumerate", "--field", "GF(2^8)", "--q", "1", "--f", "h", "--g", "h",
+                             "--dim", "2")
+    assert time.monotonic() - start < 10
+    assert (code, out) == (1, "")
+    assert err.startswith("error: more than 1048576 simple modules of dimension 2")

@@ -514,3 +514,17 @@ def test_describe_strings():
     assert a.describe() == "A(lambda=(1), mu(0)=3, gamma=2)"
     c = ModuleSpec.family_c(F5.one, 4)
     assert c.describe() == "C(alpha=1, n=4)"
+
+
+def test_enumeration_budget_keeps_the_largest_lists_and_refuses_before_building(monkeypatch):
+    F = FieldSpec.extension(2, 8)
+    alg = AlgebraSpec(F, F.one, Poly.gen(F), Poly.gen(F))
+    assert len(enumerate_simples(alg, 1)) == 65536  # the largest list the CLI is known to print
+    built = []
+    monkeypatch.setattr(ModuleSpec, "family_a", staticmethod(lambda *a: built.append(a)))
+    with pytest.raises(SearchSpaceTooLarge):
+        enumerate_simples(alg, 2)
+    assert built == []
+    monkeypatch.setattr(modules, "_ENUMERATE_BUDGET", 65535)
+    with pytest.raises(SearchSpaceTooLarge):
+        enumerate_simples(alg, 1)
