@@ -21,7 +21,8 @@ JSC 2009): each factor is packed into one big int of fixed-width slots and
 the product's coefficients are read back from the slots.  GF(p^k) gives each
 coefficient 2k-1 slots, one per power of u, and folds u^k..u^(2k-2) back with
 a fixed table; GF(p) is the case k = 1.  Over Q the integer numerators are
-packed and the signed slots are read back with a borrow.
+packed with every slot offset by half its range, so signed slots read back
+one by one.
 """
 
 from __future__ import annotations
@@ -187,15 +188,11 @@ class _QPoly:
 
     def _fractions(self) -> tuple[Fraction, ...]:
         if self._read is None:
-            d = self.den
-            self._read = tuple(map(Fraction, self.nums)) if d == 1 else tuple([Fraction(v, d) for v in self.nums])
+            self._read = tuple([Fraction(v, self.den) for v in self.nums])
         return self._read
 
     def __len__(self) -> int:
         return len(self.nums)
-
-    def __bool__(self) -> bool:
-        return bool(self.nums)
 
     def __iter__(self):
         return iter(self._fractions())
@@ -288,9 +285,9 @@ class _RationalRing(_Ring):
         return _QPoly(den, tuple([v.numerator * (den // v.denominator) for v in values]))
 
     def _poly_add(self, a: _QPoly, b: _QPoly) -> _QPoly:
-        if not a:
+        if not a.nums:
             return b
-        if not b:
+        if not b.nums:
             return a
         x, y, den = a.nums, b.nums, a.den
         if den != b.den:
@@ -306,19 +303,19 @@ class _RationalRing(_Ring):
         return _QPoly(a.den, tuple(map(operator.neg, a.nums)))
 
     def _poly_scale(self, a: _QPoly, c: Fraction) -> _QPoly:
-        if not c or not a:
+        if not c or not a.nums:
             return _QZERO
         n = c.numerator
         return _canon(a.den * c.denominator, [v * n for v in a.nums])
 
     def _poly_mul(self, a: _QPoly, b: _QPoly) -> _QPoly:
-        if not a or not b:
+        if not a.nums or not b.nums:
             return _QZERO
         return _canon(a.den * b.den, _signed_product(a.nums, b.nums))
 
     def _poly_lincomb(self, coeffs: _QPoly, polys: Sequence[_QPoly]) -> _QPoly:
         """Integer sums over the lcm of the denominators taking part, then one gcd."""
-        terms = [(c, poly) for c, poly in zip(coeffs.nums, polys) if c and poly]
+        terms = [(c, poly) for c, poly in zip(coeffs.nums, polys) if c and poly.nums]
         if not terms:
             return _QZERO
         den = math.lcm(*[poly.den for _, poly in terms])
@@ -335,7 +332,7 @@ class _RationalRing(_Ring):
         least m > 0 that makes m times the leading term a multiple of B's
         leading coefficient; then a = (Q db / (s da)) b + R / (s da).
         """
-        if not b:
+        if not b.nums:
             raise DivisionByZero("polynomial division by zero")
         db = len(b.nums) - 1
         n = len(a.nums) - db
