@@ -141,7 +141,11 @@ class _Ring:
         return tuple([mul(v, c) for v in a])
 
     def _poly_lincomb(self, coeffs: Sequence, polys: Sequence) -> tuple:
-        """sum c_i polys[i] over the pairs of coeffs and polys: scalar products only."""
+        """sum c_i polys[i] over the pairs of coeffs and polys: scalar products only.
+
+        coeffs is any sequence of raw scalars, a ring polynomial among them;
+        polys are ring polynomials, as _poly_from and the ring ops return them.
+        """
         add, mul = self._add, self._mul
         out: list = []
         for c, poly in zip(coeffs, polys):
@@ -234,35 +238,24 @@ def _canon(den: int, nums: list[int]) -> _QPoly:
     return _QPoly(den, tuple(nums))
 
 
-@lru_cache(maxsize=None)
-def _bias(width: int, count: int) -> int:
-    """The int whose count width-byte slots each hold half the slot range."""
-    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
-
-
 def _signed_product(x: Sequence[int], y: Sequence[int]) -> list[int]:
     """The coefficients of the product of two nonempty integer polynomials.
 
-    A factor with at most three terms is multiplied row by row.  Otherwise
-    both are packed with each slot offset by half its range, which is taken
-    back off as one constant; the slots are wide enough for twice any
-    product coefficient, so the product plus that offset in every slot reads
-    back slot by slot.
+    A single term scales the other factor.  Otherwise both are packed with
+    each slot offset by half its range, which is taken back off as one
+    constant; the slots are wide enough for twice any product coefficient,
+    so the product plus that offset in every slot reads back slot by slot.
     """
     if len(x) > len(y):
         x, y = y, x
-    if len(x) <= 3:
-        n = len(y)
-        out = [x[0] * v for v in y] + [0] * (len(x) - 1)
-        for i in range(1, len(x)):
-            if x[i]:
-                out[i:i + n] = map(operator.add, out[i:i + n], [x[i] * v for v in y])
-        return out
+    if len(x) == 1:
+        return [x[0] * v for v in y]
     width = _width(2 * len(x) * max(map(abs, x)) * max(map(abs, y)))
     half = 1 << (8 * width - 1)
-    a, b = (_pack([v + half for v in n], width) - _bias(width, len(n)) for n in (x, y))
+    slot = bytes(width - 1) + b"\x80"  # one slot holding half its range
+    a, b = (_pack([v + half for v in n], width) - int.from_bytes(slot * len(n), "little") for n in (x, y))
     count = len(x) + len(y) - 1
-    return [t - half for t in _unpack(a * b + _bias(width, count), width, count)]
+    return [t - half for t in _unpack(a * b + int.from_bytes(slot * count, "little"), width, count)]
 
 
 class _RationalRing(_Ring):
@@ -313,8 +306,10 @@ class _RationalRing(_Ring):
             return _QZERO
         return _canon(a.den * b.den, _signed_product(a.nums, b.nums))
 
-    def _poly_lincomb(self, coeffs: _QPoly, polys: Sequence[_QPoly]) -> _QPoly:
+    def _poly_lincomb(self, coeffs: Sequence, polys: Sequence[_QPoly]) -> _QPoly:
         """Integer sums over the lcm of the denominators taking part, then one gcd."""
+        if coeffs.__class__ is not _QPoly:
+            coeffs = self._poly_from(coeffs)
         terms = [(c, poly) for c, poly in zip(coeffs.nums, polys) if c and poly.nums]
         if not terms:
             return _QZERO

@@ -148,8 +148,13 @@ def test_ring_ops_match_the_fraction_reference(a, b, c):
 @SETTINGS
 @given(coeffs=coeff_lists(max_size=5), polys=st.lists(coeff_lists(), min_size=5, max_size=5))
 def test_lincomb_matches_the_fraction_reference(coeffs, polys):
-    got = RING._poly_lincomb(form(coeffs), [form(p) for p in polys])
-    assert canonical(got) == ref_lincomb(coeffs, polys)
+    expect = ref_lincomb(coeffs, polys)
+    forms = [form(p) for p in polys]
+    assert canonical(RING._poly_lincomb(form(coeffs), forms)) == expect
+    assert canonical(RING._poly_lincomb(list(coeffs), forms)) == expect  # plain raw scalars
+    # as compose calls it: a slice of a polynomial's values against a list of powers
+    values = Poly(QQ, [Fraction(7)] + coeffs + [Fraction(1, 3)]).values
+    assert canonical(RING._poly_lincomb(values[1:1 + len(coeffs)], forms)) == expect
 
 
 @SETTINGS
