@@ -241,16 +241,12 @@ def _canon(den: int, nums: list[int]) -> _QPoly:
 def _signed_product(x: Sequence[int], y: Sequence[int]) -> list[int]:
     """The coefficients of the product of two nonempty integer polynomials.
 
-    A single term scales the other factor.  Otherwise both are packed with
-    each slot offset by half its range, which is taken back off as one
-    constant; the slots are wide enough for twice any product coefficient,
-    so the product plus that offset in every slot reads back slot by slot.
+    Both are packed with each slot offset by half its range, which is taken
+    back off as one constant; the slots are wide enough for twice any
+    product coefficient, so the product plus that offset in every slot reads
+    back slot by slot.
     """
-    if len(x) > len(y):
-        x, y = y, x
-    if len(x) == 1:
-        return [x[0] * v for v in y]
-    width = _width(2 * len(x) * max(map(abs, x)) * max(map(abs, y)))
+    width = _width(2 * min(len(x), len(y)) * max(map(abs, x)) * max(map(abs, y)))
     half = 1 << (8 * width - 1)
     slot = bytes(width - 1) + b"\x80"  # one slot holding half its range
     a, b = (_pack([v + half for v in n], width) - int.from_bytes(slot * len(n), "little") for n in (x, y))
