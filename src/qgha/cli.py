@@ -46,6 +46,17 @@ from .structure import (
 )
 
 
+def _count(text: str) -> int:
+    """An argparse type: a nonnegative int, so a negative count is a usage error (exit 2)."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qgha",
@@ -75,27 +86,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("rhs")
 
     p = verb("theta", "the k-th straightening polynomial")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_count, required=True)
 
     verb("conformal", "solve g = sigma(a) - q a and verify the Z relations")
 
     p = verb("center", "basis of the center inside a truncation window")
-    p.add_argument("--max-xy", type=int, required=True, help="largest x/y exponent scanned")
-    p.add_argument("--max-h", type=int, required=True, help="largest h-degree scanned")
+    p.add_argument("--max-xy", type=_count, required=True, help="largest x/y exponent scanned")
+    p.add_argument("--max-h", type=_count, required=True, help="largest h-degree scanned")
 
     verb("domain", "domain criterion with zero-divisor witnesses")
 
     p = verb("orbits", "cycles of alpha -> f(alpha)")
-    p.add_argument("--k", type=int, default=8, help="largest period reported")
+    p.add_argument("--k", type=_count, default=8, help="largest period reported")
 
     p = verb("mu", "mu-sequence over the orbit through alpha")
     p.add_argument("--alpha", required=True, help="orbit seed (must be periodic)")
     p.add_argument("--beta", required=True, help="anchor mu(0)")
-    p.add_argument("--k", type=int, default=8, help="how many values to print")
+    p.add_argument("--k", type=_count, default=8, help="how many values to print")
 
     p = verb("nu", "nu-table along the forward orbit of alpha")
     p.add_argument("--alpha", required=True)
-    p.add_argument("--k", type=int, default=8, help="last index: prints nu(0..k)")
+    p.add_argument("--k", type=_count, default=8, help="last index: prints nu(0..k)")
 
     verb("build-module", "matrices of a classified module", module_flags=True)
 
@@ -207,8 +218,6 @@ def _run_multiply(alg, args):
 
 
 def _run_theta(alg, args):
-    if args.k < 0:
-        raise PolyParseError("--k must be nonnegative", 0)
     t = theta(alg, args.k)
     return {"k": args.k, "poly": t.render()}, [f"theta_{args.k} = {t.render()}"]
 

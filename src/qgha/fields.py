@@ -354,12 +354,14 @@ class _PrimeRing(_Ring):
         self.p = p
 
     def _coerce(self, value) -> int:
+        """An int, or any exact rational value (Fraction, float, ...), reduced mod p."""
         p = self.p
-        if isinstance(value, Fraction):
-            if value.denominator % p == 0:
-                raise DivisionByZero("denominator vanishes in this characteristic")
-            return value.numerator * pow(value.denominator, -1, p) % p
-        return int(value) % p
+        if isinstance(value, int):
+            return value % p
+        value = Fraction(value)
+        if value.denominator % p == 0:
+            raise DivisionByZero("denominator vanishes in this characteristic")
+        return value.numerator * pow(value.denominator, -1, p) % p
 
     def _add(self, a, b):
         return (a + b) % self.p
@@ -415,7 +417,7 @@ class _ExtensionRing(_Ring):
 
     def _coerce(self, value) -> tuple[int, ...]:
         if isinstance(value, (list, tuple)):
-            c = _trimmed(int(v) % self.p for v in value)
+            c = _trimmed(map(self.base._coerce, value))
             return tuple(self.base._poly_divmod(c, self.modulus)[1])
         n = self.base._coerce(value)
         return (n,) if n else ()

@@ -8,12 +8,12 @@ rref and nullspace only unwrap their element rows and wrap what they
 return.  Over GF(p^k), k = 1 for GF(p), with k (p-1)^2 + p < 2^63, one
 numpy kernel reduces rows whose entries are k int64 residues each, one per
 power of u; multiplying by a field element is a k x k matrix over GF(p)
-that the field's ring builds.  Over Q elimination is fraction-free on
+that the field's ring builds.  Fields past that int64 guard run the same
+kernel on exact Python ints.  Over Q elimination is fraction-free on
 primitive integer rows, and Fractions appear only when the reduced rows
-are divided by their pivots; fields past the int64 guard use the
-element-wise loop.  A subspace grown one vector at a time stays in echelon
-form through one incremental routine, which serves both invariant-subspace
-closures and invertibility.
+are divided by their pivots.  A subspace grown one vector at a time stays
+in echelon form through one incremental routine, which serves both
+invariant-subspace closures and invertibility.
 """
 
 from __future__ import annotations
@@ -169,39 +169,16 @@ def poly_on_matrix(p: Poly, m: Matrix) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
-def _rref_generic(rows: list[list], spec: FieldSpec) -> tuple[list[list], list[int]]:
-    ring = spec._ring
-    mul, sub, inv = ring._mul, ring._sub, ring._inv
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        scale = inv(rows[r][c])
-        rows[r] = [mul(v, scale) for v in rows[r]]
-        for i in range(nrows):
-            factor = rows[i][c]
-            if i != r and factor:
-                rows[i] = [sub(a, mul(factor, b)) if b else a for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
-
-
 def _fits_int64(p: int, k: int) -> bool:
-    """Whether _rref_slots is exact over GF(p^k): an update subtracts k products of residues below p."""
+    """Whether _rref_slots can reduce GF(p^k) on int64: an update subtracts k products of residues below p."""
     return k * (p - 1) ** 2 + p < 2 ** 63
 
 
 def _rref_slots(rows: list[list], ring) -> tuple[list[list], list[int]]:
-    """Gauss-Jordan over GF(p^k), k = 1 for GF(p), on int64 residues.
+    """Gauss-Jordan over GF(p^k), k = 1 for GF(p), on arrays of residues.
 
+    The residues are int64 where _fits_int64 holds and exact Python ints
+    (dtype object) past it; the loop is the same for both.
     a[i, t, c] is the residue at u^t of entry (i, c).  The ring's scale
     matrix of the pivot's inverse, times the pivot row's slots, stacks u^j
     times the scaled pivot row for j < k; one matmul of every nonzero lead's
@@ -211,7 +188,8 @@ def _rref_slots(rows: list[list], ring) -> tuple[list[list], list[int]]:
     the pivot is the first unused row with a nonzero lead.
     """
     p, k = ring.p, ring.k
-    flat = np.array([ring._to_slots(r) for r in rows], dtype=np.int64)
+    dtype = np.int64 if _fits_int64(p, k) else object
+    flat = np.array([ring._to_slots(r) for r in rows], dtype=dtype)
     nrows, ncols = flat.shape[0], flat.shape[1] // k
     a = flat.reshape(nrows, ncols, k).transpose(0, 2, 1)
     used: dict[int, int] = {}  # pivot row -> its column, in pivot order
@@ -221,7 +199,7 @@ def _rref_slots(rows: list[list], ring) -> tuple[list[list], list[int]]:
         r = next((i for i in nonzero.tolist() if i not in used), None)
         if r is None:
             continue
-        scale = np.array(ring._scale_matrix(ring._inv(ring._from_slots(lead[r].tolist())[0])), dtype=np.int64)
+        scale = np.array(ring._scale_matrix(ring._inv(ring._from_slots(lead[r].tolist())[0])), dtype=dtype)
         rest = a[:, :, c:]
         block = scale @ rest[r] % p
         rest[nonzero] = (rest[nonzero] - (lead[nonzero] @ block.reshape(k, -1)).reshape(-1, k, ncols - c)) % p
@@ -244,7 +222,7 @@ def _rref_rational(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], li
     1 whenever the pivot divides row_i[c]) divided by its content, so no
     Fraction is built inside the loop.  Only the reduced rows are divided
     by their pivots at the end; the reduced echelon form is unique, so the
-    result equals _rref_generic's.
+    result equals element-wise Gauss-Jordan's.
     """
     ints = []
     for row in rows:
@@ -291,7 +269,7 @@ def _rref(rows: list[list], spec: FieldSpec) -> tuple[list[list], list[int]]:
         return rows, []
     if spec.is_rationals:
         return _rref_rational(rows)
-    return _rref_slots(rows, spec._ring) if _fits_int64(spec.char, spec.degree) else _rref_generic(rows, spec)
+    return _rref_slots(rows, spec._ring)
 
 
 def rref(rows: Sequence[Sequence[FieldElement]], spec: FieldSpec) -> tuple[list[list], list[int]]:

@@ -201,12 +201,10 @@ def enumerate_lambda_orbits(field: FieldSpec, f: Poly, max_period: int) -> list[
 class MuSequence:
     """Solution of mu(i+1) = q mu(i) + g(lambda(i)) with mu(0) = anchor.
 
-    For q != 0 the recursion runs both ways and the closed form
-
-        mu(i) = q^i anchor + sum_{j=0}^{i-1} q^j g(lambda(i-j-1))      (i >= 0)
-        mu(i) = q^i anchor - sum_{j=i}^{-1} q^j g(lambda(i-j-1))       (i < 0)
-
-    is used directly.  period is the least m >= 1 with the joint sequence
+    For q != 0 the recursion also runs backwards, as
+    mu(i) = (mu(i+1) - g(lambda(i))) / q; value(i) runs it on raw values,
+    forwards from the anchor for i >= 0 and backwards for i < 0.
+    period is the least m >= 1 with the joint sequence
     (lambda, mu) invariant under shifting by m |lambda|, encoded as 0 when
     no such m exists (infinite period, only possible in characteristic 0).
     """
@@ -229,17 +227,14 @@ class MuSequence:
         """mu(i); negative indices need q invertible."""
         spec = self.field
         if i >= 0:
-            acc = spec.zero
-            for m in range(i):
-                # anchor-free recurrence; ends as sum_j q^j g(lambda(i-j-1))
-                acc = acc * self.q + self.g(self.orbit.value(m))
-            return (self.q ** i) * self.anchor + acc
+            return FieldElement(spec, self._raw_values(i + 1)[i])
         if self.q.is_zero:
             raise QZero("mu at negative indices needs q != 0")
-        acc = spec.zero
-        for j in range(i, 0):
-            acc = acc + (self.q ** j) * self.g(self.orbit.value(i - j - 1))
-        return (self.q ** i) * self.anchor - acc
+        ring = spec._ring
+        q_inv, mu = ring._inv(self.q.value), self.anchor.value
+        for j in range(-1, i - 1, -1):
+            mu = ring._mul(ring._sub(mu, self.g._at(self.orbit.value(j).value)), q_inv)
+        return FieldElement(spec, mu)
 
     def values(self, count: int) -> tuple[FieldElement, ...]:
         """(mu(0), ..., mu(count-1)) by running the recurrence once."""
@@ -271,13 +266,10 @@ class MuSequence:
 def nu_increment(orbit: LambdaOrbit, q: FieldElement, g: Poly) -> FieldElement:
     """Xi = sum_{i=0}^{l-1} q^i g(lambda(l-1-i)), the drift over one lambda-period.
 
-    Satisfies mu(k l) = q^{k l} mu(0) + Xi (1 + q^l + ... + q^{(k-1) l}).
+    It is mu(l) of the sequence anchored at 0, and satisfies
+    mu(k l) = q^{k l} mu(0) + Xi (1 + q^l + ... + q^{(k-1) l}).
     """
-    spec = orbit.field
-    acc = spec.zero
-    for i in range(orbit.period):
-        acc = acc * q + g(orbit.value(i))
-    return acc
+    return MuSequence(orbit, q, g, orbit.field.zero).value(orbit.period)
 
 
 def mu_periods(orbit: LambdaOrbit, q: FieldElement, g: Poly) -> tuple[FieldElement | None, int]:

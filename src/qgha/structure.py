@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import AlgebraSpec, PBWElement, commutator, q_commutator, theta
-from .errors import DegreeOverflow, UnsupportedDegF
+from .errors import DegreeOverflow, SearchSpaceTooLarge, UnsupportedDegF
 from .linalg import _nullspace, _solve
 from .poly import Poly
 
@@ -103,6 +103,10 @@ def verify_z_relations(witness: ConformalWitness) -> ZRelationReport:
 # Centralizer of h and the truncated center
 # ---------------------------------------------------------------------------
 
+# The most cells the dense center system may have: about 33.5 million, some
+# hundreds of MB of raw values.
+_CENTER_CELL_BUDGET = 2 ** 25
+
 
 def center_basis_truncated(alg: AlgebraSpec, max_xy: int, max_h: int) -> list[PBWElement]:
     """Basis of the central elements within the truncation window.
@@ -117,8 +121,11 @@ def center_basis_truncated(alg: AlgebraSpec, max_xy: int, max_h: int) -> list[PB
     powers of f come from one polynomial product each, q^k is one scalar,
     and h^d and h^d theta_{k+1} are shifts.  The kernel goes through the
     raw nullspace, and each kernel vector becomes polynomials once.  Only
-    theta_1 .. theta_max_xy are built.  A window with max_h deg f past
-    degree_cap raises DegreeOverflow before any product.
+    theta_1 .. theta_max_xy are built.  Before any product, a window with
+    max_h deg f past degree_cap raises DegreeOverflow, and one whose system
+    would have more than _CENTER_CELL_BUDGET cells, about
+    (max_xy + 1)(max_h deg f + 1) rows by (max_xy + 1)(max_h + 1) columns,
+    raises SearchSpaceTooLarge.
 
     Requires deg f >= 2; lower degrees fall outside this computation's
     supported regime.
@@ -129,6 +136,10 @@ def center_basis_truncated(alg: AlgebraSpec, max_xy: int, max_h: int) -> list[PB
         raise ValueError("truncation bounds must be nonnegative")
     if max_h * alg.f.degree > alg.degree_cap:
         raise DegreeOverflow(f"center window degree {max_h * alg.f.degree} exceeds cap {alg.degree_cap}")
+    cells = (max_xy + 1) ** 2 * (max_h * alg.f.degree + 1) * (max_h + 1)
+    if cells > _CENTER_CELL_BUDGET:
+        raise SearchSpaceTooLarge(f"center window needs about {cells} matrix cells, "
+                                  f"more than the budget {_CENTER_CELL_BUDGET}")
     field = alg.field
     ring = field._ring
     zero, one, mul = ring.zero, ring.one, ring._mul

@@ -265,6 +265,34 @@ def test_exit_code_1_on_semantic_errors(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["theta", *BASE, "--k", "-1"],
+    ["nu", *BASE, "--alpha", "1", "--k", "-1"],
+    ["mu", *BASE, "--alpha", "1", "--beta", "3", "--k", "-2"],
+    ["orbits", *BASE, "--k", "-1"],
+    ["center", *BASE, "--max-xy", "-1", "--max-h", "2"],
+    ["center", *BASE, "--max-xy", "2", "--max-h", "-1"],
+], ids=lambda argv: " ".join(argv[:1] + argv[-4:]))
+def test_negative_counts_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert e.value.code == 2 and out == ""
+    assert "must be nonnegative" in err and "Traceback" not in err
+
+
+def test_center_refuses_a_window_past_the_cell_budget(capsys):
+    # with a constant g every theta_k is constant, so no degree bound stops
+    # the window; the dense system would have about 405 million cells
+    argv = ["center", "--field", "GF(5)", "--q", "2", "--f", "h^2", "--g", "1", "--max-h", "4"]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv, "--max-xy", "3000")
+    assert code == 1 and out == "" and "error:" in err
+    assert time.perf_counter() - start < 1.0
+    code, out, err = run_cli(capsys, *argv, "--max-xy", "20")
+    assert code == 0 and out.startswith("center basis within window (dimension 6):"), err
+
+
 def test_degree_cap_bounds_products(capsys):
     argv = ["normalize", "--field", "Q", "--q", "1", "--f", "h", "--g", "0", "h^20000"]
     code, out, err = run_cli(capsys, *argv)

@@ -23,6 +23,7 @@ from qgha.fields import (
     multiplicative_order,
     poly_is_irreducible,
 )
+from qgha.poly import Poly
 
 QQ = FieldSpec.rationals()
 F5 = FieldSpec.prime(5)
@@ -53,6 +54,18 @@ def test_division_by_zero():
         F5.one / F5.zero
     with pytest.raises(DivisionByZero):
         QQ.zero.inverse()
+
+
+def test_non_int_scalars_coerce_exactly():
+    # a float or Fraction is its exact rational value, never truncated by int()
+    assert F5.element(0.5) == F5.element(3)  # 1/2 = 3 in GF(5)
+    assert Poly.from_ints(F5, [0.5, 1]).render() == "h + 3"
+    assert F49.element([Fraction(1, 2), 1]) == F49.element([4, 1])
+    assert F49.element([Fraction(1, 2), 1]).value == (4, 1)
+    with pytest.raises(DivisionByZero):
+        F5.element(Fraction(1, 10))
+    with pytest.raises(DivisionByZero):
+        F49.element([1, Fraction(3, 14)])
 
 
 def test_field_mismatch():

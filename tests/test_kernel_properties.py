@@ -5,10 +5,12 @@ GF(7^2).  Element and polynomial arithmetic is checked against oracles
 written here on the documented value formats: Fractions, int residues and
 trimmed u-coefficient tuples.  Division is checked through a = q*b + r with
 deg r < deg b, and, where sympy is installed, GF(p) products and division
-are checked against sympy.Poly(..., modulus=p).  The fraction-free Q
-elimination is checked against the element-wise one and against sympy's
-Matrix.rref on random rational matrices, and the int64 slot kernel against
-the element-wise one over GF(5), GF(7^2), GF(2^3), GF(3^3) and GF(2^8).
+are checked against sympy.Poly(..., modulus=p).  Both elimination kernels
+are checked against generic_rref, an element-wise Gauss-Jordan written
+here: the fraction-free Q one also against sympy's Matrix.rref on random
+rational matrices, and the slot kernel over GF(5), GF(7^2), GF(2^3),
+GF(3^3) and GF(2^8) on int64 and on Python ints, and over GF(4294967311)
+and GF(2^61 - 1), past the int64 guard.
 """
 
 import math
@@ -21,7 +23,7 @@ from hypothesis import strategies as st
 
 from qgha.fields import FieldSpec
 from qgha import linalg
-from qgha.linalg import _fits_int64, _rref, _rref_generic, rref
+from qgha.linalg import _fits_int64, _rref, rref
 from qgha.poly import Poly
 
 QQ = FieldSpec.rationals()
@@ -83,6 +85,26 @@ def oracle_poly_mul(F, a, b):
 
 def values(poly):
     return [c.value for c in poly.coeffs]
+
+
+def generic_rref(rows, F):
+    """Element-wise Gauss-Jordan on raw rows, which it overwrites: the reduced rows and the pivot columns."""
+    ring = F._ring
+    mul, sub, inv = ring._mul, ring._sub, ring._inv
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        scale = inv(rows[r][c])
+        rows[r] = [mul(v, scale) for v in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                rows[i] = [sub(a, mul(row[c], b)) for a, b in zip(row, rows[r])]
+        pivots.append(c)
+    return rows, pivots
 
 
 # -- strategies ----------------------------------------------------------------
@@ -201,12 +223,9 @@ def test_prime_field_against_sympy(F, data):
 
 
 @pytest.mark.parametrize("p", [2**31 - 1, 4294967311])
-def test_rref_large_prime_matches_generic(p, monkeypatch):
-    # products of residues of 4294967311 overflow int64, so only it takes the element-wise loop
+def test_rref_large_prime_matches_generic(p):
+    # products of residues of 4294967311 overflow int64, so its slot kernel runs on Python ints
     F = FieldSpec.prime(p)
-    calls = []
-    generic = linalg._rref_generic
-    monkeypatch.setattr(linalg, "_rref_generic", lambda rows, spec: calls.append(1) or generic(rows, spec))
     rng = random.Random(p)
     for _ in range(50):
         basis = [[F.element(rng.randrange(p)) for _ in range(4)] for _ in range(2)]
@@ -216,13 +235,12 @@ def test_rref_large_prime_matches_generic(p, monkeypatch):
             rows.append([c1 * x + c2 * y for x, y in zip(*basis)])
         red, pivots = rref(rows, F)
         raw = [[e.value for e in r] for r in rows]
-        assert (red, pivots) == _rref_generic(raw, F)
+        assert (red, pivots) == generic_rref(raw, F)
         # each input row is the sum of the reduced rows weighted by its pivot entries
         for row in rows:
             combo = [sum((row[c] * F.element(red[r][j]) for r, c in enumerate(pivots)), F.zero)
                      for j in range(4)]
             assert combo == row
-    assert len(calls) == (0 if p == 2**31 - 1 else 50)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 8, 64])
@@ -276,7 +294,7 @@ def matrices(draw, values, zero):
 def test_rational_rref_matches_generic_and_sympy(rows):
     sympy = pytest.importorskip("sympy")
     red, pivots = rref([[QQ.element(v) for v in row] for row in rows], QQ)
-    assert (red, pivots) == _rref_generic([list(row) for row in rows], QQ)
+    assert (red, pivots) == generic_rref([list(row) for row in rows], QQ)
     assert all(type(v) is Fraction for row in red for v in row)
     ncols = len(rows[0]) if rows else 0
     m = sympy.Matrix(len(rows), ncols, [sympy.Rational(v.numerator, v.denominator) for row in rows for v in row])
@@ -285,24 +303,40 @@ def test_rational_rref_matches_generic_and_sympy(rows):
     assert red == [[Fraction(int(v.p), int(v.q)) for v in row] for row in expect.tolist()]
 
 
-# -- the int64 slot kernel over finite fields ----------------------------------
+# -- the slot kernel over finite fields ----------------------------------------
 
 SLOT_FIELDS = [F5, F49, FieldSpec.extension(2, 3), FieldSpec.extension(3, 3), FieldSpec.extension(2, 8)]
+WIDE_FIELDS = [FBIG, FieldSpec.prime(2**61 - 1)]
 
 
-@pytest.mark.parametrize("F", SLOT_FIELDS, ids=str)
-@SETTINGS
-@given(data=st.data())
-def test_slot_rref_matches_generic(F, data):
-    assert _fits_int64(F.char, F.degree)
-    rows = [[v.value for v in row] for row in data.draw(matrices(elements(F), F.zero))]
+def check_slot_rref(F, rows):
     red, pivots = _rref([list(row) for row in rows], F)
-    expect, expect_pivots = _rref_generic([list(row) for row in rows], F)
+    expect, expect_pivots = generic_rref([list(row) for row in rows], F)
     assert pivots == expect_pivots
     assert red == expect
     for row in red:
         for v in row:
             if F.is_extension:
                 assert type(v) is tuple and (not v or v[-1]) and len(v) <= F.degree
+                assert all(type(d) is int and 0 <= d < F.char for d in v)
             else:
                 assert type(v) is int and 0 <= v < F.char
+
+
+@pytest.mark.parametrize("F", SLOT_FIELDS + WIDE_FIELDS, ids=str)
+@SETTINGS
+@given(data=st.data())
+def test_slot_rref_matches_generic(F, data):
+    assert _fits_int64(F.char, F.degree) == (F not in WIDE_FIELDS)
+    check_slot_rref(F, [[v.value for v in row] for row in data.draw(matrices(elements(F), F.zero))])
+
+
+@pytest.mark.parametrize("F", SLOT_FIELDS, ids=str)
+@SETTINGS
+@given(data=st.data())
+def test_slot_rref_on_python_ints_matches_generic(F, data):
+    # the object-dtype path, forced on fields whose residues would fit int64
+    rows = [[v.value for v in row] for row in data.draw(matrices(elements(F), F.zero))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_fits_int64", lambda p, k: False)
+        check_slot_rref(F, rows)

@@ -110,6 +110,21 @@ def test_mu_recurrence_and_bilateral():
         assert mu.value(i + 1) == mu.value(i) * mu.q + g(orbit.value(i))
 
 
+@pytest.mark.parametrize("field", [QQ, FieldSpec.extension(7, 2)], ids=str)
+def test_mu_value_matches_closed_form(field):
+    # mu(i) = q^i b + sum_{j=0}^{i-1} q^j g(lambda(i-j-1)) for i >= 0,
+    # mu(i) = q^i b - sum_{j=i}^{-1} q^j g(lambda(i-j-1)) for i < 0
+    f = Poly.from_ints(field, [0, 0, 1])
+    g = Poly.from_ints(field, [2, 1, 3])
+    orbit = orbit_from_seed(f, field.one)
+    q, b = field.element(3), field.element(5)
+    mu = MuSequence(orbit, q, g, b)
+    for i in range(-6, 9):
+        terms = [q ** j * g(orbit.value(i - j - 1)) for j in (range(i) if i >= 0 else range(i, 0))]
+        drift = sum(terms, field.zero)
+        assert mu.value(i) == q ** i * b + (drift if i >= 0 else -drift)
+
+
 def test_mu_shifted():
     f = Poly.from_ints(F5, [0, 0, 0, 1])
     orbit = orbit_from_seed(f, F5.element(2))  # (2, 3)
