@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--q", required=True, help="deformation scalar")
         p.add_argument("--f", required=True, help="polynomial f(h)")
         p.add_argument("--g", required=True, help="polynomial g(h)")
-        p.add_argument("--degree-cap", type=int, default=512, help="cap on intermediate h-degrees")
+        p.add_argument("--degree-cap", type=_count, default=512, help="cap on intermediate h-degrees")
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
         if module_flags:
             _add_module_flags(p, "")
@@ -114,15 +114,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = verb("check-simple", "simplicity of a classified module", module_flags=True)
     p.add_argument("--brute", action="store_true", help="also run the subspace search")
-    p.add_argument("--search-bound", type=int, default=10 ** 6)
+    p.add_argument("--search-bound", type=_count, default=10 ** 6)
 
     p = verb("check-iso", "isomorphism of two classified modules", module_flags=True, second_module=True)
     p.add_argument("--brute", action="store_true", help="also search for an intertwiner")
-    p.add_argument("--search-bound", type=int, default=10 ** 4)
+    p.add_argument("--search-bound", type=_count, default=10 ** 4)
 
     p = verb("enumerate", "all simple modules of one dimension")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--ext-bound", type=int, default=1,
+    p.add_argument("--dim", type=_count, required=True)
+    p.add_argument("--ext-bound", type=_count, default=1,
                    help="also search family C over GF(p^m) for m up to this bound")
     return parser
 
@@ -133,7 +133,7 @@ def _add_module_flags(p: argparse.ArgumentParser, suffix: str):
     p.add_argument(f"--alpha{suffix}", required=True, help=f"orbit seed / C-parameter{tag}")
     p.add_argument(f"--beta{suffix}", help=f"mu anchor, families A and B{tag}")
     p.add_argument(f"--gamma{suffix}", help=f"twist unit, families A and B{tag}")
-    p.add_argument(f"--dim{suffix}", type=int, help=f"dimension, family C{tag}")
+    p.add_argument(f"--dim{suffix}", type=_count, help=f"dimension, family C{tag}")
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,13 @@ only their results.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, partial
 
 from .algebra import AlgebraSpec
-from .errors import InvalidSpec, QZero, UnsupportedField
+from .errors import InvalidSpec, QZero, SearchSpaceTooLarge, UnsupportedField
 from .fields import FieldElement, FieldSpec, multiplicative_order
 from .poly import Poly, roots_in_field
 
@@ -75,26 +77,57 @@ class LambdaOrbit:
         return "(" + ", ".join(str(v) for v in self.values) + ")"
 
 
+# The longest walk orbit_from_seed takes over a finite field before it gives up.
+_ORBIT_STEP_BUDGET = 2 ** 17
+
+
+def _escapes(f: Poly):
+    """For f over Q of degree d >= 2, a test true at x only when no iterate of x returns to x.
+
+    Write f = sum_i c_i h^i / D with integers c_i.  If |x| > R = max(1,
+    (1 + sum_{i<d} |c_i / D|) / |c_d / D|), then |f(x)| > |x|.  If the
+    denominator of x does not divide c_d, some prime p divides it more
+    often than it divides c_d, and p divides the denominator of f(x) more
+    often still.  Either way f(x) passes the test too, with a larger
+    absolute value or a larger power of p, so the orbit never comes back.
+    A point that fails the test has bounded numerator and denominator, so a
+    walk through such points stays small.
+    """
+    a = [c.value for c in f.coeffs]
+    lead = abs((a[-1] * math.lcm(*[v.denominator for v in a])).numerator)
+    radius = max(Fraction(1), (1 + sum(map(abs, a[:-1]))) / abs(a[-1]))
+    return lambda x: abs(x) > radius or lead % x.denominator != 0
+
+
 def orbit_from_seed(f: Poly, alpha: FieldElement, max_steps: int = 64) -> LambdaOrbit:
     """The cycle through alpha, which must be a periodic point of f.
 
     Over a finite field every point is eventually periodic but only
-    periodic seeds lie on their own cycle; others are rejected.  Over Q the
-    search gives up after max_steps iterations.
+    periodic seeds lie on their own cycle; others are rejected, and a walk
+    longer than _ORBIT_STEP_BUDGET steps raises SearchSpaceTooLarge.  Over Q
+    the search gives up after max_steps iterations; for deg f >= 2 it
+    rejects the seed as soon as an iterate passes the _escapes test.
     """
     spec = f.spec
     if alpha.spec != spec:
         raise InvalidSpec("seed must lie in the coefficient field")
-    limit = spec.order if spec.order is not None else max_steps
-    values = [alpha]
-    current = alpha
+    limit = max_steps if spec.order is None else min(spec.order, _ORBIT_STEP_BUDGET)
+    escapes = _escapes(f) if spec.is_rationals and f.degree >= 2 else None
+    start = current = alpha.value
+    values, seen = [start], {start}
     for _ in range(limit):
-        current = f(current)
-        if current == alpha:
-            return LambdaOrbit(f, tuple(values))
-        if current in values:
+        if escapes is not None and escapes(current):
+            raise InvalidSpec(f"{alpha} is not a periodic point of f")
+        current = f._at(current)
+        if current == start:
+            return LambdaOrbit(f, tuple(FieldElement(spec, v) for v in values))
+        if current in seen:
             raise InvalidSpec(f"{alpha} is not a periodic point of f")
         values.append(current)
+        seen.add(current)
+    if spec.order is not None:
+        # a walk over a field of at most _ORBIT_STEP_BUDGET points repeats before this
+        raise SearchSpaceTooLarge(f"the orbit of {alpha} under f takes more than {limit} steps")
     raise InvalidSpec(f"no cycle through {alpha} found within {limit} steps")
 
 

@@ -10,6 +10,7 @@ algebra itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .algebra import AlgebraSpec, PBWElement, commutator, q_commutator, theta
 from .errors import DegreeOverflow, SearchSpaceTooLarge, UnsupportedDegF
@@ -103,8 +104,10 @@ def verify_z_relations(witness: ConformalWitness) -> ZRelationReport:
 # Centralizer of h and the truncated center
 # ---------------------------------------------------------------------------
 
-# The most cells the dense center system may have: about 33.5 million, some
-# hundreds of MB of raw values.
+# The most cells a center window may span, counted as if its whole linear
+# system were one dense matrix: about 33.5 million.  The solve goes block by
+# block and never builds that matrix; the count bounds the window, so the
+# windows refused stay the same however the system is solved.
 _CENTER_CELL_BUDGET = 2 ** 25
 
 
@@ -117,14 +120,30 @@ def center_basis_truncated(alg: AlgebraSpec, max_xy: int, max_h: int) -> list[PB
     same cascade makes it commute with x, with y and with h, so the window
     intersected with the center is precisely this solution space.
 
-    The rows of that linear system are assembled from raw ring values: the
-    powers of f come from one polynomial product each, q^k is one scalar,
-    and h^d and h^d theta_{k+1} are shifts.  The kernel goes through the
-    raw nullspace, and each kernel vector becomes polynomials once.  Only
-    theta_1 .. theta_max_xy are built.  Before any product, a window with
-    max_h deg f past degree_cap raises DegreeOverflow, and one whose system
-    would have more than _CENTER_CELL_BUDGET cells, about
-    (max_xy + 1)(max_h deg f + 1) rows by (max_xy + 1)(max_h + 1) columns,
+    Block k of that system touches only p_k and p_{k+1}, so it is solved
+    down the cascade, one block at a time.  The solutions of block max_xy
+    are the raw nullspace over the coefficients of p_max_xy.  Given a basis
+    of the solutions of blocks k+1 .. max_xy, those of blocks k .. max_xy
+    are the raw nullspace of block k over the coefficients of p_k and one
+    coordinate t_j per basis vector, whose p_{k+1} enters block k through
+    theta_{k+1}; each kernel vector (p_k, t) extends to p_k followed by
+    sum_j t_j basis_j.  Block k is divided by q^k when q^k != 0, which
+    leaves its kernel alone and makes its p_k columns the powers of f,
+    built once, less h^d / q^k.
+
+    By induction down the cascade, each basis is the canonical nullspace
+    basis of its blocks: one vector per free column, 1 there and 0 at the
+    other free columns and past its own, in increasing free-column order.
+    The free columns of blocks k .. max_xy are block k's free p_k columns
+    followed by the free columns of the basis vectors whose t_j is free in
+    block k, and block k's kernel vectors are 1 at their own free
+    coordinate and 0 at the others and past it.  So the final basis is,
+    vector for vector, the one a dense solve of the whole system gives.
+
+    Only theta_1 .. theta_max_xy are built.  Before any product, a window
+    with max_h deg f past degree_cap raises DegreeOverflow, and one with
+    more than _CENTER_CELL_BUDGET cells, about (max_xy + 1)(max_h deg f + 1)
+    rows by (max_xy + 1)(max_h + 1) columns counted as one dense system,
     raises SearchSpaceTooLarge.
 
     Requires deg f >= 2; lower degrees fall outside this computation's
@@ -142,32 +161,48 @@ def center_basis_truncated(alg: AlgebraSpec, max_xy: int, max_h: int) -> list[PB
                                   f"more than the budget {_CENTER_CELL_BUDGET}")
     field = alg.field
     ring = field._ring
-    zero, one, mul = ring.zero, ring.one, ring._mul
+    zero, one, add, mul, sub = ring.zero, ring.one, ring._add, ring._mul, ring._sub
     width = max_h + 1
-    ncols = (max_xy + 1) * width
 
     f_pows = [ring._poly_from([one])]
     for _ in range(max_h):
         f_pows.append(ring._poly_mul(f_pows[-1], alg.f.values))
+    f_pows = [list(fp) for fp in f_pows]
+    thetas = [theta(alg, k).values for k in range(max_xy + 1)]
+    inv_q_pows = [one]  # 1 / q^k for every k with q^k != 0: all k, or k = 0 when q = 0
+    if not alg.q.is_zero:
+        inv_q = ring._inv(alg.q.value)
+        for _ in range(max_xy):
+            inv_q_pows.append(mul(inv_q_pows[-1], inv_q))
 
-    rows: list[list] = []
-    for k in range(max_xy + 1):
-        # column k*width + d holds q^k f^d - h^d, column (k+1)*width + d holds h^d theta_{k+1}
-        qk = alg.q_power(k).value
-        th = theta(alg, k + 1).values if k < max_xy else ()
-        block = [[zero] * ncols for _ in range(max(len(f_pows[-1]), max_h + len(th)))]
-        for d, fp in enumerate(f_pows):
-            col = k * width + d
-            for e, v in enumerate(fp):
-                block[e][col] = mul(qk, v)
-            block[d][col] = ring._sub(block[d][col], one)
-            for e, v in enumerate(th, d):
-                block[e][col + width] = v
-        rows += [row for row in block if any(row)]
+    # a basis of the solutions of blocks k .. max_xy, each the coefficients of p_k .. p_max_xy
+    basis: list[list] = []
+    for k in range(max_xy, -1, -1):
+        # block k divided by q^k, so that f^d needs no product: column d < width holds
+        # f^d - h^d / q^k and column width + j holds theta_{k+1} / q^k times basis[j]'s p_{k+1};
+        # when q^k = 0 they hold -h^d and theta_{k+1} times basis[j]'s p_{k+1}
+        if k < len(inv_q_pows):
+            scale = inv_q_pows[k]
+            cols = [fp[:d] + [sub(fp[d], scale)] + fp[d + 1:] for d, fp in enumerate(f_pows)]
+        else:
+            scale = one
+            cols = [[zero] * d + [ring._neg(one)] for d in range(width)]
+        if basis:
+            th = ring._poly_scale(thetas[k + 1], scale)
+            cols += [ring._poly_mul(ring._poly_from(vec[:width]), th) for vec in basis]
+        rows = [row for row in zip_longest(*cols, fillvalue=zero) if any(row)]
+        solutions = []
+        for sol in _nullspace(rows, field, len(cols)):
+            rest = [zero] * (width * (max_xy - k))
+            for t, vec in zip(sol[width:], basis):
+                if t:
+                    rest = [add(a, mul(t, b)) if b else a for a, b in zip(rest, vec)]
+            solutions.append(sol[:width] + rest)
+        basis = solutions
 
     return [PBWElement(alg, {(k, k): Poly._raw(field, vec[k * width:(k + 1) * width])
                              for k in range(max_xy + 1)})
-            for vec in _nullspace(rows, field, ncols)]
+            for vec in basis]
 
 
 # ---------------------------------------------------------------------------

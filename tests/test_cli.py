@@ -272,6 +272,13 @@ def test_exit_code_1_on_semantic_errors(capsys):
     ["orbits", *BASE, "--k", "-1"],
     ["center", *BASE, "--max-xy", "-1", "--max-h", "2"],
     ["center", *BASE, "--max-xy", "2", "--max-h", "-1"],
+    ["normalize", *BASE, "--degree-cap", "-5", "x"],
+    ["enumerate", *BASE, "--dim", "-1"],
+    ["enumerate", *BASE, "--dim", "2", "--ext-bound", "-1"],
+    ["build-module", *BASE, "--family", "C", "--alpha", "1", "--dim", "-1"],
+    ["check-iso", *BASE, "--family", "C", "--alpha", "1", "--dim", "2",
+     "--family2", "C", "--alpha2", "1", "--dim2", "-1"],
+    ["check-simple", *BASE, "--family", "C", "--alpha", "1", "--dim", "2", "--brute", "--search-bound", "-1"],
 ], ids=lambda argv: " ".join(argv[:1] + argv[-4:]))
 def test_negative_counts_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as e:
@@ -360,6 +367,17 @@ def test_rational_constant_products_capped_at_digit_limit(capsys):
         code, out, err = run_cli(capsys, "normalize", "--field", field, "--q", "1",
                                  "--f", "h", "--g", "0", expr)
         assert code == 0 and out.startswith("x"), err
+
+
+@pytest.mark.parametrize("field,beta,limit", [("Q", "2", 1.0), ("GF(4294967311)", "1", 5.0)])
+def test_mu_rejects_a_non_periodic_seed_fast(capsys, field, beta, limit):
+    # over Q the iterates 0, 1, 2, 5, 26, 677, ... of h^2 + 1 double their digits
+    # every step; over GF(4294967311) the walk from 0 repeats after 64710 steps
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "mu", "--field", field, "--q", "3", "--f", "h^2+1", "--g", "h",
+                             "--alpha", "0", "--beta", beta, "--k", "3")
+    assert (code, out, err) == (1, "", "error: 0 is not a periodic point of f\n")
+    assert time.perf_counter() - start < limit
 
 
 def test_center_window_past_degree_cap_fails_fast(capsys):
@@ -486,6 +504,18 @@ Q_FIXTURE = json.loads((Path(__file__).parent / "fixtures" / "q_cli.json").read_
 
 @pytest.mark.parametrize("case", Q_FIXTURE, ids=lambda c: " ".join(c["argv"])[:80])
 def test_q_output_is_byte_identical_to_the_fixture(capsys, case):
+    assert run_cli(capsys, *case["argv"]) == (case["code"], case["stdout"], case["stderr"])
+
+
+# center output over GF(5), GF(7^2) and GF(2^3), recorded from the engine that
+# solved the center as one dense system: q = 0, q = 1, roots of unity and q of
+# larger order; g = 0, g = h and g = f - q h; windows with max_xy = 0 or
+# max_h = 0 among them; text and --json; and the refused windows and inputs.
+FF_CENTER_FIXTURE = json.loads((Path(__file__).parent / "fixtures" / "ff_center_cli.json").read_text())
+
+
+@pytest.mark.parametrize("case", FF_CENTER_FIXTURE, ids=lambda c: " ".join(c["argv"])[:80])
+def test_finite_field_center_output_is_byte_identical_to_the_fixture(capsys, case):
     assert run_cli(capsys, *case["argv"]) == (case["code"], case["stdout"], case["stderr"])
 
 

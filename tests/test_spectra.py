@@ -5,7 +5,7 @@ import random
 import pytest
 
 from qgha.algebra import AlgebraSpec
-from qgha.errors import InvalidSpec, QZero, UnsupportedField
+from qgha.errors import InvalidSpec, QZero, SearchSpaceTooLarge, UnsupportedField
 from qgha.fields import FieldSpec
 from qgha.poly import Poly
 from qgha.spectra import (
@@ -90,6 +90,47 @@ def test_orbit_from_seed():
     # 0 is not periodic under h + 1 over Q
     with pytest.raises(InvalidSpec):
         orbit_from_seed(Poly.from_ints(QQ, [1, 1]), QQ.zero)
+
+
+def test_orbit_from_seed_over_q_rejects_escaping_seeds():
+    # iterates 0, 1, 2, 5 of h^2 + 1: 5 is past the escape radius 2
+    with pytest.raises(InvalidSpec, match="0 is not a periodic point of f"):
+        orbit_from_seed(Poly.from_ints(QQ, [1, 0, 1]), QQ.zero)
+    # iterates 1, 1/2, 1/8, ... of h^2 / 2 stay small, but 2 divides each denominator more often
+    with pytest.raises(InvalidSpec, match="1 is not a periodic point of f"):
+        orbit_from_seed(Poly(QQ, [QQ.zero, QQ.zero, QQ.element(1) / 2]), QQ.one)
+    half = QQ.element(1) / 2
+    assert orbit_from_seed(Poly.from_ints(QQ, [0, 0, 2]), half).values == (half,)
+    assert [str(v) for v in orbit_from_seed(Poly.from_ints(QQ, [-1, 0, 1]), -QQ.one).values] == ["-1", "0"]
+
+
+def test_orbit_from_seed_over_q_finds_planted_cycles():
+    # f = a + b - h + c (h - a)(h - b) h^e swaps a and b; f = h + c (h - a)^2 h^e fixes a
+    rng = random.Random(7)
+
+    def rational():
+        return QQ.element(rng.randint(-40, 40)) / rng.randint(1, 12)
+
+    h = Poly.gen(QQ)
+    for _ in range(200):
+        a, b, c = rational(), rational(), rational()
+        if a == b or c.is_zero:
+            continue
+        bump = h ** rng.randint(0, 2) * c
+        swap = Poly.constant(QQ, a + b) - h + (h - Poly.constant(QQ, a)) * (h - Poly.constant(QQ, b)) * bump
+        assert orbit_from_seed(swap, a).values == (a, b)
+        fix = h + (h - Poly.constant(QQ, a)) ** 2 * bump
+        assert orbit_from_seed(fix, a).values == (a,)
+
+
+def test_orbit_from_seed_over_a_large_field_is_bounded():
+    F = FieldSpec.prime(4294967311)
+    # h^2 + 1 repeats after 64710 steps from 0, which is not on the cycle
+    with pytest.raises(InvalidSpec, match="0 is not a periodic point of f"):
+        orbit_from_seed(Poly.from_ints(F, [1, 0, 1]), F.zero)
+    # h + 1 is one cycle through all 4294967311 points
+    with pytest.raises(SearchSpaceTooLarge, match="the orbit of 0 under f takes more than 131072 steps"):
+        orbit_from_seed(Poly.from_ints(F, [1, 1]), F.zero)
 
 
 def test_orbit_validation():

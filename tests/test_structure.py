@@ -1,6 +1,7 @@
 """Conformality, Z relations, centralizer of h, truncated center, domain."""
 
 import random
+import time
 
 import pytest
 
@@ -171,7 +172,10 @@ def test_center_monotone_in_window():
 
 
 def _center_elementwise(alg, max_xy, max_h):
-    """The center solve assembled entry by entry from field elements: the oracle for the raw assembly."""
+    """The whole center system as one dense matrix built entry by entry from field elements.
+
+    The oracle for the block-by-block solve: its nullspace basis is the canonical one.
+    """
     field = alg.field
     width = max_h + 1
     ncols = (max_xy + 1) * width
@@ -201,27 +205,42 @@ def _center_elementwise(alg, max_xy, max_h):
     return basis
 
 
+_F49, _F8 = FieldSpec.extension(7, 2), FieldSpec.extension(2, 3)
+
+
+# per field: q = 0, q = 1, roots of unity of small order, and q of large or infinite order
 @pytest.mark.parametrize("field,qs", [
-    (QQ, [-1, 2, QQ.element(1) / 3]),
-    (F5, [2, 4, 1]),
-    (FieldSpec.extension(7, 2), [FieldSpec.extension(7, 2).generator, 6]),
-    (FieldSpec.extension(2, 3), [FieldSpec.extension(2, 3).generator, 1]),
+    (QQ, [0, 1, -1, 2, QQ.element(1) / 3]),
+    (F5, [0, 1, 4, 2]),
+    (_F49, [0, 1, 6, _F49.generator]),
+    (_F8, [0, 1, _F8.generator, _F8.generator + 1]),
 ], ids=["Q", "GF(5)", "GF(7^2)", "GF(2^3)"])
 def test_center_matches_elementwise_assembly(field, qs):
     rng = random.Random(str(field))
     for q in qs:
-        for conformal in (False, True):
+        for g_kind in ("generic", "conformal", "zero"):
             f = Poly(field, [field.random_element(rng), field.random_element(rng), field.one])
-            if conformal:
+            if g_kind == "conformal":
                 a = Poly(field, [field.random_element(rng), field.one])
                 g = a.compose(f) - a * field.element(q)
-            else:
+            elif g_kind == "generic":
                 g = Poly(field, [field.random_element(rng) for _ in range(3)])
+            else:
+                g = Poly.zero(field)
             alg = AlgebraSpec(field, field.element(q), f, g)
+            # every window with max_xy <= 3 and max_h <= 6, max_xy = 0 and max_h = 0 among them
             for max_xy in range(4):
                 for max_h in range(7):
                     expect = [b.render() for b in _center_elementwise(alg, max_xy, max_h)]
                     assert [b.render() for b in center_basis_truncated(alg, max_xy, max_h)] == expect
+
+
+def test_center_q_window_10_48_is_fast():
+    # one dense system of 539 columns took several seconds here; block by block it is well under one
+    alg = AlgebraSpec(QQ, QQ.element(2), Poly.from_ints(QQ, [1, 1, 1]), Poly.gen(QQ), degree_cap=2048)
+    start = time.perf_counter()
+    assert center_basis_truncated(alg, 10, 48) == [PBWElement.one(alg)]
+    assert time.perf_counter() - start < 10
 
 
 def test_center_window_past_degree_cap():
