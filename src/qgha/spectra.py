@@ -77,8 +77,9 @@ class LambdaOrbit:
         return "(" + ", ".join(str(v) for v in self.values) + ")"
 
 
-# The longest walk orbit_from_seed takes over a finite field before it gives up.
-_ORBIT_STEP_BUDGET = 2 ** 17
+# The most coefficient products orbit_from_seed spends walking a finite field
+# before it gives up: a step evaluates f by Horner, one product per coefficient.
+_ORBIT_WORK_BUDGET = 2 ** 19
 
 
 def _escapes(f: Poly):
@@ -104,29 +105,32 @@ def orbit_from_seed(f: Poly, alpha: FieldElement, max_steps: int = 64) -> Lambda
 
     Over a finite field every point is eventually periodic but only
     periodic seeds lie on their own cycle; others are rejected, and a walk
-    longer than _ORBIT_STEP_BUDGET steps raises SearchSpaceTooLarge.  Over Q
-    the search gives up after max_steps iterations; for deg f >= 2 it
-    rejects the seed as soon as an iterate passes the _escapes test.
+    of more than _ORBIT_WORK_BUDGET / (deg f + 1) steps raises
+    SearchSpaceTooLarge.  Over Q the search gives up after max_steps
+    iterations; for deg f >= 2 it rejects the seed as soon as an iterate
+    passes the _escapes test.
     """
     spec = f.spec
     if alpha.spec != spec:
         raise InvalidSpec("seed must lie in the coefficient field")
-    limit = max_steps if spec.order is None else min(spec.order, _ORBIT_STEP_BUDGET)
+    if spec.order is None:
+        limit = max_steps
+    else:
+        limit = min(spec.order, _ORBIT_WORK_BUDGET // max(len(f.values), 1))
     escapes = _escapes(f) if spec.is_rationals and f.degree >= 2 else None
     start = current = alpha.value
-    values, seen = [start], {start}
+    seen = {start: None}  # the walk so far, in order
     for _ in range(limit):
         if escapes is not None and escapes(current):
             raise InvalidSpec(f"{alpha} is not a periodic point of f")
         current = f._at(current)
         if current == start:
-            return LambdaOrbit(f, tuple(FieldElement(spec, v) for v in values))
+            return LambdaOrbit(f, tuple(FieldElement(spec, v) for v in seen))
         if current in seen:
             raise InvalidSpec(f"{alpha} is not a periodic point of f")
-        values.append(current)
-        seen.add(current)
+        seen[current] = None
     if spec.order is not None:
-        # a walk over a field of at most _ORBIT_STEP_BUDGET points repeats before this
+        # reached only when limit < |F|: a walk of |F| steps always repeats a point
         raise SearchSpaceTooLarge(f"the orbit of {alpha} under f takes more than {limit} steps")
     raise InvalidSpec(f"no cycle through {alpha} found within {limit} steps")
 

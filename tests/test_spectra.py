@@ -1,6 +1,7 @@
 """Lambda orbits, mu sequences and periods, nu tables."""
 
 import random
+import time
 
 import pytest
 
@@ -128,9 +129,15 @@ def test_orbit_from_seed_over_a_large_field_is_bounded():
     # h^2 + 1 repeats after 64710 steps from 0, which is not on the cycle
     with pytest.raises(InvalidSpec, match="0 is not a periodic point of f"):
         orbit_from_seed(Poly.from_ints(F, [1, 0, 1]), F.zero)
+    assert orbit_from_seed(Poly.zero(F), F.zero).values == (F.zero,)
     # h + 1 is one cycle through all 4294967311 points
-    with pytest.raises(SearchSpaceTooLarge, match="the orbit of 0 under f takes more than 131072 steps"):
+    with pytest.raises(SearchSpaceTooLarge, match="the orbit of 0 under f takes more than 262144 steps"):
         orbit_from_seed(Poly.from_ints(F, [1, 1]), F.zero)
+    # a step of h^500 + h + 1 costs 501 products, so the walk stops after 1046 steps
+    start = time.perf_counter()
+    with pytest.raises(SearchSpaceTooLarge, match="more than 1046 steps"):
+        orbit_from_seed(Poly(F, [F.one, F.one] + [F.zero] * 498 + [F.one]), F.zero)
+    assert time.perf_counter() - start < 5
 
 
 def test_orbit_validation():
