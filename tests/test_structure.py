@@ -236,7 +236,7 @@ def test_center_matches_elementwise_assembly(field, qs):
 
 
 def test_center_q_window_10_48_is_fast():
-    # one dense system of 539 columns took several seconds here; block by block it is well under one
+    # solved as one dense system of 539 columns this window took seconds; block by block, well under one
     alg = AlgebraSpec(QQ, QQ.element(2), Poly.from_ints(QQ, [1, 1, 1]), Poly.gen(QQ), degree_cap=2048)
     start = time.perf_counter()
     assert center_basis_truncated(alg, 10, 48) == [PBWElement.one(alg)]
