@@ -43,11 +43,11 @@ class LambdaOrbit:
     def __post_init__(self):
         if not self.values:
             raise InvalidSpec("an orbit needs at least one point")
-        if len(set(self.values)) != len(self.values):
+        raw = [self.f.spec.element(v).value for v in self.values]
+        if len(set(raw)) != len(raw):
             raise InvalidSpec("orbit points must be pairwise distinct")
-        for i, v in enumerate(self.values):
-            if self.f(v) != self.values[(i + 1) % len(self.values)]:
-                raise InvalidSpec("values are not an f-cycle")
+        if list(map(self.f._at, raw)) != raw[1:] + raw[:1]:
+            raise InvalidSpec("values are not an f-cycle")
 
     @property
     def period(self) -> int:

@@ -1,6 +1,7 @@
 """Command-line verbs: payloads, schemas, exit codes, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -472,6 +473,28 @@ def _subprocess_env():
     return env
 
 
+# `python -m qgha` under a 1 GiB address-space limit, set in the child itself
+# (a preexec_fn is unsafe in a parent that has threads)
+_QGHA_UNDER_1GIB = ("import resource, runpy, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+                    "sys.argv[0] = 'qgha'; runpy.run_module('qgha', run_name='__main__')")
+
+
+@pytest.mark.parametrize("argv", [
+    ["theta", "--field", "GF(4294967311^2)", "--q", "2", "--f", "h^2", "--g", "h", "--k", "2"],
+    ["normalize", "--field", "GF(1009^4)", "--q", "2", "--f", "h", "--g", "h", "x"],
+    ["mu", "--field", "GF(7^10)", "--q", "u", "--f", "h^2+u", "--g", "h", "--alpha", "0", "--beta", "1",
+     "--k", "3"],
+])
+def test_extension_fields_past_the_trial_divisor_budget_fail_fast(argv):
+    # these died with MemoryError or ran past 60 s in the search for a modulus
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", _QGHA_UNDER_1GIB, *argv], capture_output=True, text=True,
+                          env=_subprocess_env(), timeout=60)
+    assert time.perf_counter() - start < 1
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: testing irreducibility in degree")
+
+
 def test_python_dash_m_matches_main(capsys):
     argv = ["enumerate", "--field", "GF(5)", "--q", "2", "--f", "h^3", "--g", "h", "--dim", "4"]
     for extra in ([], ["--json"]):
@@ -517,6 +540,27 @@ FF_CENTER_FIXTURE = json.loads((Path(__file__).parent / "fixtures" / "ff_center_
 @pytest.mark.parametrize("case", FF_CENTER_FIXTURE, ids=lambda c: " ".join(c["argv"])[:80])
 def test_finite_field_center_output_is_byte_identical_to_the_fixture(capsys, case):
     assert run_cli(capsys, *case["argv"]) == (case["code"], case["stdout"], case["stderr"])
+
+
+# Extension-field output recorded from the engine that multiplied and inverted
+# GF(p^k) elements by packed products and extended Euclid, before the log and
+# antilog tables: enumerate over GF(2^8) (the perfbench argvs), GF(7^2),
+# GF(3^3) and an explicit modulus, and over GF(5) with --ext-bound 2 and 3;
+# build-module, orbits, mu, nu, normalize, multiply and theta over GF(7^2) and
+# GF(2^8); text and --json, with error exits.  Stdout past 4 KB is kept as its
+# sha256 and length.
+EXT_FIXTURE = json.loads((Path(__file__).parent / "fixtures" / "ext_cli.json").read_text())
+
+
+@pytest.mark.parametrize("case", EXT_FIXTURE, ids=lambda c: " ".join(c["argv"])[:80])
+def test_extension_field_output_is_byte_identical_to_the_fixture(capsys, case):
+    code, out, err = run_cli(capsys, *case["argv"])
+    if "stdout_sha256" in case:
+        out = {"sha256": hashlib.sha256(out.encode()).hexdigest(), "len": len(out)}
+        expected = {"sha256": case["stdout_sha256"], "len": case["stdout_len"]}
+    else:
+        expected = case["stdout"]
+    assert (code, out, err) == (case["code"], expected, case["stderr"])
 
 
 def test_enumerate_refuses_past_the_module_budget(capsys):

@@ -1,6 +1,7 @@
 """Scalar arithmetic over Q, GF(p) and GF(p^k)."""
 
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -127,6 +128,88 @@ def test_extension_inverse_every_unit(p, k):
     F = FieldSpec.extension(p, k)
     for a in F.units():
         assert a * a.inverse() == F.one
+
+
+def _packed_order(ring, a):
+    power, e = a, 1
+    while power != ring.one:
+        power, e = ring._packed_mul(power, a), e + 1
+    return e
+
+
+TABLE_FIELDS = [*((2, k, None) for k in range(2, 9)), *((3, k, None) for k in range(2, 6)),
+                (5, 2, None), (7, 2, None), (11, 2, None),
+                (7, 2, (3, 1, 1)),                    # u^2 + u + 3
+                (2, 8, (1, 0, 1, 1, 1, 0, 0, 0, 1))]  # u^8 + u^4 + u^3 + u^2 + 1, where u is primitive
+
+
+@pytest.mark.parametrize("p,k,mod", TABLE_FIELDS, ids=lambda v: str(v))
+def test_log_tables_match_packed_product_and_euclid(p, k, mod):
+    F = FieldSpec.extension(p, k, mod)
+    ring = F._ring
+    n = p ** k - 1
+    exp, log = ring._exp, ring._log
+    assert len(exp) == 2 * n and exp[:n] == exp[n:] and len(log) == n
+    assert all(exp[log[a]] == a for a in log)
+    # the generator is the first element of full order in sort_key order
+    units = [a for a in F._raw_elements() if a]
+    g = exp[1]
+    orders = {a: _packed_order(ring, a) for a in units[:units.index(g) + 1]}
+    assert orders.pop(g) == n and all(m < n for m in orders.values())
+    for a in units:
+        assert ring._inv(a) == ring._euclid_inv(a)
+        for b in units:
+            assert ring._mul(a, b) == ring._packed_mul(a, b)
+    assert ring._mul((), units[-1]) == ring._mul(units[-1], ()) == ()
+
+
+def test_default_gf256_modulus_has_u_of_order_51():
+    # u is not primitive for the default modulus, so the tables start elsewhere
+    F = FieldSpec.extension(2, 8)
+    assert F.modulus == (1, 0, 0, 0, 1, 1, 0, 1, 1)  # u^8 + u^7 + u^5 + u^4 + 1
+    assert multiplicative_order(F.generator) == 51
+    assert F._ring._exp[1] == (0, 1, 1)  # u^2 + u, the first element of order 255
+    assert FieldSpec.extension(2, 8, (1, 0, 1, 1, 1, 0, 0, 0, 1))._ring._exp[1] == (0, 1)
+
+
+def test_log_tables_stop_at_the_bound():
+    bound = fields._LOG_TABLE_ORDER
+    assert 2 ** 8 <= bound and 7 ** 2 <= bound
+    assert FieldSpec.extension(2, bound.bit_length() - 1)._ring._log is not None  # 2^k = bound
+    assert FieldSpec.extension(2, bound.bit_length())._ring._log is None
+
+
+def test_packed_product_past_the_bound_matches_schoolbook():
+    # GF(1009^2) has no tables; oracle: the product in GF(p)[u], then the remainder by the modulus
+    F = FieldSpec.extension(1009, 2)
+    ring, base = F._ring, fields._PrimeRing(1009)
+    assert ring._log is None
+    rng = random.Random(16)
+    for _ in range(2000):
+        a, b = (F.random_element(rng).value for _ in range(2))
+        expected = tuple(base._poly_divmod(base._poly_mul(a, b), F.modulus)[1])
+        assert ring._mul(a, b) == expected
+        if a:
+            assert base._poly_divmod(base._poly_mul(a, ring._inv(a)), F.modulus)[1] == (1,)
+
+
+def test_irreducible_search_refuses_past_the_trial_divisor_budget():
+    start = time.perf_counter()
+    for p, k in ((4294967311, 2), (1009, 4), (7, 10)):
+        with pytest.raises(SearchSpaceTooLarge, match="trial divisors"):
+            FieldSpec.extension(p, k)
+    with pytest.raises(SearchSpaceTooLarge):
+        FieldSpec.extension(7, 10, (3, 1) + (0,) * 8 + (1,))
+    with pytest.raises(SearchSpaceTooLarge):
+        poly_is_irreducible((1, 0, 0, 0, 1), 4294967311)
+    assert time.perf_counter() - start < 1
+    # the budget counts p + p^2 + ... + p^(k/2) divisors: 2 + ... + 2^11 = 4094 passes, 8190 does not
+    assert fields._TRIAL_DIVISOR_BUDGET == 4096
+    fields._check_trial_divisors(2, 23)
+    with pytest.raises(SearchSpaceTooLarge):
+        fields._check_trial_divisors(2, 24)
+    for p, k in ((1009, 2), (251, 3)):
+        assert FieldSpec.extension(p, k).order == p ** k
 
 
 def test_bad_characteristic():

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from qgha.algebra import AlgebraSpec
-from qgha.errors import InvalidSpec, QZero, SearchSpaceTooLarge, UnsupportedField
+from qgha.errors import FieldMismatch, InvalidSpec, QZero, SearchSpaceTooLarge, UnsupportedField
 from qgha.fields import FieldSpec
 from qgha.poly import Poly
 from qgha.spectra import (
@@ -140,10 +140,38 @@ def test_orbit_from_seed_over_a_large_field_is_bounded():
     assert time.perf_counter() - start < 5
 
 
+def test_orbit_check_runs_on_raw_values(monkeypatch):
+    # u h + 1 over GF(251^3) has one cycle of 126506 points through 0, and
+    # orbit_from_seed checks it once more when it builds the LambdaOrbit.
+    # That check costs about one raw evaluation of f per point; through
+    # FieldElement arithmetic it cost about a third more.
+    F = FieldSpec.extension(251, 3)
+    f = Poly(F, [F.one, F.generator])
+    start = time.perf_counter()
+    orbit = orbit_from_seed(f, F.zero)
+    assert time.perf_counter() - start < 15
+    assert orbit.period == 126506
+    raw = [v.value for v in orbit.values]
+    start = time.perf_counter()
+    list(map(f._at, raw))
+    evaluation = time.perf_counter() - start
+    monkeypatch.setattr(Poly, "__call__", None)  # no FieldElement evaluation of f
+    start = time.perf_counter()
+    assert LambdaOrbit(f, orbit.values) == orbit
+    assert time.perf_counter() - start < 2 * evaluation + 0.5
+
+
 def test_orbit_validation():
     f = Poly.from_ints(F5, [0, 0, 1])
     with pytest.raises(InvalidSpec):
         LambdaOrbit(f, (F5.element(2), F5.element(3)))  # 2 -> 4, not 3
+    with pytest.raises(InvalidSpec, match="pairwise distinct"):
+        LambdaOrbit(f, (F5.element(1), F5.element(1)))
+    with pytest.raises(InvalidSpec, match="at least one point"):
+        LambdaOrbit(f, ())
+    with pytest.raises(FieldMismatch):
+        LambdaOrbit(f, (FieldSpec.prime(7).one,))
+    assert LambdaOrbit(f, (F5.one,)).period == 1
 
 
 def test_mu_recurrence_and_bilateral():
