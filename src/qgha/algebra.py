@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import DegreeOverflow, FieldMismatch
-from .fields import FieldElement, FieldSpec
+from .fields import FieldElement, FieldSpec, _power
 from .poly import Poly
 
 
@@ -68,9 +68,6 @@ class AlgebraSpec:
         while len(self._iterates) <= k:
             self._iterates.append(self.sigma(self._iterates[-1]))
         return self._iterates[k]
-
-    def q_power(self, i: int) -> FieldElement:
-        return self.q ** i
 
     def __str__(self):
         return f"H_q(f,g) over {self.field} with q={self.q}, f={self.f}, g={self.g}"
@@ -230,12 +227,7 @@ class PBWElement:
     def __pow__(self, n: int) -> "PBWElement":
         if not isinstance(n, int) or n < 0:
             raise ValueError("powers of algebra elements must be nonnegative integers")
-        out = PBWElement.one(self.alg)
-        for bit in bin(n)[2:]:
-            out = out * out
-            if bit == "1":
-                out = out * self
-        return out
+        return _power(self, n, PBWElement.one(self.alg))
 
     # -- algebra maps --------------------------------------------------------
 

@@ -12,9 +12,12 @@ delegate to it.
 A ring polynomial is one canonical value, low to high.  Over GF(p) and
 GF(p^k) it is the trimmed tuple of raw coefficients.  Over Q it is a _QPoly:
 integer numerators over one positive denominator with no common factor, so
-every polynomial operation runs on ints and ends with one gcd, not one
-Fraction per coefficient.  A _QPoly still reads as the tuple of its
+every polynomial operation but division runs on ints and ends with one gcd,
+not one Fraction per coefficient.  A _QPoly still reads as the tuple of its
 lowest-terms Fraction coefficients, which it builds once, on first read.
+Division is one long division for every field: over Q it runs on those
+Fractions, and _poly_from puts the quotient and remainder back in canonical
+form.
 
 Polynomial products are Kronecker substitutions (Schoenhage 1982; Harvey,
 JSC 2009): each factor is packed into one big int of fixed-width slots and
@@ -111,11 +114,29 @@ def _trimmed(values) -> list:
     return out
 
 
+def _power(x, n: int, one, mul=operator.mul):
+    """x^n for an int n >= 0 by left-to-right square-and-multiply; one is x^0.
+
+    Elements, polynomials, matrices and PBW elements all power through it.
+    """
+    if not n:
+        return one
+    out = x
+    for bit in bin(n)[3:]:  # the leading 1 is out = x
+        out = mul(out, out)
+        if bit == "1":
+            out = mul(out, x)
+    return out
+
+
 class _Ring:
     """Raw-value arithmetic of one field; subclasses supply the element ops and the product.
 
     The polynomial ops here serve GF(p) and GF(p^k): they take sequences of
-    raw values and return trimmed tuples.  _RationalRing overrides them.
+    raw values and return trimmed tuples.  _RationalRing overrides all of
+    them but _poly_divmod, which serves Q as well: a _QPoly reads as its
+    Fraction coefficients, and the quotient and remainder come back through
+    _poly_from.
     """
 
     def _poly_from(self, values: Iterable) -> tuple:
@@ -176,7 +197,7 @@ class _Ring:
             for i, v in enumerate(b):
                 rem[shift + i] = sub(rem[shift + i], mul(c, v))
             rem = _trimmed(rem)
-        return tuple(quot), tuple(rem)
+        return self._poly_from(quot), self._poly_from(rem)
 
 
 class _QPoly:
@@ -321,35 +342,6 @@ class _RationalRing(_Ring):
             out[:n] = map(operator.add, out, [m * v for v in poly.nums])
         return _canon(coeffs.den * den, out)
 
-    def _poly_divmod(self, a: _QPoly, b: _QPoly) -> tuple[_QPoly, _QPoly]:
-        """Pseudo-division of the numerators: s A = Q B + R for an integer s > 0.
-
-        Each step multiplies the remainder and the quotient so far by the
-        least m > 0 that makes m times the leading term a multiple of B's
-        leading coefficient; then a = (Q db / (s da)) b + R / (s da).
-        """
-        if not b.nums:
-            raise DivisionByZero("polynomial division by zero")
-        db = len(b.nums) - 1
-        n = len(a.nums) - db
-        if n <= 0:
-            return _QZERO, a
-        lc = b.nums[-1]
-        rem, quot, scale = list(a.nums), [0] * n, 1
-        for shift in reversed(range(n)):
-            top = rem[shift + db]
-            if not top:
-                continue
-            g = math.gcd(top, lc)
-            m, c = abs(lc) // g, (top if lc > 0 else -top) // g
-            if m != 1:
-                rem, quot, scale = [v * m for v in rem], [v * m for v in quot], scale * m
-            quot[shift] = c
-            for i, v in enumerate(b.nums, shift):
-                rem[i] -= c * v
-        den = scale * a.den
-        return _canon(den, [v * b.den for v in quot]), _canon(den, rem[:db])
-
 
 class _PrimeRing(_Ring):
     zero, one = 0, 1
@@ -489,17 +481,8 @@ class _ExtensionRing(_Ring):
         """
         n, one, mul = self.p ** self.k - 1, self.one, self._packed_mul
         primes = _factorize(n)
-
-        def power(a, e):
-            out = one
-            while e:
-                if e & 1:
-                    out = mul(out, a)
-                a, e = mul(a, a), e >> 1
-            return out
-
         digits = map(partial(_digits, p=self.p), itertools.count(1))
-        g = next(c for c in digits if all(power(c, n // r) != one for r in primes))
+        g = next(c for c in digits if all(_power(c, n // r, one, mul) != one for r in primes))
         exp = [one]
         for _ in range(n - 1):
             exp.append(mul(exp[-1], g))
@@ -892,13 +875,7 @@ class FieldElement:
         if not isinstance(n, int):
             return NotImplemented
         base, n = (self.inverse(), -n) if n < 0 else (self, n)
-        out = self.spec.one
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(base, n, self.spec.one)
 
     # -- identity ------------------------------------------------------------
 

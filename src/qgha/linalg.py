@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import FieldMismatch
-from .fields import FieldElement, FieldSpec
+from .fields import FieldElement, FieldSpec, _power
 from .poly import Poly
 
 Vector = tuple[FieldElement, ...]
@@ -121,14 +121,7 @@ class Matrix:
     def __pow__(self, n: int) -> "Matrix":
         if not isinstance(n, int) or n < 0:
             raise ValueError("matrix powers must be nonnegative integers")
-        out = Matrix.identity(self.spec, self.nrows)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, Matrix.identity(self.spec, self.nrows))
 
     @property
     def is_zero(self) -> bool:

@@ -306,16 +306,14 @@ def iso_structural(alg: AlgebraSpec, s1: ModuleSpec, s2: ModuleSpec) -> bool:
     return False
 
 
-def iso_bruteforce(
-    r1: MatrixRep, r2: MatrixRep, scan_bound: int = 10 ** 4, seed: int = 0
-) -> bool:
+def iso_bruteforce(r1: MatrixRep, r2: MatrixRep, scan_bound: int = 10 ** 4) -> bool:
     """Search for an invertible intertwiner T with T a1 = a2 T for a = x, y, h.
 
     The intertwiner space is computed exactly; over a finite field it is
     scanned exhaustively when it has at most scan_bound elements and
-    sampled randomly otherwise (giving up raises SearchInconclusive).
-    Over an infinite field only intertwiner spaces of dimension <= 1 are
-    decidable here and larger ones raise SearchSpaceTooLarge.
+    sampled randomly, with a fixed seed, otherwise (giving up raises
+    SearchInconclusive).  Over an infinite field only intertwiner spaces of
+    dimension <= 1 are decidable here and larger ones raise SearchSpaceTooLarge.
     """
     if r1.field != r2.field:
         raise FieldMismatch("modules over different fields")
@@ -337,7 +335,7 @@ def iso_bruteforce(
             if is_invertible(_combine(mats, coeffs, field)):
                 return True
         return False
-    rng = random.Random(seed)
+    rng = random.Random(0)
     for _ in range(scan_bound):
         coeffs = [field.random_element(rng) for _ in range(d)]
         if all(c.is_zero for c in coeffs):

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .errors import DegreeOverflow, FieldMismatch, ZeroArgument
-from .fields import FieldElement, FieldSpec
+from .fields import FieldElement, FieldSpec, _power
 
 
 class Poly:
@@ -140,12 +140,7 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        out = Poly.one(self.spec)
-        for bit in bin(n)[2:]:
-            out = out * out
-            if bit == "1":
-                out = out * self
-        return out
+        return _power(self, n, Poly.one(self.spec))
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if not isinstance(other, Poly):

@@ -80,6 +80,8 @@ class LambdaOrbit:
 # The most coefficient products orbit_from_seed spends walking a finite field
 # before it gives up: a step evaluates f by Horner, one product per coefficient.
 _ORBIT_WORK_BUDGET = 2 ** 19
+# The most iterates orbit_from_seed computes over Q before it gives up.
+_ORBIT_Q_STEPS = 64
 
 
 def _escapes(f: Poly):
@@ -100,13 +102,13 @@ def _escapes(f: Poly):
     return lambda x: abs(x) > radius or lead % x.denominator != 0
 
 
-def orbit_from_seed(f: Poly, alpha: FieldElement, max_steps: int = 64) -> LambdaOrbit:
+def orbit_from_seed(f: Poly, alpha: FieldElement) -> LambdaOrbit:
     """The cycle through alpha, which must be a periodic point of f.
 
     Over a finite field every point is eventually periodic but only
     periodic seeds lie on their own cycle; others are rejected, and a walk
     of more than _ORBIT_WORK_BUDGET / (deg f + 1) steps raises
-    SearchSpaceTooLarge.  Over Q the search gives up after max_steps
+    SearchSpaceTooLarge.  Over Q the search gives up after _ORBIT_Q_STEPS
     iterations; for deg f >= 2 it rejects the seed as soon as an iterate
     passes the _escapes test.
     """
@@ -114,7 +116,7 @@ def orbit_from_seed(f: Poly, alpha: FieldElement, max_steps: int = 64) -> Lambda
     if alpha.spec != spec:
         raise InvalidSpec("seed must lie in the coefficient field")
     if spec.order is None:
-        limit = max_steps
+        limit = _ORBIT_Q_STEPS
     else:
         limit = min(spec.order, _ORBIT_WORK_BUDGET // max(len(f.values), 1))
     escapes = _escapes(f) if spec.is_rationals and f.degree >= 2 else None

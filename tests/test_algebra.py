@@ -75,7 +75,7 @@ def test_theta_straightening_identities():
         x, y, _ = generators(alg)
         for k in range(1, 5):
             th = theta(alg, k)
-            qk = alg.q_power(k)
+            qk = alg.q ** k
             lhs = y * x ** k
             rhs = (x ** k * y) * qk + PBWElement(alg, {(k - 1, 0): th})
             assert lhs == rhs
@@ -93,7 +93,7 @@ def test_theta_conformal_closed_form():
         g = a.compose(f) - qe * a
         alg = AlgebraSpec(F5, qe, f, g, degree_cap=4096)
         for k in range(7):
-            assert theta(alg, k) == alg.sigma_power(a, k) - alg.q_power(k) * a
+            assert theta(alg, k) == alg.sigma_power(a, k) - alg.q ** k * a
 
 
 def test_associativity_random():

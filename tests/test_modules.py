@@ -239,7 +239,7 @@ def test_iso_bruteforce_inconclusive_sampling():
     r1 = MatrixRep(F5, n, zero, zero, zero)
     r2 = MatrixRep(F5, n, shift, zero, zero)
     with pytest.raises(SearchInconclusive):
-        iso_bruteforce(r1, r2, scan_bound=60, seed=7)
+        iso_bruteforce(r1, r2, scan_bound=60)
 
 
 def test_validate_rejects_malformed_specs():

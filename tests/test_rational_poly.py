@@ -12,9 +12,11 @@ and every result is checked to be in the canonical form.
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qgha.errors import DivisionByZero
 from qgha.fields import FieldSpec, _pack, _QPoly, _unpack, _width
 from qgha.poly import Poly
 
@@ -164,6 +166,32 @@ def test_divmod_matches_the_fraction_reference(a, b):
     assert (canonical(quot), canonical(rem)) == ref_divmod(a, b)
     q, r = divmod(Poly(QQ, a), Poly(QQ, b))
     assert (list(q.values), list(r.values)) == ref_divmod(a, b)
+
+
+F = Fraction
+
+
+@pytest.mark.parametrize("a, b", [
+    ([], [F(3, 4), F(1)]),
+    ([F(1, 2), F(5)], [F(1), F(0), F(2, 7)]),
+    ([F(3), F(-1, 6), F(10, 9)], [F(-5, 4)]),
+    ([F(1, 2), F(2, 3), F(-5, 7), F(4, 11)], [F(3, 5), F(7, 13)]),
+], ids=["zero-dividend", "lower-degree", "constant-divisor", "non-monic"])
+def test_divmod_cases(a, b):
+    quot, rem = RING._poly_divmod(form(a), form(b))
+    assert (canonical(quot), canonical(rem)) == ref_divmod(a, b)
+    assert RING._poly_add(RING._poly_mul(quot, form(b)), rem) == form(a)
+
+
+def test_divmod_by_zero_raises_as_over_finite_fields():
+    with pytest.raises(DivisionByZero) as q_err:
+        RING._poly_divmod(form([F(1, 2)]), form([]))
+    with pytest.raises(DivisionByZero) as poly_err:
+        divmod(Poly(QQ, [F(1, 2)]), Poly.zero(QQ))
+    f5 = FieldSpec.prime(5)
+    with pytest.raises(DivisionByZero) as f5_err:
+        divmod(Poly(f5, [1]), Poly.zero(f5))
+    assert str(q_err.value) == str(poly_err.value) == str(f5_err.value) == "polynomial division by zero"
 
 
 @SETTINGS

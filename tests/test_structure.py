@@ -184,7 +184,7 @@ def _center_elementwise(alg, max_xy, max_h):
         f_pows.append(f_pows[-1] * alg.f)
     rows = []
     for k in range(max_xy + 1):
-        qk = alg.q_power(k)
+        qk = alg.q ** k
         th = theta(alg, k + 1)
         contribs = {}
         for d in range(width):
