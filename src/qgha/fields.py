@@ -7,7 +7,8 @@ a raw value is falsy exactly when it is zero.  Each FieldSpec builds one
 private ring of its kind for raw values: coerce, add, neg, sub, mul and inv
 of elements, and from-values, add, sub, neg, scale, mul, divmod and scalar
 linear combination of polynomials.  FieldElement, poly.Poly and linalg
-delegate to it.
+delegate to it; linalg eliminates on the polynomial ops, a column of a
+linear system being a polynomial over the row index.
 
 A ring polynomial is one canonical value, low to high.  Over GF(p) and
 GF(p^k) it is the trimmed tuple of raw coefficients.  Over Q it is a _QPoly:
@@ -207,8 +208,9 @@ class _QPoly:
     gcd(den, *nums) = 1, so a polynomial has exactly one form and equality
     and hashing compare (den, nums).  Build one with _canon unless the input
     is known to be in that form.  As a sequence it reads as its lowest-terms
-    Fraction coefficients, made once, on first read; a slice is the
-    polynomial of the sliced coefficients.
+    Fraction coefficients: iteration makes them all once, on first read, an
+    int index makes the one it reads, and a slice is the polynomial of the
+    sliced coefficients.
     """
 
     __slots__ = ("den", "nums", "_read")
@@ -233,7 +235,7 @@ class _QPoly:
     def __getitem__(self, i):
         if isinstance(i, slice):
             return _canon(self.den, list(self.nums[i]))
-        return self._fractions()[i]
+        return Fraction(self.nums[i], self.den)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not _QPoly:
@@ -345,7 +347,6 @@ class _RationalRing(_Ring):
 
 class _PrimeRing(_Ring):
     zero, one = 0, 1
-    k = 1  # a residue is its own single slot (see _ExtensionRing._to_slots)
 
     def __init__(self, p: int):
         self.p = p
@@ -374,15 +375,6 @@ class _PrimeRing(_Ring):
 
     def _inv(self, a):
         return pow(a, -1, self.p)
-
-    def _to_slots(self, values: list[int]) -> list[int]:
-        return values
-
-    def _from_slots(self, slots: list[int]) -> list[int]:
-        return slots
-
-    def _scale_matrix(self, d: int) -> list[list[int]]:
-        return [[d]]
 
     def _poly_mul(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
         if not a or not b:
@@ -417,7 +409,6 @@ class _ExtensionRing(_Ring):
         self.p, self.k, self.modulus = p, len(modulus) - 1, list(modulus)
         self.base = _PrimeRing(p)
         k = self.k
-        self._pads = [(0,) * (k - n) for n in range(k + 1)]
         # u^(k+e) mod modulus for 0 <= e <= k-2
         self.table = [self.base._poly_divmod([0] * (k + e) + [1], self.modulus)[1] for e in range(k - 1)]
         # An element product is folded by one more product, with the matrix
@@ -520,30 +511,6 @@ class _ExtensionRing(_Ring):
         c = pow(r1[0], -1, p)
         return tuple(_trimmed(v * c % p for v in s1))
 
-    def _to_slots(self, values: Sequence[tuple]) -> list[int]:
-        """The k residues of each value, u^0 first, in one flat list: the format linalg's kernel reduces."""
-        pads = self._pads
-        return [d for v in values for d in v + pads[len(v)]]
-
-    def _from_slots(self, slots: Sequence[int]) -> list[tuple]:
-        return [c if c[-1] else tuple(_trimmed(c)) if any(c) else () for c in zip(*[iter(slots)] * self.k)]
-
-    def _scale_matrix(self, d) -> list[list[int]]:
-        """Row jk + s, column t: slot s of d u^(j+t), for j, s, t < k.
-
-        These are the matrices over GF(p) of multiplying by d u^j, j < k,
-        transposed and stacked: times a (k, n) array whose column e holds
-        the slots of entry e, rows jk..jk+k-1 of the product hold the slots
-        of d u^j times each entry.  Each power of u is a shift, with u^k
-        folded back as minus the modulus's lower terms.
-        """
-        p, k, low = self.p, self.k, self.modulus[:-1]
-        w = [list(d) + [0] * (k - len(d))]
-        for _ in range(2 * k - 2):
-            top = w[-1][-1]
-            w.append([(v - top * m) % p for v, m in zip([0] + w[-1][:-1], low)])
-        return [[w[j + t][s] for t in range(k)] for j in range(k) for s in range(k)]
-
     def _poly_mul(self, a: Sequence, b: Sequence) -> tuple:
         """Each coefficient gets a block of 2k-1 slots, one per power of u.
 
@@ -570,7 +537,12 @@ class _ExtensionRing(_Ring):
 
 
 def _monic_polys(p: int, degree: int) -> Iterator[tuple[int, ...]]:
-    """All monic degree-d polynomials over GF(p), lowest coefficients varying fastest."""
+    """All monic degree-d polynomials over GF(p) in itertools.product order of the lower coefficients.
+
+    So the u^(d-1) coefficient varies fastest and u^0 slowest: over GF(3) in
+    degree 2 the first are (0, 0, 1), (0, 1, 1), (0, 2, 1), (1, 0, 1).
+    find_irreducible, and so every GF(p^k) modulus, depends on this order.
+    """
     for lower in itertools.product(range(p), repeat=degree):
         yield lower + (1,)
 

@@ -2,33 +2,27 @@
 
 A Matrix holds its entries as raw values of the field's ring (see fields),
 and its arithmetic runs on them; entries become field elements only when
-read.  Elimination has a private raw core: _rref, _nullspace and _solve
-take rows of raw values and return raw rows or vectors, and the public
-rref and nullspace only unwrap their element rows and wrap what they
-return.  Over GF(p^k), k = 1 for GF(p), with k (p-1)^2 + p < 2^63, one
-numpy kernel reduces rows whose entries are k int64 residues each, one per
-power of u; multiplying by a field element is a k x k matrix over GF(p)
-that the field's ring builds.  Fields past that int64 guard run the same
-kernel on exact Python ints.  Over Q elimination is fraction-free on
-primitive integer rows, and Fractions appear only when the reduced rows
-are divided by their pivots.  A subspace grown one vector at a time stays
-in echelon form through one incremental routine, which serves both
+read.  Every field is eliminated by one routine, _eliminate, on the ring's
+polynomial operations.  It takes a system as its columns, each a ring
+polynomial over the row index, and reduces each column against the earlier
+pivots by its last nonzero row, one scalar linear combination per step,
+while it records the column's combination of the input columns.  A column
+that reaches zero is free, and its combination is a canonical kernel
+vector; _nullspace and _solve read their results off those vectors, and
+rref rebuilds the reduced rows from them.  The engine's systems are built
+as columns: a center block's are triangular but for a few, an intertwiner
+system's are sparse.  A subspace grown one vector at a time stays in
+echelon form through one incremental routine, which serves both
 invariant-subspace closures and invertibility.
 """
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .errors import FieldMismatch
 from .fields import FieldElement, FieldSpec, _power
 from .poly import Poly
-
-Vector = tuple[FieldElement, ...]
 
 
 class Matrix:
@@ -162,152 +156,72 @@ def poly_on_matrix(p: Poly, m: Matrix) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
-def _fits_int64(p: int, k: int) -> bool:
-    """Whether _rref_slots can reduce GF(p^k) on int64: an update subtracts k products of residues below p."""
-    return k * (p - 1) ** 2 + p < 2 ** 63
+def _eliminate(cols: Sequence, ring) -> tuple[list[int], dict[int, object]]:
+    """The pivot columns, and the kernel vector of every other column.
 
-
-def _rref_slots(rows: list[list], ring) -> tuple[list[list], list[int]]:
-    """Gauss-Jordan over GF(p^k), k = 1 for GF(p), on arrays of residues.
-
-    The residues are int64 where _fits_int64 holds and exact Python ints
-    (dtype object) past it; the loop is the same for both.
-    a[i, t, c] is the residue at u^t of entry (i, c).  The ring's scale
-    matrix of the pivot's inverse, times the pivot row's slots, stacks u^j
-    times the scaled pivot row for j < k; one matmul of every nonzero lead's
-    slots with that block clears the column, and the pivot row, cleared too,
-    is then replaced by its scaled form.  Left of column c the pivot row is
-    zero, so only slots from column c on change.  Rows are never swapped:
-    the pivot is the first unused row with a nonzero lead.
+    Each column is a ring polynomial over the row index (see fields), so
+    its leading row is its last nonzero one.  Column j starts with the
+    combination e_j of the input columns.  While its leading row is that of
+    an earlier pivot, the column and its combination take c times the pivot
+    and its combination, c the column's leading entry over the pivot's, in
+    one linear combination each.  A column that reaches 0 is free: its
+    combination, a ring polynomial over the column index, is 1 at j, 0 at
+    every other free column and past j, so it is the canonical kernel
+    vector of reduced row echelon form.  Any other column becomes the pivot
+    of its leading row.  A column is a pivot exactly when it is independent
+    of the columns before it, so the pivots are the pivot columns of
+    reduced row echelon form, in increasing order.
     """
-    p, k = ring.p, ring.k
-    dtype = np.int64 if _fits_int64(p, k) else object
-    flat = np.array([ring._to_slots(r) for r in rows], dtype=dtype)
-    nrows, ncols = flat.shape[0], flat.shape[1] // k
-    a = flat.reshape(nrows, ncols, k).transpose(0, 2, 1)
-    used: dict[int, int] = {}  # pivot row -> its column, in pivot order
-    for c in range(ncols):
-        lead = a[:, :, c]
-        nonzero = np.nonzero(lead)[0]  # a row repeats once per nonzero slot; repeats write equal rows
-        r = next((i for i in nonzero.tolist() if i not in used), None)
-        if r is None:
-            continue
-        scale = np.array(ring._scale_matrix(ring._inv(ring._from_slots(lead[r].tolist())[0])), dtype=dtype)
-        rest = a[:, :, c:]
-        block = scale @ rest[r] % p
-        rest[nonzero] = (rest[nonzero] - (lead[nonzero] @ block.reshape(k, -1)).reshape(-1, k, ncols - c)) % p
-        rest[r] = block[:k]
-        used[r] = c
-        if len(used) == nrows:
-            break
-    out = flat.tolist()  # pivot rows in pivot order, then the rest, which are zero
-    order = [*used, *(i for i in range(nrows) if i not in used)]
-    return [ring._from_slots(out[i]) for i in order], list(used.values())
-
-
-def _rref_rational(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Fraction-free Gauss-Jordan over Q on primitive integer rows.
-
-    Each row is scaled to integers with content 1.  The pivot of column c
-    is the candidate entry of least absolute value, made positive.
-    Clearing column c of row i against the pivot row r replaces row i by
-    a row_i - b row_r (a, b the pivot and row_i[c] over their gcd, so a is
-    1 whenever the pivot divides row_i[c]) divided by its content, so no
-    Fraction is built inside the loop.  Only the reduced rows are divided
-    by their pivots at the end; the reduced echelon form is unique, so the
-    result equals element-wise Gauss-Jordan's.
-    """
-    ints = []
-    for row in rows:
-        den = math.lcm(*[v.denominator for v in row])
-        row = [v.numerator * (den // v.denominator) for v in row]
-        content = math.gcd(*row)
-        ints.append([v // content for v in row] if content > 1 else row)
-    nrows, ncols = len(ints), len(ints[0])
+    zero, one, mul, neg, lincomb = ring.zero, ring.one, ring._mul, ring._neg, ring._poly_lincomb
+    leads: dict[int, tuple] = {}  # leading row -> (pivot column, its combination, 1 / its leading entry)
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        nonzero = [i for i in range(r, nrows) if ints[i][c]]
-        if not nonzero:
-            continue
-        pivot = min(nonzero, key=lambda i: abs(ints[i][c]))
-        ints[r], ints[pivot] = ints[pivot], ints[r]
-        if ints[r][c] < 0:
-            ints[r] = [-v for v in ints[r]]
-        prow, lead = ints[r], ints[r][c]
-        for i in range(nrows):
-            row, b = ints[i], ints[i][c]
-            if i == r or not b:
-                continue
-            g = math.gcd(lead, b)
-            a, b = lead // g, b // g
-            if a == 1:
-                row = [x - b * y if y else x for x, y in zip(row, prow)]
-            else:
-                row = [a * x - b * y if y else a * x for x, y in zip(row, prow)]
-            content = math.gcd(*row)
-            ints[i] = [v // content for v in row] if content > 1 else row
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    zero = Fraction(0)
-    out = [[Fraction(v, row[c]) if v else zero for v in row] for row, c in zip(ints, pivots)]
-    return out + [[zero] * ncols for _ in range(nrows - r)], pivots
-
-
-def _rref(rows: list[list], spec: FieldSpec) -> tuple[list[list], list[int]]:
-    """rref on raw rows, which it may overwrite."""
-    if not rows or not rows[0]:
-        return rows, []
-    if spec.is_rationals:
-        return _rref_rational(rows)
-    return _rref_slots(rows, spec._ring)
+    kernel: dict[int, object] = {}
+    for j, col in enumerate(cols):
+        combo = ring._poly_from([zero] * j + [one])
+        while col and len(col) - 1 in leads:
+            pivot, pivot_combo, inv = leads[len(col) - 1]
+            c = neg(mul(col[-1], inv))
+            col, combo = lincomb((one, c), (col, pivot)), lincomb((one, c), (combo, pivot_combo))
+        if col:
+            leads[len(col) - 1] = col, combo, ring._inv(col[-1])
+            pivots.append(j)
+        else:
+            kernel[j] = combo
+    return pivots, kernel
 
 
 def rref(rows: Sequence[Sequence[FieldElement]], spec: FieldSpec) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form, as rows of raw ring values, and the pivot columns."""
-    return _rref([[e.value for e in r] for r in rows], spec)
+    """Reduced row echelon form, as rows of raw ring values, and the pivot columns.
 
-
-def _nullspace(rows: list[list], spec: FieldSpec, ncols: int) -> list[list]:
-    """nullspace on raw rows, which it may overwrite; returns raw vectors."""
-    red, pivots = _rref(rows, spec)
-    ring = spec._ring
-    basis = []
-    for fc in sorted(set(range(ncols)) - set(pivots)):
-        vec = [ring.zero] * ncols
-        vec[fc] = ring.one
-        for row, c in zip(red, pivots):
-            vec[c] = ring._neg(row[fc])
-        basis.append(vec)
-    return basis
-
-
-def nullspace(rows: Sequence[Sequence[FieldElement]], spec: FieldSpec, ncols: int | None = None) -> list[Vector]:
-    """Canonical basis of the right kernel of the given row list.
-
-    Basis vectors carry a 1 in their free coordinate and are emitted in
-    increasing free-column order, so results are deterministic.
+    Row i of the rank many nonzero rows is 1 at the i-th pivot column p_i
+    and -x_f[p_i] at every free column f, x_f the kernel vector of f.
     """
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    raw = [[e.value for e in r] for r in rows]
-    return [tuple(FieldElement(spec, v) for v in vec) for vec in _nullspace(raw, spec, ncols)]
+    ring = spec._ring
+    ncols = len(rows[0]) if rows else 0
+    pivots, kernel = _eliminate([ring._poly_from([row[j].value for row in rows]) for j in range(ncols)], ring)
+    red = [[ring.zero] * ncols for _ in rows]
+    for row, p in zip(red, pivots):
+        row[p] = ring.one
+        for f, x in kernel.items():
+            if p < len(x):
+                row[f] = ring._neg(x[p])
+    return red, pivots
 
 
-def _solve(rows: list[list], spec: FieldSpec) -> list | None:
-    """A raw v with A v = b from the raw augmented rows [A | b], free coordinates 0, or None."""
-    if not rows:
-        return []
-    ncols = len(rows[0]) - 1
-    red, pivots = _rref(rows, spec)
-    if ncols in pivots:
-        return None
-    sol = [spec._ring.zero] * ncols
-    for row, c in zip(red, pivots):
-        sol[c] = row[ncols]
-    return sol
+def _nullspace(cols: Sequence, ring) -> list[list]:
+    """The canonical kernel basis of the matrix with these ring-polynomial columns, as raw vectors.
+
+    One vector per free column, in increasing order: 1 there and 0 at the
+    other free columns, so results are deterministic.
+    """
+    n = len(cols)
+    return [list(x) + [ring.zero] * (n - len(x)) for x in _eliminate(cols, ring)[1].values()]
+
+
+def _solve(cols: Sequence, b, ring) -> list | None:
+    """A raw v with sum_j v_j cols[j] = b, free coordinates 0, or None; b and the columns are ring polynomials."""
+    x = _eliminate([*cols, b], ring)[1].get(len(cols))
+    return None if x is None else [ring._neg(v) for v in list(x)[:-1]]
 
 
 def _echelon_insert(basis: dict[int, list], v: list, ring) -> list | None:
@@ -350,25 +264,28 @@ def invariant_span_dim(mats: Sequence[Matrix], seed: Sequence[FieldElement]) -> 
 def intertwiners(pairs: Sequence[tuple[Matrix, Matrix]]) -> list[Matrix]:
     """Basis of the matrices T with T a = b T for every pair (a, b) of n x n matrices.
 
-    The basis is nullspace's, over the entries of T read row by row.
+    The basis is the canonical kernel basis (see _eliminate) over the entries of T read row by row.
     """
     spec = pairs[0][0].spec
     ring = spec._ring
     n = pairs[0][0].nrows
     if any(m.spec != spec for pair in pairs for m in pair):
         raise FieldMismatch("matrices over different fields")
-    rows = []
-    for a, b in pairs:
-        for i in range(n):
-            for j in range(n):
-                # entry (i, j) of T a - b T as a row over the unknowns T[k][l]
-                row = [ring.zero] * (n * n)
-                row[i * n:(i + 1) * n] = [a.rows[k][j] for k in range(n)]
-                for k in range(n):
-                    row[k * n + j] = ring._sub(row[k * n + j], b.rows[i][k])
-                rows.append(row)
-    return [Matrix._raw(spec, (vec[i * n:(i + 1) * n] for i in range(n)))
-            for vec in _nullspace(rows, spec, n * n)]
+    m = len(pairs)
+    cols = []
+    for k in range(n):
+        for l in range(n):
+            # the unknown T[k][l] meets a[l][j] in entry (k, j) of T a - b T and -b[i][k] in
+            # entry (i, l); its column holds entry (i, j) of pair t at row (i n + j) m + t.
+            # The kernel is the same in any row order; with the pairs interleaved, fewer
+            # columns share a leading row than pair by pair (dim-13 U(h_3) module over
+            # GF(13): 9.3 vs 13.1 ms, best of 9 runs on a 2-core Xeon).
+            col = [ring.zero] * (n * n * m)
+            for t, (a, b) in enumerate(pairs):
+                col[k * n * m + t:(k + 1) * n * m:m] = a.rows[l]
+                col[l * m + t::n * m] = map(ring._sub, col[l * m + t::n * m], [r[k] for r in b.rows])
+            cols.append(ring._poly_from(col))
+    return [Matrix._raw(spec, (vec[i * n:(i + 1) * n] for i in range(n))) for vec in _nullspace(cols, ring)]
 
 
 def is_invertible(m: Matrix) -> bool:

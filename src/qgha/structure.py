@@ -10,7 +10,6 @@ algebra itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
 
 from .algebra import AlgebraSpec, PBWElement, commutator, q_commutator, theta
 from .errors import DegreeOverflow, SearchSpaceTooLarge, UnsupportedDegF
@@ -48,24 +47,17 @@ def conformal_witness(alg: AlgebraSpec) -> ConformalWitness | None:
     """
     field = alg.field
     bound = _conformal_degree_bound(alg)
-    # column d <= bound holds the raw coefficients of sigma(h^d) - q h^d, the last one g's
+    # column d <= bound holds sigma(h^d) - q h^d
     cols = []
     for d in range(bound + 1):
         h_d = Poly.monomial(field, d)
         cols.append((alg.sigma(h_d) - alg.q * h_d).values)
-    cols.append(alg.g.values)
-    nrows = max(max(len(c) for c in cols), 1)
-    sol = _solve(_coefficient_rows(cols, nrows, field._ring.zero), field)
+    sol = _solve(cols, alg.g.values, field._ring)
     if sol is None:
         return None
     a = Poly._raw(field, sol)
     z = (PBWElement.x(alg) * PBWElement.y(alg) - PBWElement.h_poly(alg, a)) * alg.q
     return ConformalWitness(alg, a, z)
-
-
-def _coefficient_rows(cols: list, nrows: int, zero) -> list[list]:
-    """The first nrows rows of the matrix whose column d holds the raw coefficients cols[d]."""
-    return [[c[e] if e < len(c) else zero for c in cols] for e in range(nrows)]
 
 
 @dataclass(frozen=True)
@@ -161,10 +153,10 @@ def center_basis_truncated(alg: AlgebraSpec, max_xy: int, max_h: int) -> list[PB
                                   f"more than the budget {_CENTER_CELL_BUDGET}")
     field = alg.field
     ring = field._ring
-    zero, one, add, mul, sub = ring.zero, ring.one, ring._add, ring._mul, ring._sub
+    zero, one, add, mul, sub, poly_from = ring.zero, ring.one, ring._add, ring._mul, ring._sub, ring._poly_from
     width = max_h + 1
 
-    f_pows = [ring._poly_from([one])]
+    f_pows = [poly_from([one])]
     for _ in range(max_h):
         f_pows.append(ring._poly_mul(f_pows[-1], alg.f.values))
     f_pows = [list(fp) for fp in f_pows]
@@ -180,19 +172,19 @@ def center_basis_truncated(alg: AlgebraSpec, max_xy: int, max_h: int) -> list[PB
     for k in range(max_xy, -1, -1):
         # block k divided by q^k, so that f^d needs no product: column d < width holds
         # f^d - h^d / q^k and column width + j holds theta_{k+1} / q^k times basis[j]'s p_{k+1};
-        # when q^k = 0 they hold -h^d and theta_{k+1} times basis[j]'s p_{k+1}
+        # when q^k = 0 they hold -h^d and theta_{k+1} times basis[j]'s p_{k+1}.  For d >= 1 the
+        # leading row of column d is d deg f (d when q^k = 0), so only the theta columns reduce.
         if k < len(inv_q_pows):
             scale = inv_q_pows[k]
-            cols = [fp[:d] + [sub(fp[d], scale)] + fp[d + 1:] for d, fp in enumerate(f_pows)]
+            cols = [poly_from(fp[:d] + [sub(fp[d], scale)] + fp[d + 1:]) for d, fp in enumerate(f_pows)]
         else:
             scale = one
-            cols = [[zero] * d + [ring._neg(one)] for d in range(width)]
+            cols = [poly_from([zero] * d + [ring._neg(one)]) for d in range(width)]
         if basis:
             th = ring._poly_scale(thetas[k + 1], scale)
-            cols += [ring._poly_mul(ring._poly_from(vec[:width]), th) for vec in basis]
-        rows = [row for row in zip_longest(*cols, fillvalue=zero) if any(row)]
+            cols += [ring._poly_mul(poly_from(vec[:width]), th) for vec in basis]
         solutions = []
-        for sol in _nullspace(rows, field, len(cols)):
+        for sol in _nullspace(cols, ring):
             rest = [zero] * (width * (max_xy - k))
             for t, vec in zip(sol[width:], basis):
                 if t:
@@ -241,7 +233,7 @@ def domain_check(alg: AlgebraSpec) -> DomainReport:
     # mod g, so a kernel vector exists.
     dg = alg.g.degree
     cols = [(alg.sigma(Poly.monomial(field, d)) % alg.g).values for d in range(dg + 1)]
-    kernel = _nullspace(_coefficient_rows(cols, dg, field._ring.zero), field, dg + 1)
+    kernel = _nullspace(cols, field._ring)
     p0 = Poly._raw(field, kernel[0])
     quot, rem = divmod(alg.sigma(p0), alg.g)
     assert rem.is_zero

@@ -495,6 +495,20 @@ def test_extension_fields_past_the_trial_divisor_budget_fail_fast(argv):
     assert proc.stderr.startswith("error: testing irreducibility in degree")
 
 
+@pytest.mark.parametrize("argv", [
+    ["orbits", "--field", "GF(4294967311)", "--q", "2", "--f", "h^2", "--g", "h", "--k", "1"],
+    ["enumerate", "--field", "GF(4294967311)", "--q", "2", "--f", "h^2", "--g", "h", "--dim", "1"],
+])
+def test_point_tables_past_their_budget_fail_fast(argv):
+    # these tabulated f at every point of the field until they were killed
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", _QGHA_UNDER_1GIB, *argv], capture_output=True, text=True,
+                          env=_subprocess_env(), timeout=60)
+    assert time.perf_counter() - start < 2
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: tabulating over GF(4294967311) takes")
+
+
 def test_python_dash_m_matches_main(capsys):
     argv = ["enumerate", "--field", "GF(5)", "--q", "2", "--f", "h^3", "--g", "h", "--dim", "4"]
     for extra in ([], ["--json"]):

@@ -1,5 +1,6 @@
 """Scalar arithmetic over Q, GF(p) and GF(p^k)."""
 
+import itertools
 import random
 import time
 from collections import Counter
@@ -323,6 +324,14 @@ def test_find_irreducible_deterministic():
         mod = find_irreducible(p, k)
         assert len(mod) == k + 1 and mod[-1] == 1
         assert poly_is_irreducible(mod, p)
+
+
+def test_monic_polys_order_pins_the_moduli():
+    # itertools.product order of the lower coefficients: u^(d-1) varies fastest
+    assert list(itertools.islice(fields._monic_polys(3, 2), 4)) == [(0, 0, 1), (0, 1, 1), (0, 2, 1), (1, 0, 1)]
+    gf256 = (1, 0, 0, 0, 1, 1, 0, 1, 1)  # u^8 + u^7 + u^5 + u^4 + 1
+    assert next(itertools.islice(fields._monic_polys(2, 8), 141, None)) == gf256
+    assert find_irreducible(2, 8) == gf256
 
 
 def test_frobenius_degree():

@@ -5,26 +5,31 @@ GF(7^2).  Element and polynomial arithmetic is checked against oracles
 written here on the documented value formats: Fractions, int residues and
 trimmed u-coefficient tuples.  Division is checked through a = q*b + r with
 deg r < deg b, and, where sympy is installed, GF(p) products and division
-are checked against sympy.Poly(..., modulus=p).  Both elimination kernels
-are checked against generic_rref, an element-wise Gauss-Jordan written
-here: the fraction-free Q one also against sympy's Matrix.rref on random
-rational matrices, and the slot kernel over GF(5), GF(7^2), GF(2^3),
-GF(3^3) and GF(2^8) on int64 and on Python ints, and over GF(4294967311)
-and GF(2^61 - 1), past the int64 guard.
+are checked against sympy.Poly(..., modulus=p).  The elimination kernel is
+checked against generic_rref, the element-wise Gauss-Jordan of rref_oracle:
+rref over Q also against sympy's Matrix.rref on random rational matrices,
+and over GF(5), GF(7^2), GF(2^3), GF(3^3), GF(2^8), GF(4294967311) and
+GF(2^61 - 1); the canonical nullspace on center-block shaped systems over
+Q, GF(5) and GF(7^2).  The engine must also import and run with numpy
+blocked.
 """
 
-import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qgha
 from qgha.fields import FieldSpec
-from qgha import linalg
-from qgha.linalg import _fits_int64, _rref, rref
+from qgha.linalg import _nullspace, rref
 from qgha.poly import Poly
+from rref_oracle import generic_nullspace_raw, generic_rref
 
 QQ = FieldSpec.rationals()
 F5 = FieldSpec.prime(5)
@@ -85,26 +90,6 @@ def oracle_poly_mul(F, a, b):
 
 def values(poly):
     return [c.value for c in poly.coeffs]
-
-
-def generic_rref(rows, F):
-    """Element-wise Gauss-Jordan on raw rows, which it overwrites: the reduced rows and the pivot columns."""
-    ring = F._ring
-    mul, sub, inv = ring._mul, ring._sub, ring._inv
-    pivots = []
-    for c in range(len(rows[0]) if rows else 0):
-        r = len(pivots)
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        scale = inv(rows[r][c])
-        rows[r] = [mul(v, scale) for v in rows[r]]
-        for i, row in enumerate(rows):
-            if i != r and row[c]:
-                rows[i] = [sub(a, mul(row[c], b)) for a, b in zip(row, rows[r])]
-        pivots.append(c)
-    return rows, pivots
 
 
 # -- strategies ----------------------------------------------------------------
@@ -224,7 +209,6 @@ def test_prime_field_against_sympy(F, data):
 
 @pytest.mark.parametrize("p", [2**31 - 1, 4294967311])
 def test_rref_large_prime_matches_generic(p):
-    # products of residues of 4294967311 overflow int64, so its slot kernel runs on Python ints
     F = FieldSpec.prime(p)
     rng = random.Random(p)
     for _ in range(50):
@@ -243,24 +227,7 @@ def test_rref_large_prime_matches_generic(p):
             assert combo == row
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 8, 64])
-def test_int64_guard_boundary(k):
-    # the largest p with k (p-1)^2 + p < 2^63; p need not be prime, and no field is built
-    p = math.isqrt(2**63 // k) + 2
-    while k * (p - 1) ** 2 + p >= 2**63:
-        p -= 1
-    assert k * p**2 + p + 1 >= 2**63
-    assert _fits_int64(p, k) and _fits_int64(p - 1, k)
-    assert not _fits_int64(p + 1, k) and not _fits_int64(p + 2, k)
-
-
-def test_int64_guard_named_fields():
-    assert _fits_int64(5, 1) and _fits_int64(7, 2) and _fits_int64(2, 8)
-    assert _fits_int64(2**31 - 1, 1) and _fits_int64(2**31 - 1, 2)
-    assert not _fits_int64(4294967311, 1) and not _fits_int64(2**31 - 1, 3)
-
-
-# -- fraction-free elimination over Q -----------------------------------------
+# -- elimination over Q -------------------------------------------------------
 
 
 def rationals():
@@ -303,15 +270,19 @@ def test_rational_rref_matches_generic_and_sympy(rows):
     assert red == [[Fraction(int(v.p), int(v.q)) for v in row] for row in expect.tolist()]
 
 
-# -- the slot kernel over finite fields ----------------------------------------
+# -- elimination over finite fields ---------------------------------------------
 
-SLOT_FIELDS = [F5, F49, FieldSpec.extension(2, 3), FieldSpec.extension(3, 3), FieldSpec.extension(2, 8)]
-WIDE_FIELDS = [FBIG, FieldSpec.prime(2**61 - 1)]
+FINITE_FIELDS = [F5, F49, FieldSpec.extension(2, 3), FieldSpec.extension(3, 3), FieldSpec.extension(2, 8),
+                 FBIG, FieldSpec.prime(2**61 - 1)]
 
 
-def check_slot_rref(F, rows):
-    red, pivots = _rref([list(row) for row in rows], F)
-    expect, expect_pivots = generic_rref([list(row) for row in rows], F)
+@pytest.mark.parametrize("F", FINITE_FIELDS, ids=str)
+@SETTINGS
+@given(data=st.data())
+def test_rref_matches_generic(F, data):
+    rows = data.draw(matrices(elements(F), F.zero))
+    red, pivots = rref(rows, F)
+    expect, expect_pivots = generic_rref([[v.value for v in row] for row in rows], F)
     assert pivots == expect_pivots
     assert red == expect
     for row in red:
@@ -323,20 +294,52 @@ def check_slot_rref(F, rows):
                 assert type(v) is int and 0 <= v < F.char
 
 
-@pytest.mark.parametrize("F", SLOT_FIELDS + WIDE_FIELDS, ids=str)
-@SETTINGS
-@given(data=st.data())
-def test_slot_rref_matches_generic(F, data):
-    assert _fits_int64(F.char, F.degree) == (F not in WIDE_FIELDS)
-    check_slot_rref(F, [[v.value for v in row] for row in data.draw(matrices(elements(F), F.zero))])
+@st.composite
+def triangular_systems(draw, F):
+    """Columns like a center block's: distinct leading rows, then a few dense columns.
+
+    The first columns have distinct leading rows in shuffled order (a
+    leading entry may be drawn as 0, so some leading rows repeat or the
+    column is 0); the last ones are dense over every row.  Returns the rows.
+    """
+    nrows = draw(st.integers(1, 14))
+    leads = draw(st.lists(st.integers(0, nrows - 1), unique=True, max_size=nrows))
+    cols = [[draw(elements(F)) for _ in range(lead)] + [draw(elements(F))] + [F.zero] * (nrows - 1 - lead)
+            for lead in leads]
+    cols += [[draw(elements(F)) for _ in range(nrows)] for _ in range(draw(st.integers(0, 3)))]
+    return [[col[i].value for col in cols] for i in range(nrows)]
 
 
-@pytest.mark.parametrize("F", SLOT_FIELDS, ids=str)
+@pytest.mark.parametrize("F", [QQ, F5, F49], ids=str)
 @SETTINGS
 @given(data=st.data())
-def test_slot_rref_on_python_ints_matches_generic(F, data):
-    # the object-dtype path, forced on fields whose residues would fit int64
-    rows = [[v.value for v in row] for row in data.draw(matrices(elements(F), F.zero))]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "_fits_int64", lambda p, k: False)
-        check_slot_rref(F, rows)
+def test_nullspace_of_triangular_columns_matches_generic(F, data):
+    rows = data.draw(triangular_systems(F))
+    ncols = len(rows[0])
+    ring = F._ring
+    cols = [ring._poly_from([row[j] for row in rows]) for j in range(ncols)]
+    assert _nullspace(cols, ring) == generic_nullspace_raw(rows, F, ncols)
+
+
+_WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None  # from here on, importing numpy raises ImportError
+import qgha, qgha.cli
+from qgha import AlgebraSpec, FieldSpec, Matrix, Poly, center_basis_truncated
+from qgha.linalg import intertwiners, rref
+F = FieldSpec.prime(5)
+alg = AlgebraSpec(F, F.element(2), Poly.from_ints(F, [0, 0, 1]), Poly.from_ints(F, [0, 3, 1]), 2048)
+print(len(center_basis_truncated(alg, 4, 8)))
+print(rref([[F.element(1), F.element(2)], [F.element(2), F.element(4)]], F))
+jordan = Matrix(F, [[F.one, F.one], [F.zero, F.one]])
+print(len(intertwiners([(jordan, jordan)])))
+"""
+
+
+def test_engine_runs_without_numpy():
+    env = dict(os.environ, PYTHONPATH=str(Path(qgha.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    # {1, Z^4} as in criterion 4, rank 1, and the commutant of a Jordan block is spanned by 1 and it
+    assert proc.stdout == "2\n([[1, 2], [0, 0]], [0])\n2\n"

@@ -8,7 +8,6 @@ import pytest
 from qgha.algebra import AlgebraSpec, PBWElement, commutator, generators, theta
 from qgha.errors import DegreeOverflow, UnsupportedDegF
 from qgha.fields import FieldSpec
-from qgha.linalg import nullspace
 from qgha.poly import Poly
 from qgha.structure import (
     ConformalWitness,
@@ -17,6 +16,7 @@ from qgha.structure import (
     domain_check,
     verify_z_relations,
 )
+from rref_oracle import generic_nullspace
 
 QQ = FieldSpec.rationals()
 F5 = FieldSpec.prime(5)
@@ -140,7 +140,7 @@ def test_center_root_of_unity_gf5():
 
 
 def _in_span(basis, element):
-    """Membership via a nullspace computation over the joint support."""
+    """Membership via a nullspace computation over the joint support, by the element-wise oracle."""
     alg = element.alg
     keys = sorted({k for b in basis for k in b.terms} | set(element.terms))
     degree = max(
@@ -156,7 +156,7 @@ def _in_span(basis, element):
             col.extend(p.coefficient(d) for d in range(width))
         cols.append(col)
     rows = [[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))]
-    for vec in nullspace(rows, alg.field, len(cols)):
+    for vec in generic_nullspace(rows, alg.field, len(cols)):
         if not vec[-1].is_zero:
             return True
     return False
@@ -174,7 +174,8 @@ def test_center_monotone_in_window():
 def _center_elementwise(alg, max_xy, max_h):
     """The whole center system as one dense matrix built entry by entry from field elements.
 
-    The oracle for the block-by-block solve: its nullspace basis is the canonical one.
+    The oracle for the block-by-block solve: its nullspace basis, from the
+    element-wise Gauss-Jordan of rref_oracle, is the canonical one.
     """
     field = alg.field
     width = max_h + 1
@@ -199,7 +200,7 @@ def _center_elementwise(alg, max_xy, max_h):
             if any(not c.is_zero for c in row):
                 rows.append(row)
     basis = []
-    for vec in nullspace(rows, field, ncols):
+    for vec in generic_nullspace(rows, field, ncols):
         terms = {(k, k): Poly(field, vec[k * width:(k + 1) * width]) for k in range(max_xy + 1)}
         basis.append(PBWElement(alg, terms))
     return basis
