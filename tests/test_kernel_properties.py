@@ -9,9 +9,9 @@ are checked against sympy.Poly(..., modulus=p).  The elimination kernel is
 checked against generic_rref, the element-wise Gauss-Jordan of rref_oracle:
 rref over Q also against sympy's Matrix.rref on random rational matrices,
 and over GF(5), GF(7^2), GF(2^3), GF(3^3), GF(2^8), GF(4294967311) and
-GF(2^61 - 1); the canonical nullspace on center-block shaped systems over
-Q, GF(5) and GF(7^2).  The engine must also import and run with numpy
-blocked.
+GF(2^61 - 1); the canonical nullspace and _solve on center-block shaped
+systems over Q and those finite fields.  The engine must also import and
+run with numpy blocked.
 """
 
 import os
@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 import qgha
 from qgha.fields import FieldSpec
-from qgha.linalg import _nullspace, rref
+from qgha.linalg import _nullspace, _solve, rref
 from qgha.poly import Poly
 from rref_oracle import generic_nullspace_raw, generic_rref
 
@@ -310,7 +310,7 @@ def triangular_systems(draw, F):
     return [[col[i].value for col in cols] for i in range(nrows)]
 
 
-@pytest.mark.parametrize("F", [QQ, F5, F49], ids=str)
+@pytest.mark.parametrize("F", [QQ, *FINITE_FIELDS], ids=str)
 @SETTINGS
 @given(data=st.data())
 def test_nullspace_of_triangular_columns_matches_generic(F, data):
@@ -319,6 +319,39 @@ def test_nullspace_of_triangular_columns_matches_generic(F, data):
     ring = F._ring
     cols = [ring._poly_from([row[j] for row in rows]) for j in range(ncols)]
     assert _nullspace(cols, ring) == generic_nullspace_raw(rows, F, ncols)
+
+
+@pytest.mark.parametrize("F", [QQ, *FINITE_FIELDS], ids=str)
+@SETTINGS
+@given(data=st.data())
+def test_solve_matches_generic(F, data):
+    """_solve against the augmented system [A | b] reduced by generic_rref.
+
+    b is a random combination of the columns or a random vector.  There is
+    a solution exactly when b's column is no pivot, and the one _solve
+    returns is 0 at every free column, so it is read off the reduced rows.
+    """
+    rows = data.draw(triangular_systems(F))
+    ncols = len(rows[0])
+    ring = F._ring
+    if data.draw(st.booleans()):
+        coeffs = [data.draw(elements(F)).value for _ in range(ncols)]
+        b = [ring.zero] * len(rows)
+        for i, row in enumerate(rows):
+            for v, c in zip(row, coeffs):
+                b[i] = ring._add(b[i], ring._mul(v, c))
+    else:
+        b = [data.draw(elements(F)).value for _ in rows]
+    cols = [ring._poly_from([row[j] for row in rows]) for j in range(ncols)]
+    got = _solve(cols, ring._poly_from(b), ring)
+    red, pivots = generic_rref([[*row, v] for row, v in zip(rows, b)], F)
+    if ncols in pivots:
+        assert got is None
+        return
+    expect = [ring.zero] * ncols
+    for row, p in zip(red, pivots):
+        expect[p] = row[ncols]
+    assert got == expect
 
 
 _WITHOUT_NUMPY = """
