@@ -40,7 +40,6 @@ from .spectra import (
     enumerate_lambda_orbits,
     mu_period,
     mu_periods,
-    nu_increment,
     nu_table,
     orbit_from_seed,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "mu_period",
     "mu_periods",
     "multiplicative_order",
-    "nu_increment",
     "nu_table",
     "orbit_from_seed",
     "q_commutator",

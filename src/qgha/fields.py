@@ -31,7 +31,8 @@ one by one.
 Element products and inverses in GF(p^k) with at most _LOG_TABLE_ORDER
 elements are lookups in discrete log and antilog tables (Lidl and
 Niederreiter, Finite Fields) that each ring builds once, with the raw format
-unchanged; larger fields pay one packed product or one extended Euclid.
+unchanged; larger fields pay one packed product, or one extended Euclid
+that runs on the GF(p) ring's polynomial division, product and difference.
 """
 
 from __future__ import annotations
@@ -399,8 +400,9 @@ class _ExtensionRing(_Ring):
     log and antilog tables of the first primitive element g in sort_key
     order: exp[e] = g^e and log[g^e] = e, so a b = exp[log a + log b] and
     1/a = exp[n - log a] for n = p^k - 1.  Past it, a product is one packed
-    product (_packed_mul) and an inverse is extended Euclid (_euclid_inv);
-    the tables are built with the packed product.
+    product (_packed_mul) and an inverse is extended Euclid (_euclid_inv)
+    on the polynomial ops of the GF(p) ring self.base; the tables are built
+    with the packed product.
     """
 
     zero, one = (), (1,)
@@ -486,30 +488,17 @@ class _ExtensionRing(_Ring):
         return tuple(_trimmed(x % self.p for x in slots[2 * k - 2::4 * k - 3]))
 
     def _euclid_inv(self, a):
-        """Extended Euclid against the modulus, which is irreducible.
+        """Extended Euclid in GF(p)[u] on the prime ring's polynomial ops.
 
-        Keeps s0 a = r0 and s1 a = r1 modulo the modulus.  Each step cancels
-        the leading term of r0 with c u^shift r1 and takes the same multiple
-        of s1 from s0; r0 never reaches 0 while r1 is not constant, since
-        gcd(modulus, a) = 1.
+        Keeps s0 a = r0 and s1 a = r1 modulo the modulus.  The modulus is
+        irreducible, so the remainders reach a nonzero constant r1.
         """
-        p = self.p
-        r0, r1, s0, s1 = list(self.modulus), list(a), [], [1]
+        base = self.base
+        r0, r1, s0, s1 = tuple(self.modulus), a, (), (1,)
         while len(r1) > 1:
-            inv = pow(r1[-1], -1, p)
-            while len(r0) >= len(r1):
-                shift = len(r0) - len(r1)
-                c = r0[-1] * inv % p
-                for i, v in enumerate(r1, shift):
-                    r0[i] = (r0[i] - c * v) % p
-                s0 += [0] * (len(s1) + shift - len(s0))
-                for i, v in enumerate(s1, shift):
-                    s0[i] = (s0[i] - c * v) % p
-                while not r0[-1]:
-                    r0.pop()
-            r0, r1, s0, s1 = r1, r0, s1, s0
-        c = pow(r1[0], -1, p)
-        return tuple(_trimmed(v * c % p for v in s1))
+            quot, rem = base._poly_divmod(r0, r1)
+            r0, r1, s0, s1 = r1, rem, s1, base._poly_sub(s0, base._poly_mul(quot, s1))
+        return base._poly_scale(s1, base._inv(r1[0]))
 
     def _poly_mul(self, a: Sequence, b: Sequence) -> tuple:
         """Each coefficient gets a block of 2k-1 slots, one per power of u.

@@ -329,12 +329,8 @@ def iso_bruteforce(r1: MatrixRep, r2: MatrixRep, scan_bound: int = 10 ** 4) -> b
             raise SearchSpaceTooLarge("intertwiner space has dimension > 1 over an infinite field")
         return is_invertible(mats[0])
     if field.order ** d <= scan_bound:
-        for coeffs in itertools.product(field.elements(), repeat=d):
-            if all(c.is_zero for c in coeffs):
-                continue
-            if is_invertible(_combine(mats, coeffs, field)):
-                return True
-        return False
+        # c T is invertible exactly when T is, so one T per line suffices
+        return any(is_invertible(_combine(mats, coeffs, field)) for coeffs in _projective_points(field, d))
     rng = random.Random(0)
     for _ in range(scan_bound):
         coeffs = [field.random_element(rng) for _ in range(d)]

@@ -60,19 +60,6 @@ class LambdaOrbit:
     def value(self, i: int) -> FieldElement:
         return self.values[i % len(self.values)]
 
-    def rotated(self, s: int) -> "LambdaOrbit":
-        l = len(self.values)
-        s %= l
-        return LambdaOrbit(self.f, self.values[s:] + self.values[:s])
-
-    def canonical(self) -> "LambdaOrbit":
-        """The rotation starting at the smallest point, for stable output."""
-        best = min(range(len(self.values)), key=lambda s: self.rotated(s)._key())
-        return self.rotated(best)
-
-    def _key(self):
-        return tuple(v.sort_key() for v in self.values)
-
     def __str__(self):
         return "(" + ", ".join(str(v) for v in self.values) + ")"
 
@@ -174,7 +161,7 @@ class _PointTable:
         """Every cycle of f with period <= max_period, as positions.
 
         Each cycle starts at its smallest position, and they are sorted by
-        (period, positions): the order of LambdaOrbit.canonical and _key.
+        (period, positions), which is sort_key order of the points.
         """
         nxt = self.next
         state = [0] * len(nxt)  # 0 unseen, 1 on the current path, 2 explored
@@ -200,12 +187,17 @@ class _PointTable:
         """Positions alpha whose nu-sequence first vanishes at n: nu(n) = 0, nu(i) != 0 for 0 < i < n.
 
         Runs nu(i+1) = q nu(i) + g(f^[i](alpha)) on the tables, stopping at
-        the first zero.
+        the first zero.  The state (f^[i](alpha), nu(i)) takes at most |F|^2
+        values, so once nu has missed 0 for |F|(|F| - 1) + 1 steps a nonzero
+        state has recurred and nu never vanishes: past n = |F|^2 no alpha
+        qualifies, and nothing is walked.
         """
         ring = self.field._ring
         add, mul, q = ring._add, ring._mul, q.value
         nxt, g = self.next, self.g
         out = []
+        if n > len(nxt) ** 2:
+            return out
         for alpha in range(len(nxt)):
             nu, i = ring.zero, alpha
             for t in range(1, n + 1):
@@ -248,12 +240,10 @@ def enumerate_lambda_orbits(field: FieldSpec, f: Poly, max_period: int) -> list[
 
 @dataclass(frozen=True)
 class MuSequence:
-    """Solution of mu(i+1) = q mu(i) + g(lambda(i)) with mu(0) = anchor.
+    """Solution of mu(i+1) = q mu(i) + g(lambda(i)) with mu(0) = anchor, for i >= 0.
 
-    For q != 0 the recursion also runs backwards, as
-    mu(i) = (mu(i+1) - g(lambda(i))) / q; value(i) runs it on raw values,
-    forwards from the anchor for i >= 0 and backwards for i < 0.
-    period is the least m >= 1 with the joint sequence
+    value(i) and values(count) run the recurrence forwards from the anchor
+    on raw values.  period is the least m >= 1 with the joint sequence
     (lambda, mu) invariant under shifting by m |lambda|, encoded as 0 when
     no such m exists (infinite period, only possible in characteristic 0).
     """
@@ -273,17 +263,10 @@ class MuSequence:
         return self.orbit.field
 
     def value(self, i: int) -> FieldElement:
-        """mu(i); negative indices need q invertible."""
-        spec = self.field
-        if i >= 0:
-            return FieldElement(spec, self._raw_values(i + 1)[i])
-        if self.q.is_zero:
-            raise QZero("mu at negative indices needs q != 0")
-        ring = spec._ring
-        q_inv, mu = ring._inv(self.q.value), self.anchor.value
-        for j in range(-1, i - 1, -1):
-            mu = ring._mul(ring._sub(mu, self.g._at(self.orbit.value(j).value)), q_inv)
-        return FieldElement(spec, mu)
+        """mu(i) for i >= 0."""
+        if i < 0:
+            raise ValueError("mu is indexed by i >= 0")
+        return FieldElement(self.field, self._raw_values(i + 1)[i])
 
     def values(self, count: int) -> tuple[FieldElement, ...]:
         """(mu(0), ..., mu(count-1)) by running the recurrence once."""
@@ -307,26 +290,14 @@ class MuSequence:
     def period(self) -> int:
         return mu_period(self.orbit, self.q, self.g, self.anchor)
 
-    def shifted(self, s: int) -> "MuSequence":
-        """The same bilateral sequence re-anchored at position s."""
-        return MuSequence(self.orbit.rotated(s), self.q, self.g, self.value(s))
-
-
-def nu_increment(orbit: LambdaOrbit, q: FieldElement, g: Poly) -> FieldElement:
-    """Xi = sum_{i=0}^{l-1} q^i g(lambda(l-1-i)), the drift over one lambda-period.
-
-    It is mu(l) of the sequence anchored at 0, and satisfies
-    mu(k l) = q^{k l} mu(0) + Xi (1 + q^l + ... + q^{(k-1) l}).
-    """
-    return MuSequence(orbit, q, g, orbit.field.zero).value(orbit.period)
-
 
 def mu_periods(orbit: LambdaOrbit, q: FieldElement, g: Poly) -> tuple[FieldElement | None, int]:
     """The mu-period rule of one orbit: (fixed anchor or None, period of every other anchor).
 
-    Writing Q = q^l and Xi for the one-period drift, mu(k l) follows the
-    affine iteration beta -> Q beta + Xi, so the period depends on the
-    anchor only through whether it is the fixed point of that iteration:
+    Write Q = q^l and Xi for the drift over one lambda-period, mu(l) of
+    the sequence anchored at 0.  mu(k l) follows the affine iteration
+    beta -> Q beta + Xi, so the period depends on the anchor only through
+    whether it is the fixed point of that iteration:
 
       Q = 1:  no anchor is singled out; Xi = 0 gives period 1, otherwise
               the period is the additive order of Xi (the characteristic,
@@ -338,7 +309,7 @@ def mu_periods(orbit: LambdaOrbit, q: FieldElement, g: Poly) -> tuple[FieldEleme
         raise QZero("mu-periodicity needs q != 0")
     spec = orbit.field
     big_q = q ** orbit.period
-    xi = nu_increment(orbit, q, g)
+    xi = MuSequence(orbit, q, g, spec.zero).value(orbit.period)
     if big_q.is_one:
         return None, 1 if xi.is_zero else spec.char
     return xi / (spec.one - big_q), multiplicative_order(big_q)

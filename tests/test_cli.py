@@ -221,6 +221,14 @@ def test_enumerate(capsys):
     assert all(m["family"] == "A" for m in payload["modules"])
 
 
+def test_enumerate_past_the_field_squared_is_fast(capsys):
+    # nu never vanishes first past |F|^2 steps; this walked all 10^12 steps for every alpha
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "enumerate", *BASE, "--dim", "1000000000000")
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (0, "0 simple module(s) of dimension 1000000000000:\n", "")
+
+
 def test_enumerate_with_extensions(capsys):
     payload = run_json(
         capsys, "enumerate", "--field", "GF(2)", "--q", "1", "--f", "h+1",

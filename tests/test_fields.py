@@ -180,18 +180,35 @@ def test_log_tables_stop_at_the_bound():
     assert FieldSpec.extension(2, bound.bit_length())._ring._log is None
 
 
-def test_packed_product_past_the_bound_matches_schoolbook():
-    # GF(1009^2) has no tables; oracle: the product in GF(p)[u], then the remainder by the modulus
-    F = FieldSpec.extension(1009, 2)
-    ring, base = F._ring, fields._PrimeRing(1009)
+def _schoolbook_mod(a, b, modulus, p):
+    """a b in GF(p)[u] by the schoolbook product, then its remainder by the monic modulus."""
+    prod = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    k = len(modulus) - 1
+    for top in range(len(prod) - 1, k - 1, -1):
+        c = prod[top]
+        for i, m in enumerate(modulus):
+            prod[top - k + i] = (prod[top - k + i] - c * m) % p
+    while prod and not prod[-1]:
+        prod.pop()
+    return tuple(prod)
+
+
+@pytest.mark.parametrize("p,k,count", [(1009, 2, 2000), (251, 3, 500), (3, 7, 500), (2, 11, 500)])
+def test_packed_product_and_euclid_past_the_bound_match_schoolbook(p, k, count):
+    # these fields have no tables; with k >= 3 Euclid takes several division steps
+    F = FieldSpec.extension(p, k)
+    ring = F._ring
     assert ring._log is None
     rng = random.Random(16)
-    for _ in range(2000):
+    for _ in range(count):
         a, b = (F.random_element(rng).value for _ in range(2))
-        expected = tuple(base._poly_divmod(base._poly_mul(a, b), F.modulus)[1])
-        assert ring._mul(a, b) == expected
+        assert ring._mul(a, b) == ring._packed_mul(a, b) == _schoolbook_mod(a, b, F.modulus, p)
         if a:
-            assert base._poly_divmod(base._poly_mul(a, ring._inv(a)), F.modulus)[1] == (1,)
+            inv = ring._inv(a)
+            assert _schoolbook_mod(a, inv, F.modulus, p) == ring._packed_mul(a, inv) == (1,)
 
 
 def test_irreducible_search_refuses_past_the_trial_divisor_budget():

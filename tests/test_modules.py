@@ -15,7 +15,7 @@ from qgha.errors import (
     UnsupportedField,
 )
 from qgha.fields import FieldElement, FieldSpec, frobenius_degree
-from qgha.linalg import Matrix
+from qgha.linalg import Matrix, intertwiners, is_invertible
 from qgha.modules import (
     MatrixRep,
     ModuleSpec,
@@ -169,13 +169,20 @@ def test_bruteforce_simplicity_guards():
         is_simple_bruteforce(rep_q)
 
 
-def test_iso_shift_invariance():
-    alg = alg_sq()
+@pytest.mark.parametrize("make_alg,seed,anchor", [(alg_sq, 1, 3), (alg_cube, 2, 3)])
+def test_iso_shift_invariance(make_alg, seed, anchor):
+    alg = make_alg()
     gamma = F5.element(2)
-    s1 = ModuleSpec.family_a(mu_at(alg, 1, 3), gamma)
-    s2 = ModuleSpec.family_a(mu_at(alg, 1, 3).shifted(1), gamma)
-    assert iso_structural(alg, s1, s2)
-    assert iso_bruteforce(build_matrix_rep(alg, s1), build_matrix_rep(alg, s2))
+    mu = mu_at(alg, seed, anchor)
+    s1 = ModuleSpec.family_a(mu, gamma)
+    values = mu.orbit.values
+    for s in range(1, s1.dim):
+        # (lambda, mu) shifted by s: the orbit rotated by s, anchored at mu(s)
+        r = s % len(values)
+        shifted = MuSequence(LambdaOrbit(alg.f, values[r:] + values[:r]), alg.q, alg.g, mu.value(s))
+        s2 = ModuleSpec.family_a(shifted, gamma)
+        assert iso_structural(alg, s1, s2)
+        assert iso_bruteforce(build_matrix_rep(alg, s1), build_matrix_rep(alg, s2))
     assert iso_structural(alg, s1, s1)
 
 
@@ -228,6 +235,44 @@ def test_iso_bruteforce_dimension_mismatch_and_infinite_field():
     t2 = build_matrix_rep(alg_q, ModuleSpec.family_c(QQ.zero, 2))
     with pytest.raises(SearchSpaceTooLarge):
         iso_bruteforce(t2, t2)
+
+
+def direct_sum(r1, r2):
+    """The module r1 + r2, with block-diagonal matrices."""
+    n, d1 = r1.dim + r2.dim, r1.dim
+
+    def block(a, b):
+        entries = {(i, j): a[i, j] for i in range(d1) for j in range(d1)}
+        entries.update({(d1 + i, d1 + j): b[i, j] for i in range(r2.dim) for j in range(r2.dim)})
+        return Matrix.from_entries(r1.field, n, n, entries)
+
+    return MatrixRep(r1.field, n, block(r1.x, r2.x), block(r1.y, r2.y), block(r1.h, r2.h))
+
+
+def test_iso_bruteforce_scans_one_intertwiner_per_line(monkeypatch):
+    # S and S' are one-dimensional and non-isomorphic (gamma 1 and 2).  End(S + S')
+    # is the diagonal matrices, invertible only off the two block idempotents'
+    # lines; Hom(S + S', S + S) maps S' to 0, so it holds no invertible map
+    alg = alg_sq()
+    mu = mu_at(alg, 1, 4)  # the fixed anchor of the orbit (1): period 1
+    s, s_prime = (build_matrix_rep(alg, ModuleSpec.family_a(mu, F5.element(c))) for c in (1, 2))
+    m, n = direct_sum(s, s_prime), direct_sum(s, s)
+    assert len(intertwiners(((m.x, m.x), (m.y, m.y), (m.h, m.h)))) == 2
+    assert len(intertwiners(((m.x, n.x), (m.y, n.y), (m.h, n.h)))) == 2
+    calls = []
+
+    def counting(t):
+        calls.append(t)
+        return is_invertible(t)
+
+    monkeypatch.setattr(modules, "is_invertible", counting)
+    assert iso_bruteforce(m, m)
+    calls.clear()
+    assert not iso_bruteforce(m, n)
+    assert len(calls) == 6  # one intertwiner per line of F^2: |F| + 1 of them
+    calls.clear()
+    assert iso_bruteforce(s, s) and not iso_bruteforce(s, s_prime)
+    assert len(calls) == 1  # End(S) is a line; Hom(S, S') = 0 needs no test
 
 
 def test_iso_bruteforce_inconclusive_sampling():

@@ -11,11 +11,11 @@ from qgha.fields import FieldSpec
 from qgha.poly import Poly
 from qgha.spectra import (
     LambdaOrbit,
+    _PointTable,
     MuSequence,
     enumerate_lambda_orbits,
     mu_period,
     mu_periods,
-    nu_increment,
     nu_table,
     orbit_from_seed,
 )
@@ -65,9 +65,9 @@ def test_enumerate_orbits_matches_bruteforce(p):
         orbits = enumerate_lambda_orbits(field, f, p)
         expected = {frozenset(c) for c in brute_orbits(field, f, p)}
         assert {frozenset(o.values) for o in orbits} == expected
-        # each reported orbit really is a cycle of f, in canonical rotation
+        # each reported orbit really is a cycle of f, starting at its smallest point
         for o in orbits:
-            assert o.canonical() == o
+            assert o.values[0].sort_key() == min(v.sort_key() for v in o.values)
             for i in range(o.period):
                 assert f(o.value(i)) == o.value(i + 1)
 
@@ -87,7 +87,7 @@ def test_orbit_from_seed():
     f = Poly.from_ints(F5, [0, 0, 0, 1])
     o = orbit_from_seed(f, F5.element(3))
     assert tuple(v.value for v in o.values) == (3, 2)
-    assert o.rotated(1).values == o.canonical().values
+    assert tuple(v.value for v in orbit_from_seed(f, F5.element(2)).values) == (2, 3)
     # 0 is not periodic under h + 1 over Q
     with pytest.raises(InvalidSpec):
         orbit_from_seed(Poly.from_ints(QQ, [1, 1]), QQ.zero)
@@ -174,41 +174,27 @@ def test_orbit_validation():
     assert LambdaOrbit(f, (F5.one,)).period == 1
 
 
-def test_mu_recurrence_and_bilateral():
+def test_mu_recurrence():
     f = Poly.from_ints(F5, [0, 0, 1])
     g = Poly.gen(F5)
     orbit = orbit_from_seed(f, F5.one)
     mu = MuSequence(orbit, F5.element(2), g, F5.element(3))
     assert [v.value for v in mu.values(4)] == [3, 2, 0, 1]
-    assert mu.value(-1).value == 1
-    # recurrence holds across the whole bilateral range
-    for i in range(-15, 30):
+    for i in range(30):
         assert mu.value(i + 1) == mu.value(i) * mu.q + g(orbit.value(i))
 
 
 @pytest.mark.parametrize("field", [QQ, FieldSpec.extension(7, 2)], ids=str)
 def test_mu_value_matches_closed_form(field):
-    # mu(i) = q^i b + sum_{j=0}^{i-1} q^j g(lambda(i-j-1)) for i >= 0,
-    # mu(i) = q^i b - sum_{j=i}^{-1} q^j g(lambda(i-j-1)) for i < 0
+    # mu(i) = q^i b + sum_{j=0}^{i-1} q^j g(lambda(i-j-1))
     f = Poly.from_ints(field, [0, 0, 1])
     g = Poly.from_ints(field, [2, 1, 3])
     orbit = orbit_from_seed(f, field.one)
     q, b = field.element(3), field.element(5)
     mu = MuSequence(orbit, q, g, b)
-    for i in range(-6, 9):
-        terms = [q ** j * g(orbit.value(i - j - 1)) for j in (range(i) if i >= 0 else range(i, 0))]
-        drift = sum(terms, field.zero)
-        assert mu.value(i) == q ** i * b + (drift if i >= 0 else -drift)
-
-
-def test_mu_shifted():
-    f = Poly.from_ints(F5, [0, 0, 0, 1])
-    orbit = orbit_from_seed(f, F5.element(2))  # (2, 3)
-    mu = MuSequence(orbit, F5.element(2), Poly.gen(F5), F5.element(1))
-    sh = mu.shifted(3)
-    for i in range(-6, 10):
-        assert sh.value(i) == mu.value(i + 3)
-    assert sh.orbit.value(0) == orbit.value(3)
+    for i in range(12):
+        drift = sum((q ** j * g(orbit.value(i - j - 1)) for j in range(i)), field.zero)
+        assert mu.value(i) == q ** i * b + drift
 
 
 def brute_mu_period(mu, limit=600):
@@ -276,24 +262,24 @@ def test_mu_period_infinite_over_q():
 
 
 def test_nu_increment_identity():
-    # mu(l) = q^l * beta + Xi for any anchor beta
+    # mu(l) = q^l * beta + mu_0(l) for any anchor beta, where mu_0 is anchored at 0
     f = Poly.from_ints(F5, [0, 0, 0, 1])
     g = Poly.from_ints(F5, [1, 2])
     q = F5.element(3)
     for orbit in enumerate_lambda_orbits(F5, f, 5):
-        xi = nu_increment(orbit, q, g)
+        xi = MuSequence(orbit, q, g, F5.zero).value(orbit.period)
         for b in range(5):
             beta = F5.element(b)
             mu = MuSequence(orbit, q, g, beta)
             assert mu.value(orbit.period) == q ** orbit.period * beta + xi
 
 
-def test_mu_requires_nonzero_q_for_negative_indices():
+def test_mu_refuses_negative_indices_and_periods_need_nonzero_q():
     f = Poly.from_ints(F5, [0, 0, 1])
     orbit = orbit_from_seed(f, F5.one)
     mu = MuSequence(orbit, F5.zero, Poly.gen(F5), F5.element(3))
-    assert mu.value(2) is not None
-    with pytest.raises(QZero):
+    assert [v.value for v in mu.values(3)] == [3, 1, 1]
+    with pytest.raises(ValueError):
         mu.value(-1)
     with pytest.raises(QZero):
         mu_period(orbit, F5.zero, Poly.gen(F5), F5.one)
@@ -320,3 +306,23 @@ def test_nu_matches_mu_anchored_at_zero():
     mu = MuSequence(orbit, alg.q, g, F5.zero)
     table = nu_table(alg, F5.element(2), 12)
     assert list(table.values) == list(mu.values(13))
+
+
+@pytest.mark.parametrize("field", [FieldSpec.prime(2), FieldSpec.prime(3), F5, FieldSpec.extension(2, 2)],
+                         ids=str)
+def test_nu_first_zero_matches_nu_table_past_the_field_squared(field):
+    # oracle: the full nu-table of every alpha, with no cap on its length
+    rng = random.Random(60 + field.order)
+    points = list(field.elements())
+    for _ in range(8):
+        f = Poly(field, [field.random_element(rng) for _ in range(rng.randint(2, 4))])
+        g = Poly(field, [field.random_element(rng) for _ in range(rng.randint(1, 3))])
+        alg = AlgebraSpec(field, field.random_element(rng), f, g)
+        table = _PointTable(field, f, g)
+        for n in range(1, field.order ** 2 + 3):
+            want = []
+            for i, alpha in enumerate(points):
+                nu = nu_table(alg, alpha, n).values
+                if next((t for t in range(1, n + 1) if nu[t].is_zero), None) == n:
+                    want.append(i)
+            assert table.nu_first_zero_at(alg.q, n) == want, (f.render(), g.render(), alg.q, n)
