@@ -114,11 +114,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = verb("check-simple", "simplicity of a classified module", module_flags=True)
     p.add_argument("--brute", action="store_true", help="also run the subspace search")
-    p.add_argument("--search-bound", type=_count, default=10 ** 6)
+    p.add_argument("--search-bound", type=_count, default=10 ** 6,
+                   help="largest |F|^dim the subspace search scans")
 
     p = verb("check-iso", "isomorphism of two classified modules", module_flags=True, second_module=True)
     p.add_argument("--brute", action="store_true", help="also search for an intertwiner")
-    p.add_argument("--search-bound", type=_count, default=10 ** 4)
+    p.add_argument("--search-bound", type=_count, default=10 ** 4,
+                   help="most lines of intertwiners the search tries")
 
     p = verb("enumerate", "all simple modules of one dimension")
     p.add_argument("--dim", type=_count, required=True)

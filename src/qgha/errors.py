@@ -77,12 +77,6 @@ class SearchSpaceTooLarge(QghaError):
     code = "search_space_too_large"
 
 
-class SearchInconclusive(QghaError):
-    """Random sampling failed to decide within the configured budget."""
-
-    code = "search_inconclusive"
-
-
 class PolyParseError(QghaError):
     """Syntax error in a polynomial, element or field expression.
 

@@ -864,12 +864,33 @@ class FieldElement:
         try:
             return str(v)
         except ValueError:  # past sys.get_int_max_str_digits()
-            raise DigitLimitExceeded(
-                f"a rational with more than {sys.get_int_max_str_digits()} digits cannot be rendered"
-            ) from None
+            raise _digit_limit_error() from None
 
     def __repr__(self):
         return f"<{self} in {self.spec}>"
+
+
+def _digit_limit_error() -> DigitLimitExceeded:
+    limit = sys.get_int_max_str_digits()
+    return DigitLimitExceeded(f"a rational with more than {limit} digits cannot be rendered")
+
+
+def _render_guard(spec: FieldSpec):
+    """Over Q, a check that raises str()'s DigitLimitExceeded on a raw value str() would refuse; else None.
+
+    str() refuses a rational whose numerator or denominator has more than
+    sys.get_int_max_str_digits() digits; a limit of 0 turns the check off.
+    """
+    limit = sys.get_int_max_str_digits()
+    if not spec.is_rationals or not limit:
+        return None
+    bound = 10 ** limit
+
+    def guard(v: Fraction):
+        if v.denominator >= bound or abs(v.numerator) >= bound:
+            raise _digit_limit_error()
+
+    return guard
 
 
 # Pollard-Brent rho gets this many squarings per factorization: under a second

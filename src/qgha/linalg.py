@@ -288,7 +288,11 @@ def intertwiners(pairs: Sequence[tuple[Matrix, Matrix]]) -> list[Matrix]:
     return [Matrix._raw(spec, (vec[i * n:(i + 1) * n] for i in range(n))) for vec in _nullspace(cols, ring)]
 
 
-def is_invertible(m: Matrix) -> bool:
+def rank(m: Matrix) -> int:
     basis: dict[int, list] = {}
     ring = m.spec._ring
-    return m.nrows == m.ncols and all(_echelon_insert(basis, list(r), ring) is not None for r in m.rows)
+    return sum(_echelon_insert(basis, list(r), ring) is not None for r in m.rows)
+
+
+def is_invertible(m: Matrix) -> bool:
+    return m.nrows == m.ncols and rank(m) == m.nrows

@@ -19,12 +19,15 @@ Enumeration over a finite field makes one pass over it: f and g are
 tabulated at every point on raw values (spectra._PointTable), and the
 lambda-orbits, mu-windows and family-C nu-tests are read from the tables.
 build_matrix_rep builds its rows from raw recurrences as well.
+
+The brute-force oracles check the structural answers on the matrices;
+iso_bruteforce is exact over every field, Q included, by one scan that the
+polynomial identity lemma keeps finite.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 
 from .algebra import AlgebraSpec
@@ -32,12 +35,11 @@ from .errors import (
     FieldMismatch,
     InvalidSpec,
     QZeroUnsupported,
-    SearchInconclusive,
     SearchSpaceTooLarge,
     UnsupportedField,
 )
 from .fields import FieldElement, FieldSpec, frobenius_degree
-from .linalg import Matrix, intertwiners, invariant_span_dim, is_invertible, poly_on_matrix
+from .linalg import Matrix, intertwiners, invariant_span_dim, is_invertible, poly_on_matrix, rank
 from .spectra import (
     LambdaOrbit,
     MuSequence,
@@ -237,22 +239,26 @@ def _first_nu_zero(nu: NuTable) -> int | None:
 def is_simple_bruteforce(rep: MatrixRep, bound: int = 10 ** 6) -> bool:
     """Check simplicity by closing every 1-dimensional subspace under the action.
 
-    Only finite fields with |F|^dim within the bound are accepted.  The
-    module is simple exactly when every cyclic submodule is everything.
+    Past dimension 1, only finite fields with |F|^dim within the bound are
+    accepted.  The module is simple exactly when every cyclic submodule is everything.
     """
-    field = rep.field
+    field, n = rep.field, rep.dim
+    if n == 1:
+        return True
     if field.order is None:
         raise UnsupportedField("brute-force simplicity needs a finite field")
-    if field.order ** rep.dim > bound:
-        raise SearchSpaceTooLarge(f"|F|^dim = {field.order ** rep.dim} exceeds bound {bound}")
-    n = rep.dim
-    mats = (rep.x, rep.y, rep.h)
-    return n == 1 or all(invariant_span_dim(mats, seed) == n for seed in _projective_points(field, n))
+    if field.order ** n > bound:
+        raise SearchSpaceTooLarge(f"|F|^dim = {field.order ** n} exceeds bound {bound}")
+    points = _projective_points(field, list(field.elements()), n)
+    return all(invariant_span_dim((rep.x, rep.y, rep.h), seed) == n for seed in points)
 
 
-def _projective_points(field: FieldSpec, n: int):
-    """One representative per 1-dimensional subspace of F^n."""
-    elems = list(field.elements())
+def _projective_points(field: FieldSpec, elems: list[FieldElement], n: int):
+    """One point per line of F^n through elems^n, scaled to a leading 1; with elems = F, every line.
+
+    The points {1} x elems^(n-1) come first.  Fixing c_1 = 1 keeps a form P
+    of degree e nonzero: P(c) = c_1^e P(1, c_2/c_1, ..., c_n/c_1).
+    """
     for lead in range(n):
         prefix = (field.zero,) * lead + (field.one,)
         for tail in itertools.product(elems, repeat=n - lead - 1):
@@ -309,47 +315,39 @@ def iso_structural(alg: AlgebraSpec, s1: ModuleSpec, s2: ModuleSpec) -> bool:
 def iso_bruteforce(r1: MatrixRep, r2: MatrixRep, scan_bound: int = 10 ** 4) -> bool:
     """Search for an invertible intertwiner T with T a1 = a2 T for a = x, y, h.
 
-    The intertwiner space is computed exactly; over a finite field it is
-    scanned exhaustively when it has at most scan_bound elements and
-    sampled randomly, with a fixed seed, otherwise (giving up raises
-    SearchInconclusive).  Over an infinite field only intertwiner spaces of
-    dimension <= 1 are decidable here and larger ones raise SearchSpaceTooLarge.
+    For a basis T_1..T_d of the intertwiners, det(sum c_i T_i) is a form of
+    degree n = dim in c.  If nonzero it stays so at c_1 = 1 (see _projective_points),
+    and then, by the polynomial identity lemma (Schwartz 1980; Zippel 1979),
+    at a point of {1} x S^(d-1) for any n + 1 elements S.  c T is invertible
+    iff T is, so one T per line through S^d is tried, S the first min(|F|, n + 1)
+    elements in sort_key order (0..n over Q).  With more lines than scan_bound,
+    one greedy T is tried first, and SearchSpaceTooLarge is raised once
+    scan_bound lines hold no invertible T: every True or False is exact.
     """
     if r1.field != r2.field:
         raise FieldMismatch("modules over different fields")
     if r1.dim != r2.dim:
         return False
-    field = r1.field
+    field, n = r1.field, r1.dim
     mats = intertwiners(((r1.x, r2.x), (r1.y, r2.y), (r1.h, r2.h)))
     if not mats:
         return False
-    d = len(mats)
-    if field.order is None:
-        if d > 1:
-            raise SearchSpaceTooLarge("intertwiner space has dimension > 1 over an infinite field")
-        return is_invertible(mats[0])
-    if field.order ** d <= scan_bound:
-        # c T is invertible exactly when T is, so one T per line suffices
-        return any(is_invertible(_combine(mats, coeffs, field)) for coeffs in _projective_points(field, d))
-    rng = random.Random(0)
-    for _ in range(scan_bound):
-        coeffs = [field.random_element(rng) for _ in range(d)]
-        if all(c.is_zero for c in coeffs):
-            continue
-        if is_invertible(_combine(mats, coeffs, field)):
+    m = n + 1 if field.order is None else min(field.order, n + 1)
+    elems = list(itertools.islice(field.elements(), m)) if field.order else list(map(field.element, range(m)))
+    zero = Matrix.zero(field, n, n)
+    lines = (m ** len(mats) - 1) // (m - 1)
+    if lines > scan_bound:
+        acc = zero  # each coefficient in turn maximises the rank; c = 0 keeps it, so it never falls
+        for t in mats:
+            acc = max((acc + t * c for c in elems), key=rank)
+        if is_invertible(acc):
             return True
-    raise SearchInconclusive(
-        f"no invertible intertwiner found in {scan_bound} random samples of a "
-        f"{d}-dimensional space"
-    )
-
-
-def _combine(mats: list[Matrix], coeffs, field: FieldSpec) -> Matrix:
-    acc = Matrix.zero(field, mats[0].nrows, mats[0].ncols)
-    for m, c in zip(mats, coeffs):
-        if not c.is_zero:
-            acc = acc + m * c
-    return acc
+    for cs in itertools.islice(_projective_points(field, elems, len(mats)), scan_bound):
+        if is_invertible(sum((t * c for t, c in zip(mats, cs) if not c.is_zero), zero)):
+            return True
+    if lines <= scan_bound:
+        return False
+    raise SearchSpaceTooLarge(f"no invertible intertwiner on the first {scan_bound} of {lines} lines")
 
 
 # ---------------------------------------------------------------------------

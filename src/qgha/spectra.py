@@ -25,7 +25,7 @@ from functools import cached_property, partial
 
 from .algebra import AlgebraSpec
 from .errors import InvalidSpec, QZero, SearchSpaceTooLarge, UnsupportedField
-from .fields import FieldElement, FieldSpec, multiplicative_order
+from .fields import FieldElement, FieldSpec, _render_guard, multiplicative_order
 from .poly import Poly, roots_in_field
 
 
@@ -274,16 +274,23 @@ class MuSequence:
         return tuple(FieldElement(spec, v) for v in self._raw_values(count))
 
     def _raw_values(self, count: int) -> list:
-        """values(count) as raw values; g is evaluated once per orbit point."""
+        """values(count) as raw values; g is evaluated once per orbit point.
+
+        Over Q a value str() could not render raises DigitLimitExceeded as
+        soon as it is computed.
+        """
         if count <= 0:
             return []
         ring = self.field._ring
         add, mul, q = ring._add, ring._mul, self.q.value
         g_at = [self.g._at(v.value) for v in self.orbit.values[:count - 1]]
         l = len(g_at) or 1
+        guard = _render_guard(self.field)
         out = [self.anchor.value]
         for i in range(count - 1):
             out.append(add(mul(q, out[-1]), g_at[i % l]))
+            if guard:
+                guard(out[-1])
         return out
 
     @cached_property
@@ -348,13 +355,22 @@ class NuTable:
 
 
 def nu_table(alg: AlgebraSpec, alpha: FieldElement, count: int) -> NuTable:
+    """nu(0..count) and f^[i](alpha) for i < count.
+
+    Over Q a value str() could not render raises DigitLimitExceeded as soon
+    as it is computed; the points are not checked.
+    """
     if alpha.spec != alg.field:
         raise InvalidSpec("alpha must lie in the coefficient field")
     ring = alg.field._ring
     add, mul, q = ring._add, ring._mul, alg.q.value
+    guard = _render_guard(alg.field)
     values, points = [ring.zero], [alpha.value]
-    for _ in range(count):
+    for i in range(count):
+        if i:
+            points.append(alg.f._at(points[-1]))
         values.append(add(mul(q, values[-1]), alg.g._at(points[-1])))
-        points.append(alg.f._at(points[-1]))
+        if guard:
+            guard(values[-1])
     wrap = partial(FieldElement, alg.field)
     return NuTable(alpha, tuple(map(wrap, values)), tuple(map(wrap, points[:count])))

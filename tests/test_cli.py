@@ -517,6 +517,40 @@ def test_point_tables_past_their_budget_fail_fast(argv):
     assert proc.stderr.startswith("error: tabulating over GF(4294967311) takes")
 
 
+_NU_Q = ["nu", "--field", "Q", "--q", "2", "--f", "h^2+1", "--g", "h", "--alpha", "0"]
+
+
+@pytest.mark.parametrize("argv,code,size,digest", [
+    # nu(0..16) renders, though f^[16](0), which no value uses, is past the digit limit
+    ([*_NU_Q, "--k", "16"], 0, 5853, "37eb0153c52622866ff435b6c7e67f8f3e7d1f1dd80660d803a2f4543b1afb96"),
+    ([*_NU_Q, "--k", "28"], 1, 0, None),
+    ([*_NU_Q, "--k", "40"], 1, 0, None),
+    (["mu", "--field", "Q", "--q", "2", "--f", "h", "--g", "1", "--alpha", "0", "--beta", "0",
+      "--k", "60000"], 1, 0, None),
+])
+def test_q_values_past_the_digit_limit_fail_fast(argv, code, size, digest):
+    # these grew rationals for seconds, or without end (nu --k 40), before the
+    # renderer refused the first value past the limit
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", _QGHA_UNDER_1GIB, *argv], capture_output=True, text=True,
+                          env=_subprocess_env(), timeout=60)
+    assert time.perf_counter() - start < 1
+    assert (proc.returncode, len(proc.stdout)) == (code, size)
+    if digest:
+        assert (hashlib.sha256(proc.stdout.encode()).hexdigest(), proc.stderr) == (digest, "")
+    else:
+        limit = sys.get_int_max_str_digits()
+        assert proc.stderr == f"error: a rational with more than {limit} digits cannot be rendered\n"
+
+
+@pytest.mark.parametrize("field", ["GF(2305843009213693951)", "Q"])
+def test_one_dimensional_modules_are_simple_by_brute_force_over_any_field(capsys, field):
+    code, out, err = run_cli(capsys, "check-simple", "--field", field, "--q", "2", "--f", "h", "--g", "h",
+                             "--family", "C", "--alpha", "0", "--dim", "1", "--brute")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "brute-force agrees: True"
+
+
 def test_python_dash_m_matches_main(capsys):
     argv = ["enumerate", "--field", "GF(5)", "--q", "2", "--f", "h^3", "--g", "h", "--dim", "4"]
     for extra in ([], ["--json"]):

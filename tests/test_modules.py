@@ -1,6 +1,7 @@
 """Module construction, relation checks, simplicity, isomorphism, enumeration."""
 
 import itertools
+import random
 
 import pytest
 
@@ -10,7 +11,6 @@ from qgha.errors import (
     FieldMismatch,
     InvalidSpec,
     QZeroUnsupported,
-    SearchInconclusive,
     SearchSpaceTooLarge,
     UnsupportedField,
 )
@@ -231,10 +231,9 @@ def test_iso_bruteforce_dimension_mismatch_and_infinite_field():
     t1 = build_matrix_rep(alg_q, ModuleSpec.family_c(QQ.zero, 1))
     assert iso_bruteforce(t1, t1)
     # C(0, 2) has x a nilpotent Jordan block; its self-intertwiners form a
-    # 2-dimensional space, undecidable by scanning over Q
+    # 2-dimensional space, scanned over S = {0, 1, 2} like any other field
     t2 = build_matrix_rep(alg_q, ModuleSpec.family_c(QQ.zero, 2))
-    with pytest.raises(SearchSpaceTooLarge):
-        iso_bruteforce(t2, t2)
+    assert iso_bruteforce(t2, t2)
 
 
 def direct_sum(r1, r2):
@@ -249,13 +248,14 @@ def direct_sum(r1, r2):
     return MatrixRep(r1.field, n, block(r1.x, r2.x), block(r1.y, r2.y), block(r1.h, r2.h))
 
 
-def test_iso_bruteforce_scans_one_intertwiner_per_line(monkeypatch):
+@pytest.mark.parametrize("field", [F5, QQ], ids=["GF(5)", "Q"])
+def test_iso_bruteforce_scans_one_intertwiner_per_line(monkeypatch, field):
     # S and S' are one-dimensional and non-isomorphic (gamma 1 and 2).  End(S + S')
     # is the diagonal matrices, invertible only off the two block idempotents'
     # lines; Hom(S + S', S + S) maps S' to 0, so it holds no invertible map
-    alg = alg_sq()
-    mu = mu_at(alg, 1, 4)  # the fixed anchor of the orbit (1): period 1
-    s, s_prime = (build_matrix_rep(alg, ModuleSpec.family_a(mu, F5.element(c))) for c in (1, 2))
+    alg = AlgebraSpec(field, field.element(2), Poly.from_ints(field, [0, 0, 1]), Poly.gen(field))
+    mu = mu_at(alg, 1, -1)  # the fixed anchor of the orbit (1): period 1
+    s, s_prime = (build_matrix_rep(alg, ModuleSpec.family_a(mu, field.element(c))) for c in (1, 2))
     m, n = direct_sum(s, s_prime), direct_sum(s, s)
     assert len(intertwiners(((m.x, m.x), (m.y, m.y), (m.h, m.h)))) == 2
     assert len(intertwiners(((m.x, n.x), (m.y, n.y), (m.h, n.h)))) == 2
@@ -269,22 +269,114 @@ def test_iso_bruteforce_scans_one_intertwiner_per_line(monkeypatch):
     assert iso_bruteforce(m, m)
     calls.clear()
     assert not iso_bruteforce(m, n)
-    assert len(calls) == 6  # one intertwiner per line of F^2: |F| + 1 of them
+    assert len(calls) == 4  # n = 2, so S = {0, 1, 2}: one intertwiner per line of S^2
     calls.clear()
     assert iso_bruteforce(s, s) and not iso_bruteforce(s, s_prime)
     assert len(calls) == 1  # End(S) is a line; Hom(S, S') = 0 needs no test
 
 
-def test_iso_bruteforce_inconclusive_sampling():
+def test_iso_bruteforce_scan_bound_counts_lines():
     # zero matrices vs a nilpotent shift: the intertwiner space is large
-    # (6-dimensional) but contains no invertible element
+    # (6-dimensional) but contains no invertible element.  n + 1 = 7 > |F|,
+    # so S is all of GF(5): (5^6 - 1) / 4 = 3906 lines
     n = 6
     zero = Matrix.zero(F5, n, n)
     shift = Matrix.from_entries(F5, n, n, {(i + 1, i): F5.one for i in range(n - 1)})
     r1 = MatrixRep(F5, n, zero, zero, zero)
     r2 = MatrixRep(F5, n, shift, zero, zero)
-    with pytest.raises(SearchInconclusive):
+    with pytest.raises(SearchSpaceTooLarge, match="no invertible intertwiner on the first 60 of 3906 lines"):
         iso_bruteforce(r1, r2, scan_bound=60)
+    assert not iso_bruteforce(r1, r2)
+
+
+def test_iso_bruteforce_finds_an_isomorphism_past_the_scan_bound():
+    # more lines than scan_bound, yet an invertible intertwiner is met before
+    # the bound: the scan refuses only once the bound is spent
+    alg = alg_sq()
+    # C(0, 7): x a nilpotent Jordan block, y = h = 0, so End is the
+    # polynomials in x: d = 7 and (5^7 - 1) / 4 = 19531 lines
+    c7 = build_matrix_rep(alg, ModuleSpec.family_c(F5.zero, 7))
+    assert len(intertwiners(((c7.x, c7.x), (c7.y, c7.y), (c7.h, c7.h)))) == 7
+    assert iso_bruteforce(c7, c7)
+    # S^4 for a one-dimensional S: End is all 4 x 4 matrices, d = 16, and
+    # the lines with c_1 = 1 that the bound reaches all leave a row zero
+    s = build_matrix_rep(alg, ModuleSpec.family_a(mu_at(alg, 1, 4), F5.one))
+    s4 = direct_sum(direct_sum(s, s), direct_sum(s, s))
+    assert len(intertwiners(((s4.x, s4.x), (s4.y, s4.y), (s4.h, s4.h)))) == 16
+    assert iso_bruteforce(s4, s4)
+
+
+def test_iso_bruteforce_one_singular_line_over_a_large_field(monkeypatch):
+    # x = y = 0 with h = diag(1, 2) and diag(1, 3): the intertwiners are the
+    # multiples of E_00, one singular line, tested once whatever |F| is
+    calls = []
+
+    def counting(t):
+        calls.append(t)
+        return is_invertible(t)
+
+    monkeypatch.setattr(modules, "is_invertible", counting)
+    for p in (101, 10007):
+        field = FieldSpec.prime(p)
+        zero = Matrix.zero(field, 2, 2)
+        r1, r2 = (MatrixRep(field, 2, zero, zero, Matrix.diagonal(field, [field.one, field.element(c)]))
+                  for c in (2, 3))
+        calls.clear()
+        assert not iso_bruteforce(r1, r2)
+        assert len(calls) == 1
+
+
+def random_matrix_space(field, rng):
+    """d <= 3 singular-prone n x n matrices, n <= 4: sums of few rank-one products, or diagonals.
+
+    A diagonal space has det(sum c_i T_i) a product of n linear forms, which
+    over a small field can vanish at every point without being zero.
+    """
+    elems = list(field.elements())
+    n, d = rng.randint(1, 4), rng.randint(1, 3)
+    mats = []
+    for _ in range(d):
+        if rng.random() < 0.3:
+            mats.append(Matrix.diagonal(field, [rng.choice(elems) for _ in range(n)]))
+            continue
+        rank = rng.randint(0, max(n - 1, 1))
+        us = [[rng.choice(elems) for _ in range(n)] for _ in range(rank)]
+        vs = [[rng.choice(elems) for _ in range(n)] for _ in range(rank)]
+        rows = [[sum((u[i] * v[j] for u, v in zip(us, vs)), field.zero) for j in range(n)] for i in range(n)]
+        mats.append(Matrix(field, rows))
+    return n, mats
+
+
+def full_projective_scan(field, mats):
+    """Is some F-combination of mats invertible?  One combination per line of F^d."""
+    elems = list(field.elements())
+    for coeffs in itertools.product(elems, repeat=len(mats)):
+        if next((c for c in coeffs if not c.is_zero), field.zero).is_one:
+            combo = Matrix.zero(field, mats[0].nrows, mats[0].ncols)
+            for t, c in zip(mats, coeffs):
+                combo = combo + t * c
+            if is_invertible(combo):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("text", ["GF(2)", "GF(3)", "GF(5)", "GF(7)", "GF(2^3)"])
+def test_iso_bruteforce_scan_matches_a_full_scan_over_f(monkeypatch, text):
+    # the intertwiner space is replaced by a random matrix space, so the
+    # scan over S^d, S of min(|F|, n + 1) elements, meets an exhaustive scan
+    field = parse_field(text)
+    rng = random.Random(f"scan:{text}")
+    space = []
+    monkeypatch.setattr(modules, "intertwiners", lambda pairs: space)
+    found = 0
+    for _ in range(240):
+        n, space[:] = random_matrix_space(field, rng)
+        zero = Matrix.zero(field, n, n)
+        rep = MatrixRep(field, n, zero, zero, zero)
+        expected = full_projective_scan(field, space)
+        assert iso_bruteforce(rep, rep) == expected, (n, space)
+        found += expected
+    assert 48 < found < 192
 
 
 def test_validate_rejects_malformed_specs():
