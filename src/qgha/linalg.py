@@ -12,8 +12,9 @@ vector; _nullspace and _solve read their results off those vectors, and
 rref rebuilds the reduced rows from them.  The engine's systems are built
 as columns: a center block's are triangular but for a few, an intertwiner
 system's are sparse.  A subspace grown one vector at a time stays in
-echelon form through one incremental routine, which serves both
-invariant-subspace closures and invertibility.
+echelon form through one incremental routine, _echelon_insert, which
+serves rank and invertibility here and the invariant-subspace closures of
+modules.is_simple_bruteforce.
 """
 
 from __future__ import annotations
@@ -241,24 +242,6 @@ def _echelon_insert(basis: dict[int, list], v: list, ring) -> list | None:
             return v
         v = [sub(x, mul(a, y)) if y else x for x, y in zip(v, row)]
     return None
-
-
-def invariant_span_dim(mats: Sequence[Matrix], seed: Sequence[FieldElement]) -> int:
-    """Dimension of the smallest subspace that contains seed and that mats map into itself."""
-    spec = mats[0].spec
-    if any(m.spec != spec for m in mats):
-        raise FieldMismatch("matrices over different fields")
-    ring = spec._ring
-    basis: dict[int, list] = {}
-    v = _echelon_insert(basis, [spec.element(a).value for a in seed], ring)
-    queue = [] if v is None else [v]
-    while queue and len(basis) < len(seed):
-        v = queue.pop()
-        for m in mats:
-            w = _echelon_insert(basis, [_dot(row, v, ring) for row in m.rows], ring)
-            if w is not None:
-                queue.append(w)
-    return len(basis)
 
 
 def intertwiners(pairs: Sequence[tuple[Matrix, Matrix]]) -> list[Matrix]:

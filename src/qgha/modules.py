@@ -20,7 +20,9 @@ tabulated at every point on raw values (spectra._PointTable), and the
 lambda-orbits, mu-windows and family-C nu-tests are read from the tables.
 build_matrix_rep builds its rows from raw recurrences as well.
 
-The brute-force oracles check the structural answers on the matrices;
+The brute-force oracles check the structural answers on the matrices.
+is_simple_bruteforce makes one pass over the lines of F^dim and closes
+only the lines whose images reach no line already shown to generate;
 iso_bruteforce is exact over every field, Q included, by one scan that the
 polynomial identity lemma keeps finite.
 """
@@ -28,6 +30,7 @@ polynomial identity lemma keeps finite.
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 
 from .algebra import AlgebraSpec
@@ -39,7 +42,7 @@ from .errors import (
     UnsupportedField,
 )
 from .fields import FieldElement, FieldSpec, frobenius_degree
-from .linalg import Matrix, intertwiners, invariant_span_dim, is_invertible, poly_on_matrix, rank
+from .linalg import Matrix, _echelon_insert, intertwiners, is_invertible, poly_on_matrix, rank
 from .spectra import (
     LambdaOrbit,
     MuSequence,
@@ -237,10 +240,20 @@ def _first_nu_zero(nu: NuTable) -> int | None:
 
 
 def is_simple_bruteforce(rep: MatrixRep, bound: int = 10 ** 6) -> bool:
-    """Check simplicity by closing every 1-dimensional subspace under the action.
+    """Check simplicity on every line of F^dim, closing only the lines that reach no generating line.
 
-    Past dimension 1, only finite fields with |F|^dim within the bound are
-    accepted.  The module is simple exactly when every cyclic submodule is everything.
+    Let W(v) be the smallest invariant subspace that contains v; the module
+    is simple exactly when W(v) = F^dim for every line v.  For m in {x, y, h},
+    W(m v) is contained in W(v), so when the line of m v generates, so does
+    the line of v.  The scan records an edge from each line to the line of
+    each image m v that is nonzero and off it, then walks the lines in
+    _projective_points order.  It closes every line not yet known to
+    generate, line 0 before any edge is built: a proper closure returns
+    False, and a full one marks every line with a path of edges to it.  So
+    each line of a True is certified by its own full closure or by a path
+    to one, and a False by one line whose closure is proper.  Past
+    dimension 1, only finite fields with |F|^dim within the bound are
+    accepted, and that is checked before any line is built.
     """
     field, n = rep.field, rep.dim
     if n == 1:
@@ -249,18 +262,96 @@ def is_simple_bruteforce(rep: MatrixRep, bound: int = 10 ** 6) -> bool:
         raise UnsupportedField("brute-force simplicity needs a finite field")
     if field.order ** n > bound:
         raise SearchSpaceTooLarge(f"|F|^dim = {field.order ** n} exceeds bound {bound}")
-    points = _projective_points(field, list(field.elements()), n)
-    return all(invariant_span_dim((rep.x, rep.y, rep.h), seed) == n for seed in points)
+    ring = field._ring
+    zero, one, add, mul, inv = ring.zero, ring.one, ring._add, ring._mul, ring._inv
+    elems = list(field._raw_elements())
+    digit = {a: i for i, a in enumerate(elems)}
+    q = len(elems)
+    place = [q ** (n - 1 - i) for i in range(n)]
+    # the lines whose first nonzero coordinate is i are numbered from start[i]
+    start = [(q ** n - q ** (n - i)) // (q - 1) for i in range(n + 1)]
+    count = start[n]
+    # x, y and h as sparse rows: the (column, entry) of each nonzero entry
+    mats = [[[(j, a) for j, a in enumerate(row) if a] for row in m.rows] for m in (rep.x, rep.y, rep.h)]
+
+    def act(rows, v):
+        out = []
+        for row in rows:
+            acc = zero
+            for j, a in row:
+                if v[j]:
+                    acc = add(acc, mul(a, v[j])) if acc else mul(a, v[j])
+            out.append(acc)
+        return out
+
+    def line(w) -> int:
+        """The number of the line through w, or -1 when w = 0."""
+        for i, a in enumerate(w):
+            if a:
+                break
+        else:
+            return -1
+        if a != one:
+            s = inv(a)
+            w = [mul(b, s) for b in w]
+        k = start[i]
+        for j in range(i + 1, n):
+            if w[j]:
+                k += digit[w[j]] * place[j]
+        return k
+
+    def generates(v) -> bool:
+        basis: dict[int, list] = {}
+        queue = [_echelon_insert(basis, list(v), ring)]
+        while queue and len(basis) < n:
+            u = queue.pop()
+            for rows in mats:
+                w = _echelon_insert(basis, act(rows, u), ring)
+                if w is not None:
+                    queue.append(w)
+        return len(basis) == n
+
+    # line 0, e_0, is closed first in any case; closed before the edges are
+    # built, it answers at once when a proper submodule holds e_0
+    if not generates((one,) + (zero,) * (n - 1)):
+        return False
+    # edge e = 3 k + t runs from line k to the line of mats[t] applied to it;
+    # into[h] is the last edge into line h and before[e] the one into it before e
+    into = array("i", [-1]) * count
+    before = array("i", [-1]) * (3 * count)
+    for k, v in enumerate(_projective_points(zero, one, elems, n)):
+        for e, rows in enumerate(mats, 3 * k):
+            h = line(act(rows, v))
+            if h >= 0 and h != k:
+                before[e], into[h] = into[h], e
+    known = bytearray(count)
+    for k, v in enumerate(_projective_points(zero, one, elems, n)):
+        if known[k]:
+            continue
+        if k and not generates(v):
+            return False
+        known[k] = 1
+        stack = [k]
+        while stack:
+            e = into[stack.pop()]
+            while e >= 0:
+                s = e // 3
+                if not known[s]:
+                    known[s] = 1
+                    stack.append(s)
+                e = before[e]
+    return True
 
 
-def _projective_points(field: FieldSpec, elems: list[FieldElement], n: int):
-    """One point per line of F^n through elems^n, scaled to a leading 1; with elems = F, every line.
+def _projective_points(zero, one, elems: list, n: int):
+    """One point per line of F^n through elems^n, scaled to a leading one; with elems = F, every line.
 
     The points {1} x elems^(n-1) come first.  Fixing c_1 = 1 keeps a form P
-    of degree e nonzero: P(c) = c_1^e P(1, c_2/c_1, ..., c_n/c_1).
+    of degree e nonzero: P(c) = c_1^e P(1, c_2/c_1, ..., c_n/c_1).  zero,
+    one and elems are field elements or raw values alike.
     """
     for lead in range(n):
-        prefix = (field.zero,) * lead + (field.one,)
+        prefix = (zero,) * lead + (one,)
         for tail in itertools.product(elems, repeat=n - lead - 1):
             yield prefix + tail
 
@@ -316,13 +407,16 @@ def iso_bruteforce(r1: MatrixRep, r2: MatrixRep, scan_bound: int = 10 ** 4) -> b
     """Search for an invertible intertwiner T with T a1 = a2 T for a = x, y, h.
 
     For a basis T_1..T_d of the intertwiners, det(sum c_i T_i) is a form of
-    degree n = dim in c.  If nonzero it stays so at c_1 = 1 (see _projective_points),
-    and then, by the polynomial identity lemma (Schwartz 1980; Zippel 1979),
-    at a point of {1} x S^(d-1) for any n + 1 elements S.  c T is invertible
-    iff T is, so one T per line through S^d is tried, S the first min(|F|, n + 1)
-    elements in sort_key order (0..n over Q).  With more lines than scan_bound,
-    one greedy T is tried first, and SearchSpaceTooLarge is raised once
-    scan_bound lines hold no invertible T: every True or False is exact.
+    degree n = dim in c.  If nonzero it stays so at c_1 = 1 (see
+    _projective_points).  Over Q, and over GF(q) with q > n, S is the first
+    n + 1 elements in sort_key order (0..n over Q); by the polynomial
+    identity lemma (Schwartz 1980; Zippel 1979) a nonzero polynomial of
+    degree at most n in c_2..c_d is nonzero at a point of S^(d-1), so the
+    (n + 1)^(d-1) points {1} x S^(d-1), one per line, are tried.  Over GF(q)
+    with q <= n a nonzero form can vanish on all of {1} x F^(d-1), so one T
+    per line of F^d is tried; c T is invertible iff T is.  With more lines
+    than scan_bound, one greedy T is tried first, and SearchSpaceTooLarge is
+    raised once scan_bound lines hold no invertible T: every True or False is exact.
     """
     if r1.field != r2.field:
         raise FieldMismatch("modules over different fields")
@@ -334,20 +428,22 @@ def iso_bruteforce(r1: MatrixRep, r2: MatrixRep, scan_bound: int = 10 ** 4) -> b
         return False
     m = n + 1 if field.order is None else min(field.order, n + 1)
     elems = list(itertools.islice(field.elements(), m)) if field.order else list(map(field.element, range(m)))
-    zero = Matrix.zero(field, n, n)
-    lines = (m ** len(mats) - 1) // (m - 1)
+    zero, d = Matrix.zero(field, n, n), len(mats)
+    # the points {1} x S^(d-1) come first in _projective_points
+    lines = m ** (d - 1) if m > n else (m ** d - 1) // (m - 1)
     if lines > scan_bound:
         acc = zero  # each coefficient in turn maximises the rank; c = 0 keeps it, so it never falls
         for t in mats:
             acc = max((acc + t * c for c in elems), key=rank)
         if is_invertible(acc):
             return True
-    for cs in itertools.islice(_projective_points(field, elems, len(mats)), scan_bound):
+    for cs in itertools.islice(_projective_points(field.zero, field.one, elems, d), min(lines, scan_bound)):
         if is_invertible(sum((t * c for t, c in zip(mats, cs) if not c.is_zero), zero)):
             return True
     if lines <= scan_bound:
         return False
-    raise SearchSpaceTooLarge(f"no invertible intertwiner on the first {scan_bound} of {lines} lines")
+    which = " with c_1 = 1" if m > n else ""
+    raise SearchSpaceTooLarge(f"no invertible intertwiner on the first {scan_bound} of {lines} lines{which}")
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,8 @@ from qgha.spectra import (
     nu_table,
     orbit_from_seed,
 )
+from rref_oracle import generic_rref
+from simplicity_oracle import is_simple_per_line
 
 QQ = FieldSpec.rationals()
 F5 = FieldSpec.prime(5)
@@ -158,15 +160,130 @@ def test_simplicity_check_builds_one_nu_table(monkeypatch):
         assert len(calls) == 1
 
 
-def test_bruteforce_simplicity_guards():
+def test_bruteforce_simplicity_guards(monkeypatch):
     alg = alg_sq()
     rep = build_matrix_rep(alg, ModuleSpec.family_c(F5.one, 4))
-    with pytest.raises(SearchSpaceTooLarge):
+
+    def no_lines(*args):
+        raise AssertionError("a line was built past the bound")
+
+    monkeypatch.setattr(modules, "_projective_points", no_lines)
+    with pytest.raises(SearchSpaceTooLarge, match="625 exceeds bound 100"):
         is_simple_bruteforce(rep, bound=100)
+    # e_0 spans a submodule when x sends e_(i+1) to e_i and e_0 to 0, y = 0 and
+    # h = 1: line 0's closure answers before any other line is built
+    F2, n = FieldSpec.prime(2), 16
+    x = Matrix.from_entries(F2, n, n, {(i, i + 1): F2.one for i in range(n - 1)})
+    assert not is_simple_bruteforce(MatrixRep(F2, n, x, Matrix.zero(F2, n), Matrix.identity(F2, n)))
     alg_q = AlgebraSpec(QQ, QQ.element(2), Poly.from_ints(QQ, [0, 0, 1]), Poly.gen(QQ))
     rep_q = build_matrix_rep(alg_q, ModuleSpec.family_c(QQ.zero, 2))
     with pytest.raises(UnsupportedField):
         is_simple_bruteforce(rep_q)
+
+
+def random_raw_rows(elems, rng, n):
+    return [[rng.choice(elems) for _ in range(n)] for _ in range(n)]
+
+
+def raw_inverse(field, p):
+    """The inverse of an invertible Matrix, from generic_rref of [p | I]."""
+    ring, n = field._ring, p.nrows
+    rows = [list(r) + [ring.one if i == j else ring.zero for j in range(n)] for i, r in enumerate(p.rows)]
+    red, _ = generic_rref(rows, field)
+    return Matrix._raw(field, [r[n:] for r in red])
+
+
+def submodule_triple(field, rng, n, k, where):
+    """Random x, y and h that map a k-dimensional subspace U of F^n into itself.
+
+    U is spanned by the first k columns u_1..u_k of an invertible P, and each
+    matrix is P B P^-1 for a random B that is block upper triangular with a
+    k x k first block.  where places U's lines among the leading-one lines
+    of F^n in enumeration order: "first" puts e_0 in U, so U holds line 0;
+    "last" makes U the span of the last k basis vectors, whose lines come
+    last; "middle" starts u_1 with 1, c and c != 0, so for k = 1 U is one
+    line inside the block of lines led by the first coordinate.
+    """
+    ring = field._ring
+    elems = [a.value for a in field.elements()]
+    units = elems[1:]
+    while True:
+        cols = random_raw_rows(elems, rng, n)
+        if where == "first":
+            cols[0] = [ring.one] + [ring.zero] * (n - 1)
+        elif where == "last":
+            for c in cols[:k]:
+                c[:n - k] = [ring.zero] * (n - k)
+        else:
+            cols[0][:2] = [ring.one, rng.choice(units)]
+        p = Matrix._raw(field, [list(r) for r in zip(*cols)])
+        if is_invertible(p):
+            break
+    p_inv = raw_inverse(field, p)
+
+    def conjugate():
+        b = random_raw_rows(elems, rng, n)
+        for i in range(k, n):
+            b[i][:k] = [ring.zero] * k
+        return p * Matrix._raw(field, b) * p_inv
+
+    return MatrixRep(field, n, conjugate(), conjugate(), conjugate())
+
+
+@pytest.mark.parametrize("text", ["GF(2)", "GF(3)", "GF(5)", "GF(2^2)", "GF(3^2)"])
+def test_bruteforce_simplicity_matches_the_per_line_oracle(text):
+    # random triples, mostly irreducible, and triples with a proper invariant
+    # subspace whose lines come first, last or in the middle of the scan;
+    # dimensions 2-5 while |F|^n stays within 10^4 (GF(3^2) up to 4)
+    field = parse_field(text)
+    rng = random.Random(f"simple:{text}")
+    elems = [a.value for a in field.elements()]
+    seen = {True: 0, False: 0}
+    for n in range(2, 6):
+        if field.order ** n > 10 ** 4:
+            break
+        reps = [MatrixRep(field, n, *(Matrix._raw(field, random_raw_rows(elems, rng, n)) for _ in range(3)))
+                for _ in range(2)]
+        placed = [(1, "middle")] + [(rng.randint(1, n - 1), where) for where in ("first", "middle", "last")]
+        reps += [submodule_triple(field, rng, n, k, where) for k, where in placed]
+        for i, rep in enumerate(reps):
+            brute = is_simple_bruteforce(rep)
+            assert brute == is_simple_per_line(rep), (n, i, rep.x, rep.y, rep.h)
+            assert i < 2 or not brute
+            seen[brute] += 1
+    assert seen[True] >= 3 and seen[False] >= 10
+
+
+def test_bruteforce_simplicity_matches_the_per_line_oracle_on_criterion_6():
+    # the distinct modules of the criterion-6 grid: f in {h^2, h^3}, g in {h, h^2},
+    # q in {2, 3, 4} over GF(5), dimensions 2-4
+    reps = set()
+    for f, g, q in itertools.product(([0, 0, 1], [0, 0, 0, 1]), ([0, 1], [0, 0, 1]), (2, 3, 4)):
+        alg = AlgebraSpec(F5, F5.element(q), Poly.from_ints(F5, f), Poly.from_ints(F5, g))
+        reps.update(build_matrix_rep(alg, spec) for n in (2, 3, 4) for spec in enumerate_simples(alg, n))
+    assert len(reps) > 200
+    for rep in reps:
+        assert is_simple_bruteforce(rep) and is_simple_per_line(rep)
+
+
+def test_bruteforce_simplicity_reach():
+    # U(h_3) = H_1(h, h): h is central and yx - xy = h.  Its 36 simple modules
+    # of dimension 5 over GF(5) have 781 lines each
+    alg = AlgebraSpec(F5, F5.one, Poly.gen(F5), Poly.gen(F5))
+    specs = enumerate_simples(alg, 5)
+    assert len(specs) == 36
+    assert all(is_simple_bruteforce(build_matrix_rep(alg, spec)) for spec in specs)
+    # a band module over GF(2) in dimension 16, 65535 lines: x cycles the
+    # basis, y shifts it back without a corner and h = E_00, so x and h
+    # alone generate every matrix unit
+    F2, n = FieldSpec.prime(2), 16
+    x = Matrix.from_entries(F2, n, n, {((i + 1) % n, i): F2.one for i in range(n)})
+    y = Matrix.from_entries(F2, n, n, {(i, i + 1): F2.one for i in range(n - 1)})
+    h = Matrix.from_entries(F2, n, n, {(0, 0): F2.one})
+    assert is_simple_bruteforce(MatrixRep(F2, n, x, y, h))
+    # with y = h = 0 the all-ones vector spans a submodule: the last line led by coordinate 0
+    zero = Matrix.zero(F2, n)
+    assert not is_simple_bruteforce(MatrixRep(F2, n, x, zero, zero))
 
 
 @pytest.mark.parametrize("make_alg,seed,anchor", [(alg_sq, 1, 3), (alg_cube, 2, 3)])
@@ -269,7 +386,7 @@ def test_iso_bruteforce_scans_one_intertwiner_per_line(monkeypatch, field):
     assert iso_bruteforce(m, m)
     calls.clear()
     assert not iso_bruteforce(m, n)
-    assert len(calls) == 4  # n = 2, so S = {0, 1, 2}: one intertwiner per line of S^2
+    assert len(calls) == 3  # n = 2, so S = {0, 1, 2}: one intertwiner per point of {1} x S
     calls.clear()
     assert iso_bruteforce(s, s) and not iso_bruteforce(s, s_prime)
     assert len(calls) == 1  # End(S) is a line; Hom(S, S') = 0 needs no test
@@ -284,9 +401,17 @@ def test_iso_bruteforce_scan_bound_counts_lines():
     shift = Matrix.from_entries(F5, n, n, {(i + 1, i): F5.one for i in range(n - 1)})
     r1 = MatrixRep(F5, n, zero, zero, zero)
     r2 = MatrixRep(F5, n, shift, zero, zero)
-    with pytest.raises(SearchSpaceTooLarge, match="no invertible intertwiner on the first 60 of 3906 lines"):
+    with pytest.raises(SearchSpaceTooLarge, match="no invertible intertwiner on the first 60 of 3906 lines$"):
         iso_bruteforce(r1, r2, scan_bound=60)
     assert not iso_bruteforce(r1, r2)
+    # over Q with n = 2 the same pair has the 2-dimensional intertwiner space
+    # of matrices with row 0 zero; S = {0, 1, 2}, so 3 lines with c_1 = 1
+    zero = Matrix.zero(QQ, 2, 2)
+    shift = Matrix.from_entries(QQ, 2, 2, {(1, 0): QQ.one})
+    r1, r2 = MatrixRep(QQ, 2, zero, zero, zero), MatrixRep(QQ, 2, shift, zero, zero)
+    with pytest.raises(SearchSpaceTooLarge, match="no invertible intertwiner on the first 2 of 3 lines with c_1 = 1$"):
+        iso_bruteforce(r1, r2, scan_bound=2)
+    assert not iso_bruteforce(r1, r2, scan_bound=3)
 
 
 def test_iso_bruteforce_finds_an_isomorphism_past_the_scan_bound():
