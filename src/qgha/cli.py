@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from .algebra import AlgebraSpec, PBWElement, theta
 from .errors import PolyParseError, QghaError
@@ -152,27 +152,99 @@ def _element_payload(e: PBWElement) -> dict:
     }
 
 
-def _matrix_payload(m: Matrix) -> list[list[str]]:
-    return [[str(m[i, j]) for j in range(m.ncols)] for i in range(m.nrows)]
+class _Texts(dict):
+    """Raw value -> str of its element of one field, each rendered once, with str(field) as name."""
+
+    __slots__ = ("field", "name")
+
+    def __init__(self, field):
+        super().__init__()
+        self.field, self.name = field, str(field)
+
+    def __missing__(self, v):
+        text = self[v] = str(FieldElement(self.field, v))
+        return text
 
 
-def _module_payload(alg: AlgebraSpec, spec: ModuleSpec, rep: MatrixRep) -> dict:
-    doc: dict = {"family": spec.family, "dim": spec.dim, "field": str(alg.field)}
+def _matrix_payload(m: Matrix, texts: _Texts) -> list[list[str]]:
+    return [list(map(texts.__getitem__, row)) for row in m.rows]
+
+
+def _module_payload(texts: _Texts, spec: ModuleSpec, rep: MatrixRep) -> dict:
+    doc: dict = {"family": spec.family, "dim": spec.dim, "field": texts.name}
     if spec.family in ("A", "B"):
         doc["lambda"] = {
             "period": spec.orbit.period,
-            "values": [str(v) for v in spec.orbit.values],
+            "values": [texts[v.value] for v in spec.orbit.values],
         }
-        doc["mu"] = {"anchor": str(spec.mu.anchor), "period": spec.mu.period}
-        doc["gamma"] = str(spec.gamma)
+        doc["mu"] = {"anchor": texts[spec.mu.anchor.value], "period": spec.mu.period}
+        doc["gamma"] = texts[spec.gamma.value]
     else:
-        doc["alpha"] = str(spec.alpha)
+        doc["alpha"] = texts[spec.alpha.value]
     doc["matrices"] = {
-        "X": _matrix_payload(rep.x),
-        "Y": _matrix_payload(rep.y),
-        "H": _matrix_payload(rep.h),
+        "X": _matrix_payload(rep.x, texts),
+        "Y": _matrix_payload(rep.y, texts),
+        "H": _matrix_payload(rep.h, texts),
     }
     return doc
+
+
+def _dumps(doc) -> str:
+    """json.dumps(doc, indent=2) for dicts with str keys, lists, str, int, bool and None.
+
+    With indent, json runs its pure-Python encoder; this writes the same
+    text with one join per list of strings.
+    """
+    out: list[str] = []
+    _dump(doc, "\n", out)
+    return "".join(out)
+
+
+def _dump(o, nl: str, out: list[str]):
+    """Append the indent-2 JSON of o, which starts on a line indented as nl says."""
+    if isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, v in o.items():
+            if type(v) is str:
+                out.append(sep + _quote(k) + ": " + _quote(v))
+            else:
+                out.append(sep + _quote(k) + ": ")
+                _dump(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(o, list):
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        if type(o[0]) is str:
+            try:
+                out.append("[" + inner + ("," + inner).join(map(_quote, o)) + nl + "]")
+                return
+            except TypeError:  # not all strings
+                pass
+        sep = "[" + inner
+        for v in o:
+            out.append(sep)
+            _dump(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(o, str):
+        out.append(_quote(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def _build_algebra(args) -> AlgebraSpec:
@@ -205,181 +277,197 @@ def _module_from_args(alg: AlgebraSpec, args, suffix: str = "") -> ModuleSpec:
 
 
 # ---------------------------------------------------------------------------
-# verb handlers: each returns (payload, human lines)
+# verb handlers: each computes its result once, then builds the JSON payload
+# under --json and the text lines otherwise
 # ---------------------------------------------------------------------------
 
 
 def _run_normalize(alg, args):
     e = parse_element(args.expr, alg)
-    return _element_payload(e), [e.render()]
+    return _element_payload(e) if args.json else [e.render()]
 
 
 def _run_multiply(alg, args):
     e = parse_element(args.lhs, alg) * parse_element(args.rhs, alg)
-    return _element_payload(e), [e.render()]
+    return _element_payload(e) if args.json else [e.render()]
 
 
 def _run_theta(alg, args):
     t = theta(alg, args.k)
-    return {"k": args.k, "poly": t.render()}, [f"theta_{args.k} = {t.render()}"]
+    return {"k": args.k, "poly": t.render()} if args.json else [f"theta_{args.k} = {t.render()}"]
 
 
 def _run_conformal(alg, args):
     witness = conformal_witness(alg)
     if witness is None:
-        return {"status": "not_conformal"}, ["not conformal: g is not of the form sigma(a) - q a"]
+        return {"status": "not_conformal"} if args.json else ["not conformal: g is not of the form sigma(a) - q a"]
     report = verify_z_relations(witness)
-    payload = {
-        "status": "conformal",
-        "a": witness.a.render(),
-        "z": witness.z.render(),
-        "residuals": {
-            "defect": report.defect.render(),
-            "hz_commutator": report.hz_commutator.render(),
-            "zx_residual": report.zx_residual.render(),
-            "yz_residual": report.yz_residual.render(),
-            "ok": report.ok,
-        },
-    }
-    lines = [
+    if args.json:
+        return {
+            "status": "conformal",
+            "a": witness.a.render(),
+            "z": witness.z.render(),
+            "residuals": {
+                "defect": report.defect.render(),
+                "hz_commutator": report.hz_commutator.render(),
+                "zx_residual": report.zx_residual.render(),
+                "yz_residual": report.yz_residual.render(),
+                "ok": report.ok,
+            },
+        }
+    return [
         f"conformal with a = {witness.a.render()}",
         f"Z = {witness.z.render()}",
         f"relations verified: {report.ok}",
     ]
-    return payload, lines
 
 
 def _run_center(alg, args):
     basis = center_basis_truncated(alg, args.max_xy, args.max_h)
-    payload = {
-        "max_xy": args.max_xy,
-        "max_h": args.max_h,
-        "dimension": len(basis),
-        "basis": [b.render() for b in basis],
-    }
-    lines = [f"center basis within window (dimension {len(basis)}):"]
-    lines += [f"  {b.render()}" for b in basis]
-    return payload, lines
+    if args.json:
+        return {
+            "max_xy": args.max_xy,
+            "max_h": args.max_h,
+            "dimension": len(basis),
+            "basis": [b.render() for b in basis],
+        }
+    return [f"center basis within window (dimension {len(basis)}):"] + [f"  {b.render()}" for b in basis]
 
 
 def _run_domain(alg, args):
     report = domain_check(alg)
-    payload = {"is_domain": report.is_domain, "reason": report.reason}
+    product = None if report.is_domain else report.left * report.right
+    if args.json:
+        payload = {"is_domain": report.is_domain, "reason": report.reason}
+        if product is not None:
+            payload["witness"] = {
+                "left": report.left.render(),
+                "right": report.right.render(),
+                "product": product.render(),
+            }
+        return payload
     lines = [("domain" if report.is_domain else "not a domain") + f": {report.reason}"]
-    if not report.is_domain:
-        product = report.left * report.right
-        payload["witness"] = {
-            "left": report.left.render(),
-            "right": report.right.render(),
-            "product": product.render(),
-        }
+    if product is not None:
         lines.append(f"  ({report.left.render()}) * ({report.right.render()}) = {product.render()}")
-    return payload, lines
+    return lines
 
 
 def _run_orbits(alg, args):
     orbits = enumerate_lambda_orbits(alg.field, alg.f, args.k)
-    payload = {
-        "max_period": args.k,
-        "orbits": [
-            {"period": o.period, "values": [str(v) for v in o.values]} for o in orbits
-        ],
-    }
-    lines = [f"{len(orbits)} orbit(s) with period <= {args.k}:"]
-    lines += [f"  {o}" for o in orbits]
-    return payload, lines
+    if args.json:
+        return {
+            "max_period": args.k,
+            "orbits": [
+                {"period": o.period, "values": [str(v) for v in o.values]} for o in orbits
+            ],
+        }
+    return [f"{len(orbits)} orbit(s) with period <= {args.k}:"] + [f"  {o}" for o in orbits]
 
 
 def _run_mu(alg, args):
     orbit = orbit_from_seed(alg.f, parse_scalar(args.alpha, alg.field))
     mu = MuSequence(orbit, alg.q, alg.g, parse_scalar(args.beta, alg.field))
     values = mu.values(args.k)
-    payload = {
-        "period": orbit.period,
-        "values": [str(v) for v in orbit.values],
-        "anchor": str(mu.anchor),
-        "muPeriod": mu.period,
-        "muValues": [str(v) for v in values],
-    }
-    lines = [
+    if args.json:
+        return {
+            "period": orbit.period,
+            "values": [str(v) for v in orbit.values],
+            "anchor": str(mu.anchor),
+            "muPeriod": mu.period,
+            "muValues": [str(v) for v in values],
+        }
+    return [
         f"lambda-orbit {orbit} (period {orbit.period})",
         f"mu period: {mu.period if mu.period else 'infinite'}",
         "mu(0..{}) = {}".format(args.k - 1, ", ".join(str(v) for v in values)),
     ]
-    return payload, lines
 
 
 def _run_nu(alg, args):
     table = nu_table(alg, parse_scalar(args.alpha, alg.field), args.k)
-    payload = {"alpha": str(table.alpha), "values": [str(v) for v in table.values]}
-    lines = ["nu(0..{}) = {}".format(args.k, ", ".join(str(v) for v in table.values))]
-    return payload, lines
+    if args.json:
+        return {"alpha": str(table.alpha), "values": [str(v) for v in table.values]}
+    return ["nu(0..{}) = {}".format(args.k, ", ".join(str(v) for v in table.values))]
 
 
 def _run_build_module(alg, args):
     spec = _module_from_args(alg, args)
     rep = build_matrix_rep(alg, spec)
-    payload = _module_payload(alg, spec, rep)
-    lines = [spec.describe(), "X:", str(rep.x), "Y:", str(rep.y), "H:", str(rep.h)]
-    return payload, lines
+    if args.json:
+        return _module_payload(_Texts(alg.field), spec, rep)
+    return [spec.describe(), "X:", str(rep.x), "Y:", str(rep.y), "H:", str(rep.h)]
 
 
 def _run_verify_relations(alg, args):
     spec = _module_from_args(alg, args)
-    rep = build_matrix_rep(alg, spec)
-    report = verify_relations(alg, rep)
-    payload = {
+    report = verify_relations(alg, build_matrix_rep(alg, spec))
+    if not args.json:
+        return [f"relations hold: {report.ok}"]
+    texts = _Texts(alg.field)
+    return {
         "ok": report.ok,
         "residuals": {
-            "hx": _matrix_payload(report.hx_residual),
-            "yh": _matrix_payload(report.yh_residual),
-            "yx": _matrix_payload(report.yx_residual),
+            "hx": _matrix_payload(report.hx_residual, texts),
+            "yh": _matrix_payload(report.yh_residual, texts),
+            "yx": _matrix_payload(report.yx_residual, texts),
         },
     }
-    return payload, [f"relations hold: {report.ok}"]
 
 
 def _run_check_simple(alg, args):
     spec = _module_from_args(alg, args)
     verdict = is_simple_structural(alg, spec)
-    payload = {"simple": verdict.simple, "certificate": verdict.certificate}
+    brute = is_simple_bruteforce(build_matrix_rep(alg, spec), args.search_bound) if args.brute else None
+    if args.json:
+        payload = {"simple": verdict.simple, "certificate": verdict.certificate}
+        if args.brute:
+            payload["bruteforce"] = brute
+        return payload
     lines = [f"simple: {verdict.simple} ({verdict.certificate})"]
     if args.brute:
-        brute = is_simple_bruteforce(build_matrix_rep(alg, spec), args.search_bound)
-        payload["bruteforce"] = brute
         lines.append(f"brute-force agrees: {brute == verdict.simple}")
-    return payload, lines
+    return lines
 
 
 def _run_check_iso(alg, args):
     s1 = _module_from_args(alg, args)
     s2 = _module_from_args(alg, args, "2")
     verdict = iso_structural(alg, s1, s2)
-    payload = {"isomorphic": verdict}
+    brute = None
+    if args.brute:
+        brute = iso_bruteforce(build_matrix_rep(alg, s1), build_matrix_rep(alg, s2), args.search_bound)
+    if args.json:
+        payload = {"isomorphic": verdict}
+        if args.brute:
+            payload["bruteforce"] = brute
+        return payload
     lines = [f"isomorphic: {verdict}"]
     if args.brute:
-        brute = iso_bruteforce(
-            build_matrix_rep(alg, s1), build_matrix_rep(alg, s2), args.search_bound
-        )
-        payload["bruteforce"] = brute
         lines.append(f"brute-force agrees: {brute == verdict}")
-    return payload, lines
+    return lines
 
 
 def _run_enumerate(alg, args):
     specs = enumerate_simples(alg, args.dim)
-    modules = [_module_payload(alg, s, build_matrix_rep(alg, s)) for s in specs]
-    payload = {"dim": args.dim, "count": len(specs), "modules": modules}
+    extras = enumerate_c_extensions(alg, args.dim, args.ext_bound) if args.ext_bound > 1 else None
+    if args.json:
+        texts = functools.cache(_Texts)  # one table per field
+        payload = {
+            "dim": args.dim,
+            "count": len(specs),
+            "modules": [_module_payload(texts(alg.field), s, build_matrix_rep(alg, s)) for s in specs],
+        }
+        if extras is not None:
+            payload["extensions"] = [
+                _module_payload(texts(ext_alg.field), s, build_matrix_rep(ext_alg, s)) for ext_alg, s in extras
+            ]
+        return payload
     lines = [f"{len(specs)} simple module(s) of dimension {args.dim}:"]
     lines += [f"  {s.describe()}" for s in specs]
-    if args.ext_bound > 1:
-        extras = enumerate_c_extensions(alg, args.dim, args.ext_bound)
-        payload["extensions"] = [
-            _module_payload(ext_alg, s, build_matrix_rep(ext_alg, s)) for ext_alg, s in extras
-        ]
+    if extras is not None:
         lines.append(f"{len(extras)} additional family-C module(s) over extensions:")
         lines += [f"  {s.describe()} over {ext_alg.field}" for ext_alg, s in extras]
-    return payload, lines
+    return lines
 
 
 _HANDLERS = {
@@ -406,12 +494,11 @@ _parser = functools.lru_cache(maxsize=1)(build_parser)
 
 def run(argv: list[str]) -> int:
     args = _parser().parse_args(argv)
-    alg = _build_algebra(args)
-    payload, lines = _HANDLERS[args.verb](alg, args)
+    out = _HANDLERS[args.verb](_build_algebra(args), args)
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(_dumps(out))
     else:
-        for line in lines:
+        for line in out:
             print(line)
     return 0
 

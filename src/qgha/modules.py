@@ -55,6 +55,10 @@ from .spectra import (
 # enumerate_simples refuses to list more modules than this; a ModuleSpec takes
 # about 150 bytes before the CLI builds and prints its matrices
 _ENUMERATE_BUDGET = 1 << 20
+# is_simple_bruteforce refuses a search whose two edge arrays, 16 bytes per
+# line of F^dim, would take more than this: the default bound of 10^6 needs at
+# most 8.4 MB (GF(2)^19), and the int32 edge numbers stay far below 2^31
+_BRUTE_FORCE_BYTE_BUDGET = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -252,8 +256,9 @@ def is_simple_bruteforce(rep: MatrixRep, bound: int = 10 ** 6) -> bool:
     False, and a full one marks every line with a path of edges to it.  So
     each line of a True is certified by its own full closure or by a path
     to one, and a False by one line whose closure is proper.  Past
-    dimension 1, only finite fields with |F|^dim within the bound are
-    accepted, and that is checked before any line is built.
+    dimension 1, only finite fields with |F|^dim within the bound, and edge
+    arrays within _BRUTE_FORCE_BYTE_BUDGET, are accepted, and that is
+    checked before any line is built.
     """
     field, n = rep.field, rep.dim
     if n == 1:
@@ -262,6 +267,11 @@ def is_simple_bruteforce(rep: MatrixRep, bound: int = 10 ** 6) -> bool:
         raise UnsupportedField("brute-force simplicity needs a finite field")
     if field.order ** n > bound:
         raise SearchSpaceTooLarge(f"|F|^dim = {field.order ** n} exceeds bound {bound}")
+    lines = (field.order ** n - 1) // (field.order - 1)
+    if 16 * lines > _BRUTE_FORCE_BYTE_BUDGET:
+        raise SearchSpaceTooLarge(
+            f"the edge arrays of {lines} lines take {16 * lines} bytes, "
+            f"past the budget of {_BRUTE_FORCE_BYTE_BUDGET}")
     ring = field._ring
     zero, one, add, mul, inv = ring.zero, ring.one, ring._add, ring._mul, ring._inv
     elems = list(field._raw_elements())
@@ -270,7 +280,6 @@ def is_simple_bruteforce(rep: MatrixRep, bound: int = 10 ** 6) -> bool:
     place = [q ** (n - 1 - i) for i in range(n)]
     # the lines whose first nonzero coordinate is i are numbered from start[i]
     start = [(q ** n - q ** (n - i)) // (q - 1) for i in range(n + 1)]
-    count = start[n]
     # x, y and h as sparse rows: the (column, entry) of each nonzero entry
     mats = [[[(j, a) for j, a in enumerate(row) if a] for row in m.rows] for m in (rep.x, rep.y, rep.h)]
 
@@ -317,14 +326,14 @@ def is_simple_bruteforce(rep: MatrixRep, bound: int = 10 ** 6) -> bool:
         return False
     # edge e = 3 k + t runs from line k to the line of mats[t] applied to it;
     # into[h] is the last edge into line h and before[e] the one into it before e
-    into = array("i", [-1]) * count
-    before = array("i", [-1]) * (3 * count)
+    into = array("i", [-1]) * lines
+    before = array("i", [-1]) * (3 * lines)
     for k, v in enumerate(_projective_points(zero, one, elems, n)):
         for e, rows in enumerate(mats, 3 * k):
             h = line(act(rows, v))
             if h >= 0 and h != k:
                 before[e], into[h] = into[h], e
-    known = bytearray(count)
+    known = bytearray(lines)
     for k, v in enumerate(_projective_points(zero, one, elems, n)):
         if known[k]:
             continue

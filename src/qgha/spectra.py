@@ -343,19 +343,28 @@ class NuTable:
 
     nu(i+1) = q nu(i) + g(f^[i](alpha)); these are the y-coefficients of
     the third module family and its simplicity obstructions.  points holds
-    f^[i](alpha) for i < count, the h-eigenvalues of that family.
+    f^[i](alpha) for i < count, the h-eigenvalues of that family; when g is
+    constant no value reads them, and they are built when first read.
     """
 
     alpha: FieldElement
     values: tuple[FieldElement, ...]
-    points: tuple[FieldElement, ...]
+    f: Poly
 
     def value(self, i: int) -> FieldElement:
         return self.values[i]
 
+    @cached_property
+    def points(self) -> tuple[FieldElement, ...]:
+        count = len(self.values) - 1
+        points = [self.alpha.value]
+        for _ in range(count - 1):
+            points.append(self.f._at(points[-1]))
+        return tuple(map(partial(FieldElement, self.alpha.spec), points[:count]))
+
 
 def nu_table(alg: AlgebraSpec, alpha: FieldElement, count: int) -> NuTable:
-    """nu(0..count) and f^[i](alpha) for i < count.
+    """nu(0..count); f^[i](alpha) for i < count is evaluated only when g reads it.
 
     Over Q a value str() could not render raises DigitLimitExceeded as soon
     as it is computed; the points are not checked.
@@ -366,11 +375,15 @@ def nu_table(alg: AlgebraSpec, alpha: FieldElement, count: int) -> NuTable:
     add, mul, q = ring._add, ring._mul, alg.q.value
     guard = _render_guard(alg.field)
     values, points = [ring.zero], [alpha.value]
+    walk = not alg.g.is_constant  # a constant g reads no point
     for i in range(count):
-        if i:
+        if i and walk:
             points.append(alg.f._at(points[-1]))
         values.append(add(mul(q, values[-1]), alg.g._at(points[-1])))
         if guard:
             guard(values[-1])
     wrap = partial(FieldElement, alg.field)
-    return NuTable(alpha, tuple(map(wrap, values)), tuple(map(wrap, points[:count])))
+    table = NuTable(alpha, tuple(map(wrap, values)), alg.f)
+    if walk:  # the points are built: seed the cached property
+        vars(table)["points"] = tuple(map(wrap, points[:count]))
+    return table

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -453,11 +454,11 @@ def _run_fresh_parser(argv):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         args = cli.build_parser().parse_args(argv)
-        payload, lines = cli._HANDLERS[args.verb](cli._build_algebra(args), args)
+        out = cli._HANDLERS[args.verb](cli._build_algebra(args), args)
         if args.json:
-            print(json.dumps(payload, indent=2))
+            print(json.dumps(out, indent=2))
         else:
-            for line in lines:
+            for line in out:
                 print(line)
     return 0, buf.getvalue()
 
@@ -628,3 +629,106 @@ def test_enumerate_refuses_past_the_module_budget(capsys):
     assert time.monotonic() - start < 10
     assert (code, out) == (1, "")
     assert err.startswith("error: more than 1048576 simple modules of dimension 2")
+
+
+def test_bruteforce_past_the_byte_budget_fails_before_it_allocates():
+    # 2^30 <= the bound, but the 2^30 - 1 lines of GF(2)^30 would need 17 GB of
+    # edge arrays; e_0 generates, so nothing else stops the scan before it allocates
+    argv = ["check-simple", "--field", "GF(2)", "--q", "1", "--f", "h", "--g", "0", "--family", "C",
+            "--alpha", "0", "--dim", "30", "--brute", "--search-bound", str(2 * 10 ** 9)]
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", _QGHA_UNDER_1GIB, *argv], capture_output=True, text=True,
+                          env=_subprocess_env(), timeout=60)
+    assert time.perf_counter() - start < 2
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == ("error: the edge arrays of 1073741823 lines take 17179869168 bytes, "
+                           "past the budget of 67108864\n")
+
+
+_NU_G1 = ["nu", "--field", "Q", "--q", "2", "--f", "h^2 + 1", "--g", "1", "--alpha", "0"]
+
+
+def test_nu_with_constant_g_walks_no_orbit_point(capsys):
+    # nu(i) = 2^i - 1 reads no f^[i](0); the points 0, 1, 2, 5, 26, 677, ...
+    # double their digits every step, and --k 30 did not finish in 20 s
+    for k in range(23):
+        code, out, err = run_cli(capsys, *_NU_G1, "--k", str(k))
+        assert (code, err) == (0, "")
+        assert out == "nu(0..{}) = {}\n".format(k, ", ".join(str(2 ** i - 1) for i in range(k + 1)))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", _QGHA_UNDER_1GIB, *_NU_G1, "--k", "40", "--json"],
+                          capture_output=True, text=True, env=_subprocess_env(), timeout=60)
+    assert time.perf_counter() - start < 2
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == {"alpha": "0", "values": [str(2 ** i - 1) for i in range(41)]}
+
+
+def _handler_output(argv):
+    args = cli._parser().parse_args(argv)
+    return cli._HANDLERS[args.verb](cli._build_algebra(args), args)
+
+
+@pytest.mark.parametrize("fixture", ["q_cli.json", "ff_center_cli.json", "ext_cli.json"])
+def test_json_writer_matches_json_dumps_on_fixture_payloads(fixture):
+    cases = json.loads((Path(__file__).parent / "fixtures" / fixture).read_text())
+    payloads = [_handler_output(case["argv"]) for case in cases if "--json" in case["argv"] and case["code"] == 0]
+    assert payloads
+    for payload in payloads:
+        assert cli._dumps(payload) == json.dumps(payload, indent=2)
+
+
+def _random_document(rng, depth=0):
+    kind = rng.randrange(7 if depth < 4 else 4)
+    if kind == 0:
+        return _random_text(rng)
+    if kind == 1:
+        return rng.choice([0, 1, -1, 7, -2 ** 70, 10 ** 40, rng.randrange(-10 ** 6, 10 ** 6)])
+    if kind == 2:
+        return rng.choice([True, False])
+    if kind == 3:
+        return None
+    if kind == 4:
+        return {_random_text(rng): _random_document(rng, depth + 1) for _ in range(rng.randrange(4))}
+    if kind == 5:  # a list of strings, the writer's one-join case
+        return [_random_text(rng) for _ in range(rng.randrange(4))]
+    return [_random_document(rng, depth + 1) for _ in range(rng.randrange(4))]
+
+
+def _random_text(rng):
+    alphabet = ['a', 'Z', '0', ' ', '"', '\\', '/', '\n', '\t', '\x00', '\x1f', '\x7f', 'é', 'λ', ' ',
+                '\ud800', '😀']
+    return "".join(rng.choice(alphabet) for _ in range(rng.randrange(6)))
+
+
+def test_json_writer_matches_json_dumps_on_random_documents():
+    rng = random.Random(22)
+    for _ in range(3000):
+        doc = _random_document(rng)
+        assert cli._dumps(doc) == json.dumps(doc, indent=2)
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_enumerate_builds_only_the_output_it_prints(capsys, monkeypatch):
+    argv = ["enumerate", "--field", "GF(5)", "--q", "2", "--f", "h^3", "--g", "h", "--dim", "4", "--ext-bound", "2"]
+    payloads = _count_calls(monkeypatch, cli, "_module_payload")
+    reps = _count_calls(monkeypatch, cli, "build_matrix_rep")
+    entries = _count_calls(monkeypatch, cli.Matrix, "__getitem__")
+    describes = _count_calls(monkeypatch, cli.ModuleSpec, "describe")
+    code, text, _ = run_cli(capsys, *argv)
+    assert code == 0 and (len(payloads), len(reps), len(entries)) == (0, 0, 0)
+    assert len(describes) == len(text.splitlines()) - 2 > 0
+    del describes[:]
+    payload = run_json(capsys, *argv, "--json")
+    assert (len(describes), len(entries)) == (0, 0)
+    assert len(payloads) == len(reps) == len(payload["modules"]) + len(payload["extensions"]) > 0

@@ -181,6 +181,24 @@ def test_bruteforce_simplicity_guards(monkeypatch):
         is_simple_bruteforce(rep_q)
 
 
+def test_bruteforce_byte_budget_admits_the_default_bound(monkeypatch):
+    # 2^19 <= 10^6 < 2^20: GF(2)^19 has the most lines the default bound
+    # admits; the guard passes when the scan reaches its edge arrays
+    class Admitted(Exception):
+        pass
+
+    def admitted(*args):
+        raise Admitted
+
+    monkeypatch.setattr(modules, "array", admitted)
+    F2, n = FieldSpec.prime(2), 19
+    x = Matrix.from_entries(F2, n, n, {(i + 1, i): F2.one for i in range(n - 1)})
+    with pytest.raises(Admitted):
+        is_simple_bruteforce(MatrixRep(F2, n, x, Matrix.zero(F2, n), Matrix.zero(F2, n)))
+    with pytest.raises(SearchSpaceTooLarge, match="past the budget of 67108864"):
+        is_simple_bruteforce(MatrixRep(F2, 23, *(Matrix.zero(F2, 23),) * 3), bound=2 ** 23)
+
+
 def random_raw_rows(elems, rng, n):
     return [[rng.choice(elems) for _ in range(n)] for _ in range(n)]
 

@@ -297,6 +297,19 @@ def test_nu_table_frozen():
         assert table.values[i + 1] == alg.q * table.values[i] + alg.g(fi)
 
 
+@pytest.mark.parametrize("g", [Poly.from_ints(F5, [3]), Poly.gen(F5)], ids=["constant g", "g = h"])
+def test_nu_table_points_are_the_forward_orbit(g):
+    # with a constant g the table walks no point until points is read
+    alg = AlgebraSpec(F5, F5.element(2), Poly.from_ints(F5, [1, 0, 1]), g)
+    for count in range(6):
+        walk = [F5.element(2)]
+        for _ in range(count):
+            walk.append(alg.f(walk[-1]))
+        table = nu_table(alg, F5.element(2), count)
+        assert ("points" in vars(table)) == (not g.is_constant)
+        assert table.points == tuple(walk[:count])
+
+
 def test_nu_matches_mu_anchored_at_zero():
     # when alpha is periodic, nu agrees with the mu sequence anchored at 0
     f = Poly.from_ints(F5, [0, 0, 0, 1])
