@@ -115,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = verb("check-simple", "simplicity of a classified module", module_flags=True)
     p.add_argument("--brute", action="store_true", help="also run the subspace search")
     p.add_argument("--search-bound", type=_count, default=10 ** 6,
-                   help="largest |F|^dim the subspace search scans")
+                   help="largest |F|^k the subspace search scans, k the dimension of the kernel it spins")
 
     p = verb("check-iso", "isomorphism of two classified modules", module_flags=True, second_module=True)
     p.add_argument("--brute", action="store_true", help="also search for an intertwiner")

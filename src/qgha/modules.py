@@ -21,16 +21,15 @@ lambda-orbits, mu-windows and family-C nu-tests are read from the tables.
 build_matrix_rep builds its rows from raw recurrences as well.
 
 The brute-force oracles check the structural answers on the matrices.
-is_simple_bruteforce makes one pass over the lines of F^dim and closes
-only the lines whose images reach no line already shown to generate;
-iso_bruteforce is exact over every field, Q included, by one scan that the
-polynomial identity lemma keeps finite.
+is_simple_bruteforce is Norton's irreducibility test: one dual spin and
+the lines of one kernel, the smallest among x, y and h - c, decide it
+exactly; iso_bruteforce is exact over every field, Q included, by one scan
+that the polynomial identity lemma keeps finite.
 """
 
 from __future__ import annotations
 
 import itertools
-from array import array
 from dataclasses import dataclass
 
 from .algebra import AlgebraSpec
@@ -42,7 +41,7 @@ from .errors import (
     UnsupportedField,
 )
 from .fields import FieldElement, FieldSpec, frobenius_degree
-from .linalg import Matrix, _echelon_insert, intertwiners, is_invertible, poly_on_matrix, rank
+from .linalg import Matrix, _dot, _echelon_insert, _nullspace, intertwiners, is_invertible, poly_on_matrix, rank
 from .spectra import (
     LambdaOrbit,
     MuSequence,
@@ -55,10 +54,10 @@ from .spectra import (
 # enumerate_simples refuses to list more modules than this; a ModuleSpec takes
 # about 150 bytes before the CLI builds and prints its matrices
 _ENUMERATE_BUDGET = 1 << 20
-# is_simple_bruteforce refuses a search whose two edge arrays, 16 bytes per
-# line of F^dim, would take more than this: the default bound of 10^6 needs at
-# most 8.4 MB (GF(2)^19), and the int32 edge numbers stay far below 2^31
-_BRUTE_FORCE_BYTE_BUDGET = 1 << 26
+# build_matrix_rep refuses a module whose three dense n x n matrices hold more
+# cells than this, and is_simple_bruteforce one whose candidate kernels would;
+# each cell is an 8-byte slot, so 128 MB at the budget
+_MATRIX_CELL_BUDGET = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -157,12 +156,17 @@ def build_matrix_rep(alg: AlgebraSpec, spec: ModuleSpec) -> MatrixRep:
     everything runs on raw values: the mu-values come from their recurrence,
     family C takes its nu-values and h-eigenvalues from the nu table that
     validate returns, and the rows are built from raw values, so no entry is
-    coerced on its own.
+    coerced on its own.  Past _MATRIX_CELL_BUDGET cells SearchSpaceTooLarge
+    is raised before the spec is validated.
     """
+    n = spec.dim
+    if n is not None and 3 * n * n > _MATRIX_CELL_BUDGET:
+        raise SearchSpaceTooLarge(
+            f"the matrices of a {n}-dimensional module take {3 * n * n} cells, "
+            f"past the budget of {_MATRIX_CELL_BUDGET}")
     nu = spec.validate(alg)
     field = alg.field
     ring = field._ring
-    n = spec.dim
     ones = [ring.one] * (n - 1)
     if spec.family == "C":
         lam = [v.value for v in nu.points]
@@ -244,44 +248,47 @@ def _first_nu_zero(nu: NuTable) -> int | None:
 
 
 def is_simple_bruteforce(rep: MatrixRep, bound: int = 10 ** 6) -> bool:
-    """Check simplicity on every line of F^dim, closing only the lines that reach no generating line.
+    """Norton's irreducibility test (Parker 1984; Holt-Rees 1994) on the matrices.
 
-    Let W(v) be the smallest invariant subspace that contains v; the module
-    is simple exactly when W(v) = F^dim for every line v.  For m in {x, y, h},
-    W(m v) is contained in W(v), so when the line of m v generates, so does
-    the line of v.  The scan records an edge from each line to the line of
-    each image m v that is nonzero and off it, then walks the lines in
-    _projective_points order.  It closes every line not yet known to
-    generate, line 0 before any edge is built: a proper closure returns
-    False, and a full one marks every line with a path of edges to it.  So
-    each line of a True is certified by its own full closure or by a path
-    to one, and a False by one line whose closure is proper.  Past
-    dimension 1, only finite fields with |F|^dim within the bound, and edge
-    arrays within _BRUTE_FORCE_BYTE_BUDGET, are accepted, and that is
-    checked before any line is built.
+    theta is the first candidate, of x, y and h - c for each distinct c on
+    h's diagonal, with the smallest nonzero kernel N, or theta = 0 (N = F^dim,
+    one spin per line of F^dim) when none is singular; candidates are built
+    one at a time, until a one-dimensional kernel.  One nonzero vector of
+    ker theta^T is spun under x^T, y^T and h^T, and a proper span answers
+    False; then the module is simple iff every line of N spans F^dim under
+    x, y and h.  This is exact: x, y and theta map a proper submodule U != 0
+    into itself, so either U meets N and a line of N closes inside U, or
+    theta is bijective on U; then U lies in im theta, ker theta^T in U^perp,
+    and the dual spin stays in the proper subspace U^perp.  SearchSpaceTooLarge
+    is raised before the first candidate when all of them together pass
+    _MATRIX_CELL_BUDGET cells, and before any line of N when |F|^k passes
+    the bound, k = dim N >= 2; past k = 1 only finite fields are accepted.
     """
     field, n = rep.field, rep.dim
     if n == 1:
         return True
-    if field.order is None:
-        raise UnsupportedField("brute-force simplicity needs a finite field")
-    if field.order ** n > bound:
-        raise SearchSpaceTooLarge(f"|F|^dim = {field.order ** n} exceeds bound {bound}")
-    lines = (field.order ** n - 1) // (field.order - 1)
-    if 16 * lines > _BRUTE_FORCE_BYTE_BUDGET:
-        raise SearchSpaceTooLarge(
-            f"the edge arrays of {lines} lines take {16 * lines} bytes, "
-            f"past the budget of {_BRUTE_FORCE_BYTE_BUDGET}")
     ring = field._ring
-    zero, one, add, mul, inv = ring.zero, ring.one, ring._add, ring._mul, ring._inv
-    elems = list(field._raw_elements())
-    digit = {a: i for i, a in enumerate(elems)}
-    q = len(elems)
-    place = [q ** (n - 1 - i) for i in range(n)]
-    # the lines whose first nonzero coordinate is i are numbered from start[i]
-    start = [(q ** n - q ** (n - i)) // (q - 1) for i in range(n + 1)]
-    # x, y and h as sparse rows: the (column, entry) of each nonzero entry
-    mats = [[[(j, a) for j, a in enumerate(row) if a] for row in m.rows] for m in (rep.x, rep.y, rep.h)]
+    zero, one, add, mul = ring.zero, ring.one, ring._add, ring._mul
+    h = rep.h.rows
+    shifts = dict.fromkeys(row[i] for i, row in enumerate(h))
+    cells = (2 + len(shifts)) * n * n
+    if cells > _MATRIX_CELL_BUDGET:
+        raise SearchSpaceTooLarge(f"the kernels of x, y and h - c for {len(shifts)} values c take {cells} cells, "
+                                  f"past the budget of {_MATRIX_CELL_BUDGET}")
+    basis, theta = [[one if i == j else zero for j in range(n)] for i in range(n)], None
+    for rows in itertools.chain((rep.x.rows, rep.y.rows), (
+            [tuple(ring._sub(a, c) if i == j else a for j, a in enumerate(row)) for i, row in enumerate(h)]
+            for c in shifts)):
+        kernel = _nullspace([ring._poly_from(col) for col in zip(*rows)], ring)
+        if 0 < len(kernel) < len(basis):
+            basis, theta = kernel, rows
+            if len(basis) == 1:
+                break
+    dual = basis[0] if theta is None else _nullspace([ring._poly_from(row) for row in theta], ring)[0]
+
+    def sparse(rows):
+        """The (column, entry) of each nonzero entry, row by row."""
+        return [[(j, a) for j, a in enumerate(row) if a] for row in rows]
 
     def act(rows, v):
         out = []
@@ -293,63 +300,29 @@ def is_simple_bruteforce(rep: MatrixRep, bound: int = 10 ** 6) -> bool:
             out.append(acc)
         return out
 
-    def line(w) -> int:
-        """The number of the line through w, or -1 when w = 0."""
-        for i, a in enumerate(w):
-            if a:
-                break
-        else:
-            return -1
-        if a != one:
-            s = inv(a)
-            w = [mul(b, s) for b in w]
-        k = start[i]
-        for j in range(i + 1, n):
-            if w[j]:
-                k += digit[w[j]] * place[j]
-        return k
-
-    def generates(v) -> bool:
-        basis: dict[int, list] = {}
-        queue = [_echelon_insert(basis, list(v), ring)]
-        while queue and len(basis) < n:
+    def generates(mats, v) -> bool:
+        span: dict[int, list] = {}
+        queue = [_echelon_insert(span, list(v), ring)]
+        while queue and len(span) < n:
             u = queue.pop()
             for rows in mats:
-                w = _echelon_insert(basis, act(rows, u), ring)
+                w = _echelon_insert(span, act(rows, u), ring)
                 if w is not None:
                     queue.append(w)
-        return len(basis) == n
+        return len(span) == n
 
-    # line 0, e_0, is closed first in any case; closed before the edges are
-    # built, it answers at once when a proper submodule holds e_0
-    if not generates((one,) + (zero,) * (n - 1)):
+    mats = (rep.x.rows, rep.y.rows, h)
+    if not generates([sparse(zip(*m)) for m in mats], dual):
         return False
-    # edge e = 3 k + t runs from line k to the line of mats[t] applied to it;
-    # into[h] is the last edge into line h and before[e] the one into it before e
-    into = array("i", [-1]) * lines
-    before = array("i", [-1]) * (3 * lines)
-    for k, v in enumerate(_projective_points(zero, one, elems, n)):
-        for e, rows in enumerate(mats, 3 * k):
-            h = line(act(rows, v))
-            if h >= 0 and h != k:
-                before[e], into[h] = into[h], e
-    known = bytearray(lines)
-    for k, v in enumerate(_projective_points(zero, one, elems, n)):
-        if known[k]:
-            continue
-        if k and not generates(v):
-            return False
-        known[k] = 1
-        stack = [k]
-        while stack:
-            e = into[stack.pop()]
-            while e >= 0:
-                s = e // 3
-                if not known[s]:
-                    known[s] = 1
-                    stack.append(s)
-                e = before[e]
-    return True
+    k, elems = len(basis), []
+    if k > 1:
+        if field.order is None:
+            raise UnsupportedField("brute-force simplicity needs a finite field past a one-dimensional kernel")
+        if field.order ** k > bound:
+            raise SearchSpaceTooLarge(f"|F|^k = {field.order ** k} exceeds bound {bound}")
+        elems = list(field._raw_elements())
+    spin, cols = [sparse(m) for m in mats], list(zip(*basis))
+    return all(generates(spin, [_dot(cs, col, ring) for col in cols]) for cs in _projective_points(zero, one, elems, k))
 
 
 def _projective_points(zero, one, elems: list, n: int):

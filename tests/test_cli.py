@@ -631,18 +631,57 @@ def test_enumerate_refuses_past_the_module_budget(capsys):
     assert err.startswith("error: more than 1048576 simple modules of dimension 2")
 
 
-def test_bruteforce_past_the_byte_budget_fails_before_it_allocates():
-    # 2^30 <= the bound, but the 2^30 - 1 lines of GF(2)^30 would need 17 GB of
-    # edge arrays; e_0 generates, so nothing else stops the scan before it allocates
+def test_bruteforce_in_dimension_30_answers_at_once():
+    # 2^30 <= the bound; a scan of the 2^30 - 1 lines of GF(2)^30 is out of
+    # reach, but Norton's test needs one line, ker x, and one dual spin
     argv = ["check-simple", "--field", "GF(2)", "--q", "1", "--f", "h", "--g", "0", "--family", "C",
             "--alpha", "0", "--dim", "30", "--brute", "--search-bound", str(2 * 10 ** 9)]
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-c", _QGHA_UNDER_1GIB, *argv], capture_output=True, text=True,
                           env=_subprocess_env(), timeout=60)
     assert time.perf_counter() - start < 2
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-1] == "brute-force agrees: True"
+
+
+def test_bruteforce_checks_the_dimension_13_heisenberg_module(capsys):
+    # U(h_3) = H_1(h, h) over GF(13): |F|^dim = 13^13 is past the bound, |F|^k = 13 is not
+    code, out, err = run_cli(capsys, "check-simple", "--field", "GF(13)", "--q", "1", "--f", "h", "--g", "h",
+                             "--family", "A", "--alpha", "1", "--beta", "0", "--gamma", "1", "--brute")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["simple: True (family A modules with periodic data are simple)",
+                                "brute-force agrees: True"]
+
+
+def test_bruteforce_with_many_h_eigenvalues_answers_or_fails_fast():
+    # with f = h + 1 the module has p distinct h-eigenvalues; the scan stops
+    # at the first one-dimensional kernel, and p + 2 candidate matrices past
+    # the cell budget are refused before the first is built
+    def brute(p):
+        argv = ["check-simple", "--field", f"GF({p})", "--q", "1", "--f", "h + 1", "--g", "h", "--family", "A",
+                "--alpha", "0", "--beta", "1", "--gamma", "1", "--brute"]
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-c", _QGHA_UNDER_1GIB, *argv], capture_output=True, text=True,
+                              env=_subprocess_env(), timeout=60)
+        assert time.perf_counter() - start < 2
+        return proc.returncode, proc.stdout.splitlines()[-1:], proc.stderr
+
+    assert brute(211) == (0, ["brute-force agrees: True"], "")
+    assert brute(1009) == (1, [], "error: the kernels of x, y and h - c for 1009 values c take 1029279891 cells, "
+                                  "past the budget of 16777216\n")
+
+
+def test_build_module_past_the_cell_budget_fails_before_it_allocates():
+    # three dense 20000 x 20000 matrices died with MemoryError under 1 GiB
+    argv = ["build-module", "--field", "GF(5)", "--q", "2", "--f", "h^2", "--g", "h", "--family", "C",
+            "--alpha", "0", "--dim", "20000"]
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", _QGHA_UNDER_1GIB, *argv], capture_output=True, text=True,
+                          env=_subprocess_env(), timeout=60)
+    assert time.perf_counter() - start < 2
     assert (proc.returncode, proc.stdout) == (1, "")
-    assert proc.stderr == ("error: the edge arrays of 1073741823 lines take 17179869168 bytes, "
-                           "past the budget of 67108864\n")
+    assert proc.stderr == ("error: the matrices of a 20000-dimensional module take 1200000000 cells, "
+                           "past the budget of 16777216\n")
 
 
 _NU_G1 = ["nu", "--field", "Q", "--q", "2", "--f", "h^2 + 1", "--g", "1", "--alpha", "0"]

@@ -1,7 +1,9 @@
 """Module construction, relation checks, simplicity, isomorphism, enumeration."""
 
 import itertools
+import math
 import random
+import time
 
 import pytest
 
@@ -160,43 +162,73 @@ def test_simplicity_check_builds_one_nu_table(monkeypatch):
         assert len(calls) == 1
 
 
+def companion(field, coeffs):
+    """The companion matrix of the monic polynomial with these low coefficients: e_i -> e_(i+1)."""
+    n = len(coeffs)
+    entries = {(i + 1, i): field.one for i in range(n - 1)}
+    entries.update({(i, n - 1): -field.element(c) for i, c in enumerate(coeffs)})
+    return Matrix.from_entries(field, n, n, entries)
+
+
+def no_lines(*args):
+    raise AssertionError("a line of the kernel was built")
+
+
 def test_bruteforce_simplicity_guards(monkeypatch):
-    alg = alg_sq()
-    rep = build_matrix_rep(alg, ModuleSpec.family_c(F5.one, 4))
-
-    def no_lines(*args):
-        raise AssertionError("a line was built past the bound")
-
+    # x = y = h = the companion matrix of the irreducible t^4 + 2: no candidate
+    # is singular, so theta = 0 and every line of F^4 would be spun
+    c = companion(F5, [2, 0, 0, 0])
+    rep = MatrixRep(F5, 4, c, c, c)
+    assert is_simple_bruteforce(rep) and is_simple_per_line(rep)
     monkeypatch.setattr(modules, "_projective_points", no_lines)
     with pytest.raises(SearchSpaceTooLarge, match="625 exceeds bound 100"):
         is_simple_bruteforce(rep, bound=100)
-    # e_0 spans a submodule when x sends e_(i+1) to e_i and e_0 to 0, y = 0 and
-    # h = 1: line 0's closure answers before any other line is built
-    F2, n = FieldSpec.prime(2), 16
-    x = Matrix.from_entries(F2, n, n, {(i, i + 1): F2.one for i in range(n - 1)})
-    assert not is_simple_bruteforce(MatrixRep(F2, n, x, Matrix.zero(F2, n), Matrix.identity(F2, n)))
+    # C(0, 2) of H_2(h^2, h) over Q: ker x is one line and the dual spin of
+    # e_0 stays in it, so no line of the kernel is spun on any field
     alg_q = AlgebraSpec(QQ, QQ.element(2), Poly.from_ints(QQ, [0, 0, 1]), Poly.gen(QQ))
-    rep_q = build_matrix_rep(alg_q, ModuleSpec.family_c(QQ.zero, 2))
+    assert not is_simple_bruteforce(build_matrix_rep(alg_q, ModuleSpec.family_c(QQ.zero, 2)))
+    # over Q, with ker x two-dimensional and a full dual spin, the lines of the
+    # kernel cannot be listed
+    x = Matrix.from_entries(QQ, 3, 3, {(1, 0): QQ.one})
+    y = Matrix.from_entries(QQ, 3, 3, {((i + 1) % 3, i): QQ.one for i in range(3)})
     with pytest.raises(UnsupportedField):
-        is_simple_bruteforce(rep_q)
+        is_simple_bruteforce(MatrixRep(QQ, 3, x, y, Matrix.identity(QQ, 3)))
+    # x, y and h - 0, 0 the one value on h's diagonal, take 3 * 16 cells; past
+    # the cell budget no candidate kernel is computed
+    monkeypatch.setattr(modules, "_MATRIX_CELL_BUDGET", 47)
+    monkeypatch.setattr(modules, "_nullspace", None)
+    with pytest.raises(SearchSpaceTooLarge, match="1 values c take 48 cells"):
+        is_simple_bruteforce(rep)
 
 
-def test_bruteforce_byte_budget_admits_the_default_bound(monkeypatch):
-    # 2^19 <= 10^6 < 2^20: GF(2)^19 has the most lines the default bound
-    # admits; the guard passes when the scan reaches its edge arrays
-    class Admitted(Exception):
-        pass
-
-    def admitted(*args):
-        raise Admitted
-
-    monkeypatch.setattr(modules, "array", admitted)
-    F2, n = FieldSpec.prime(2), 19
-    x = Matrix.from_entries(F2, n, n, {(i + 1, i): F2.one for i in range(n - 1)})
-    with pytest.raises(Admitted):
-        is_simple_bruteforce(MatrixRep(F2, n, x, Matrix.zero(F2, n), Matrix.zero(F2, n)))
-    with pytest.raises(SearchSpaceTooLarge, match="past the budget of 67108864"):
-        is_simple_bruteforce(MatrixRep(F2, 23, *(Matrix.zero(F2, 23),) * 3), bound=2 ** 23)
+def test_bruteforce_simplicity_dual_spin_and_theta_zero(monkeypatch):
+    # U = span(e_0, e_1) is a submodule and x is invertible on U; ker x, the
+    # smallest kernel, is a line with e_2-coordinate 1, so it meets U only in 0
+    # and the dual spin, which stays in U^perp, gives the False
+    GF4 = FieldSpec.extension(2, 2)
+    for field, u in ((FieldSpec.prime(3), FieldSpec.prime(3).element(2)), (GF4, GF4.generator)):
+        one = field.one
+        x = Matrix.from_entries(field, 4, 4, {(0, 0): one, (1, 0): u, (0, 1): u, (0, 2): one, (2, 3): one})
+        y = Matrix.from_entries(field, 4, 4, {(0, 1): one, (1, 0): one, (1, 3): u, (2, 2): one, (3, 3): u})
+        h = Matrix.from_entries(field, 4, 4, {(0, 0): u, (1, 1): u, (0, 3): one, (2, 2): one, (3, 3): one})
+        rep = MatrixRep(field, 4, x, y, h)
+        assert not is_simple_per_line(rep)
+        with monkeypatch.context() as m:
+            m.setattr(modules, "_projective_points", no_lines)
+            assert not is_simple_bruteforce(rep)
+    # theta = 0 and reducible: x = h = diag(C, C) and y = [[C, 1], [0, C]], C the
+    # companion matrix of t^2 + t + 1 over GF(2), leave span(e_0, e_1) invariant
+    # and make no candidate singular; e_0's dual spin is full, so a line answers
+    F2 = FieldSpec.prime(2)
+    c = {(1, 0): F2.one, (0, 1): F2.one, (1, 1): F2.one}
+    blocks = {**c, **{(i + 2, j + 2): a for (i, j), a in c.items()}}
+    x = Matrix.from_entries(F2, 4, 4, blocks)
+    y = Matrix.from_entries(F2, 4, 4, {**blocks, (0, 2): F2.one, (1, 3): F2.one})
+    rep = MatrixRep(F2, 4, x, y, x)
+    assert not is_simple_bruteforce(rep) and not is_simple_per_line(rep)
+    with pytest.raises(AssertionError, match="a line of the kernel was built"):
+        monkeypatch.setattr(modules, "_projective_points", no_lines)
+        is_simple_bruteforce(rep)
 
 
 def random_raw_rows(elems, rng, n):
@@ -285,23 +317,39 @@ def test_bruteforce_simplicity_matches_the_per_line_oracle_on_criterion_6():
 
 
 def test_bruteforce_simplicity_reach():
-    # U(h_3) = H_1(h, h): h is central and yx - xy = h.  Its 36 simple modules
-    # of dimension 5 over GF(5) have 781 lines each
-    alg = AlgebraSpec(F5, F5.one, Poly.gen(F5), Poly.gen(F5))
-    specs = enumerate_simples(alg, 5)
-    assert len(specs) == 36
-    assert all(is_simple_bruteforce(build_matrix_rep(alg, spec)) for spec in specs)
-    # a band module over GF(2) in dimension 16, 65535 lines: x cycles the
-    # basis, y shifts it back without a corner and h = E_00, so x and h
-    # alone generate every matrix unit
+    # U(h_3) = H_1(h, h): h is central and yx - xy = h.  Each of its 36 simple
+    # modules of dimension 5 over GF(5), and of its 1830 of dimension 31 over
+    # GF(31), has a singular x or y with a one-dimensional kernel: one line
+    for p, n, count in ((5, 5, 36), (31, 31, 1830)):
+        F = FieldSpec.prime(p)
+        alg = AlgebraSpec(F, F.one, Poly.gen(F), Poly.gen(F))
+        specs = enumerate_simples(alg, n)
+        assert len(specs) == count
+        start = time.perf_counter()
+        assert all(is_simple_bruteforce(build_matrix_rep(alg, spec)) for spec in specs)
+        assert time.perf_counter() - start < 30
+    # a band module over GF(2) in dimension 16: x cycles the basis, y shifts it
+    # back without a corner and h = E_00, so x and h alone generate every
+    # matrix unit; ker y is the line of e_0
     F2, n = FieldSpec.prime(2), 16
     x = Matrix.from_entries(F2, n, n, {((i + 1) % n, i): F2.one for i in range(n)})
     y = Matrix.from_entries(F2, n, n, {(i, i + 1): F2.one for i in range(n - 1)})
     h = Matrix.from_entries(F2, n, n, {(0, 0): F2.one})
     assert is_simple_bruteforce(MatrixRep(F2, n, x, y, h))
-    # with y = h = 0 the all-ones vector spans a submodule: the last line led by coordinate 0
+    # with y = h = 0 the kernel is F^16, the dual spin of e_0 is full, and the
+    # all-ones vector spans a submodule: the last line led by coordinate 0
     zero = Matrix.zero(F2, n)
     assert not is_simple_bruteforce(MatrixRep(F2, n, x, zero, zero))
+
+
+def test_build_matrix_rep_refuses_past_the_cell_budget(monkeypatch):
+    def no_validate(*args):
+        raise AssertionError("the spec was validated")
+
+    monkeypatch.setattr(ModuleSpec, "validate", no_validate)
+    n = math.isqrt(modules._MATRIX_CELL_BUDGET // 3) + 1
+    with pytest.raises(SearchSpaceTooLarge, match=f"{3 * n * n} cells, past the budget of 16777216"):
+        build_matrix_rep(alg_sq(), ModuleSpec.family_c(F5.zero, n))
 
 
 @pytest.mark.parametrize("make_alg,seed,anchor", [(alg_sq, 1, 3), (alg_cube, 2, 3)])
