@@ -20,9 +20,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import DegreeOverflow, FieldMismatch
+from .errors import DegreeOverflow, FieldMismatch, SearchSpaceTooLarge
 from .fields import FieldElement, FieldSpec, _power
 from .poly import Poly
+
+
+# theta, nu_table and MuSequence build at most this many terms of a sequence;
+# over GF(5), 2^16 thetas with f = h + 1 take about 3 s, as many nu- or
+# mu-values about 0.3 s (2-core Xeon)
+_SEQUENCE_BUDGET = 1 << 16
+
+
+def _check_length(count: int):
+    """Raise SearchSpaceTooLarge, before any term is built, when count passes _SEQUENCE_BUDGET."""
+    if count > _SEQUENCE_BUDGET:
+        raise SearchSpaceTooLarge(f"{count} terms of a sequence are past the length budget of {_SEQUENCE_BUDGET}")
 
 
 @dataclass(frozen=True)
@@ -78,10 +90,12 @@ def theta(alg: AlgebraSpec, k: int) -> Poly:
 
     Satisfies theta_{k+1} = sigma(theta_k) + q^k g, which is how it is built.
     These polynomials carry the cross terms of the straightening rule:
-    y x^k = q^k x^k y + x^{k-1} theta_k.
+    y x^k = q^k x^k y + x^{k-1} theta_k.  Past k = _SEQUENCE_BUDGET
+    SearchSpaceTooLarge is raised at once.
     """
     if k < 0:
         raise ValueError("theta is indexed by k >= 0")
+    _check_length(k)
     thetas = alg._thetas
     while len(thetas) <= k:
         thetas.append(alg.sigma(thetas[-1]) + alg.q ** (len(thetas) - 1) * alg.g)

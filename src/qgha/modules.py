@@ -3,22 +3,24 @@
 Three families of n-dimensional modules cover every simple module when
 q != 0 and the field is big enough to hold the eigenvalue data:
 
-  A: both x and y act bijectively.  Data: a lambda-orbit of period l, a
-     periodic mu-sequence of period m with n = l m, and a unit gamma;
-     x cycles the basis with a single gamma twist, so x^n = gamma.
+  A: x acts bijectively.  Data: a lambda-orbit of period l, a periodic
+     mu-sequence of period m with n = l m, and a unit gamma; x cycles the
+     basis with a single gamma twist, so x^n = gamma.  y carries the
+     mu-values and is singular when mu vanishes somewhere.
   B: y bijective, x nilpotent.  Same data with mu vanishing somewhere;
      y^n = gamma^{-1} and x^n = 0.
   C: both nilpotent.  Data: a point alpha with nu_alpha(n) = 0; simple
      exactly when no earlier nu_alpha(i) vanishes.
 
-Modules from different families are never isomorphic except across A/B,
-where an explicit gamma relation decides; within a family the data is
-unique up to a simultaneous shift of (lambda, mu).
+Modules of different families are never isomorphic, since x is invertible
+in A only and y is invertible in B but nilpotent in C; within a family the
+data is unique up to a simultaneous shift of (lambda, mu).
 
 Enumeration over a finite field makes one pass over it: f and g are
 tabulated at every point on raw values (spectra._PointTable), and the
-lambda-orbits, mu-windows and family-C nu-tests are read from the tables.
-build_matrix_rep builds its rows from raw recurrences as well.
+lambda-orbits and the classes of mu-anchors are cycles of one walk
+(spectra._cycles); the mu-windows and family-C nu-tests are read from the
+tables.  build_matrix_rep builds its rows from raw recurrences as well.
 
 The brute-force oracles check the structural answers on the matrices.
 is_simple_bruteforce is Norton's irreducibility test: one dual spin and
@@ -46,6 +48,7 @@ from .spectra import (
     LambdaOrbit,
     MuSequence,
     NuTable,
+    _cycles,
     _PointTable,
     mu_periods,
     nu_table,
@@ -55,8 +58,9 @@ from .spectra import (
 # about 150 bytes before the CLI builds and prints its matrices
 _ENUMERATE_BUDGET = 1 << 20
 # build_matrix_rep refuses a module whose three dense n x n matrices hold more
-# cells than this, and is_simple_bruteforce one whose candidate kernels would;
-# each cell is an 8-byte slot, so 128 MB at the budget
+# cells than this, is_simple_bruteforce one whose candidate kernels would, and
+# iso_bruteforce a pair whose intertwiner system would; each cell is an 8-byte
+# slot, so 128 MB at the budget
 _MATRIX_CELL_BUDGET = 1 << 24
 
 
@@ -236,15 +240,10 @@ def is_simple_structural(alg: AlgebraSpec, spec: ModuleSpec) -> SimplicityReport
     nu = spec.validate(alg)
     if spec.family in ("A", "B"):
         return SimplicityReport(True, f"family {spec.family} modules with periodic data are simple")
-    i = _first_nu_zero(nu)
+    i = next(i for i in range(1, spec.n + 1) if nu.value(i).is_zero)
     if i == spec.n:
         return SimplicityReport(True, "nu(i) != 0 for 0 < i < n")
     return SimplicityReport(False, f"nu({i}) = 0: basis vectors {i}..{spec.n - 1} span a proper submodule")
-
-
-def _first_nu_zero(nu: NuTable) -> int | None:
-    """The first i >= 1 with nu(i) = 0 in the table nu(0..n), or None; C(alpha, n) is simple iff it is n."""
-    return next((i for i in range(1, len(nu.values)) if nu.value(i).is_zero), None)
 
 
 def is_simple_bruteforce(rep: MatrixRep, bound: int = 10 ** 6) -> bool:
@@ -344,45 +343,30 @@ def _projective_points(zero, one, elems: list, n: int):
 
 
 def _joint_shift_exists(s1: ModuleSpec, s2: ModuleSpec) -> bool:
-    """Is (lambda2, mu2) a cyclic shift of (lambda1, mu1) over a full period?"""
+    """Is (lambda2, mu2) a cyclic shift of (lambda1, mu1)?
+
+    The pair (lambda(0), mu(0)) fixes the whole sequence by the recurrences,
+    so s2's pair at 0 is looked up among s1's pairs over one joint period n.
+    """
     n = s1.dim
-    lam1 = [s1.orbit.value(t) for t in range(n)]
-    mu1 = list(s1.mu.values(n))
-    lam2 = [s2.orbit.value(t) for t in range(n)]
-    mu2 = list(s2.mu.values(n))
-    for s in range(n):
-        if all(lam2[t] == lam1[(t + s) % n] and mu2[t] == mu1[(t + s) % n] for t in range(n)):
-            return True
-    return False
+    return (s2.orbit.value(0), s2.mu.anchor) in zip(map(s1.orbit.value, range(n)), s1.mu.values(n))
 
 
 def iso_structural(alg: AlgebraSpec, s1: ModuleSpec, s2: ModuleSpec) -> bool:
     """Isomorphism test straight from the classification data.
 
-    Within families A or B: same gamma and jointly shifted (lambda, mu).
-    Family C: equal alpha (and dimension).  Across A and B: gamma_A must
-    equal gamma_B times the product of mu over a full period, with the
-    same joint shift; C never meets A or B.
+    Modules of different families are never isomorphic: x acts invertibly
+    in family A and nilpotently in B and C, and y is bijective in B but
+    nilpotent in C.  Within family A or B: the same gamma and jointly
+    shifted (lambda, mu).  Family C: equal alpha and dimension.
     """
     s1.validate(alg)
     s2.validate(alg)
-    if s1.dim != s2.dim:
+    if s1.dim != s2.dim or s1.family != s2.family:
         return False
-    pair = (s1.family, s2.family)
-    if pair in (("A", "A"), ("B", "B")):
-        return s1.gamma == s2.gamma and _joint_shift_exists(s1, s2)
-    if pair == ("C", "C"):
+    if s1.family == "C":
         return s1.alpha == s2.alpha
-    if pair == ("B", "A"):
-        return iso_structural(alg, s2, s1)
-    if pair == ("A", "B"):
-        prod = alg.field.one
-        for v in s1.mu.values(s1.dim):
-            prod = prod * v
-        if prod.is_zero:
-            return False
-        return s1.gamma == s2.gamma * prod and _joint_shift_exists(s1, s2)
-    return False
+    return s1.gamma == s2.gamma and _joint_shift_exists(s1, s2)
 
 
 def iso_bruteforce(r1: MatrixRep, r2: MatrixRep, scan_bound: int = 10 ** 4) -> bool:
@@ -399,12 +383,19 @@ def iso_bruteforce(r1: MatrixRep, r2: MatrixRep, scan_bound: int = 10 ** 4) -> b
     per line of F^d is tried; c T is invertible iff T is.  With more lines
     than scan_bound, one greedy T is tried first, and SearchSpaceTooLarge is
     raised once scan_bound lines hold no invertible T: every True or False is exact.
+    The linear system for the intertwiners has n^2 unknowns and 3 n^2
+    equations; past _MATRIX_CELL_BUDGET dense cells SearchSpaceTooLarge is
+    raised before it is built.
     """
     if r1.field != r2.field:
         raise FieldMismatch("modules over different fields")
     if r1.dim != r2.dim:
         return False
     field, n = r1.field, r1.dim
+    cells = 3 * n ** 4
+    if cells > _MATRIX_CELL_BUDGET:
+        raise SearchSpaceTooLarge(f"the intertwiner system of two {n}-dimensional modules takes {cells} cells, "
+                                  f"past the budget of {_MATRIX_CELL_BUDGET}")
     mats = intertwiners(((r1.x, r2.x), (r1.y, r2.y), (r1.h, r2.h)))
     if not mats:
         return False
@@ -447,9 +438,11 @@ def enumerate_simples(alg: AlgebraSpec, n: int) -> list[ModuleSpec]:
     with m = n/l, an anchor beta whose mu-sequence has period m gives the
     window mu(t) = q^t beta + c_t, where q^t and the drift c_t are computed
     once per orbit.  Its m re-anchorings beta -> mu(j l) give isomorphic
-    modules; the class is listed once, anchored at its smallest member,
-    and then once per unit gamma.  The period rule is computed once per
-    orbit (mu_periods), so only anchors of period m are visited.  Family C
+    modules: the class is the cycle of beta under beta -> q^l beta + c_l,
+    read off the same walk as the orbits (spectra._cycles), listed once at
+    its smallest member and then once per unit gamma.  The period rule of
+    each orbit (mu_periods) is checked first, so an orbit with no anchor
+    of period m costs no walk.  Family C
     contributes one module per alpha whose nu-sequence first vanishes at
     n.  The three families and distinct data never collide, so the list
     is irredundant without any matrix computation; it is in sort_key
@@ -472,7 +465,7 @@ def enumerate_simples(alg: AlgebraSpec, n: int) -> list[ModuleSpec]:
     units = [table.element(i) for i in range(1, len(points))]
     plan = []  # (orbit, anchors, the anchors that also give family B)
     count = 0
-    for cycle in table.cycles(n):
+    for cycle in _cycles(table.next, n):
         orbit = LambdaOrbit(alg.f, tuple(map(table.element, cycle)))
         l = orbit.period
         if n % l:
@@ -490,25 +483,10 @@ def enumerate_simples(alg: AlgebraSpec, n: int) -> list[ModuleSpec]:
             qt.append(mul(q, qt[-1]))
         # mu(t) vanishes for t < n exactly at the anchor -c_t / q^t
         vanishing = {mul(ring._neg(c[t]), ring._inv(qt[t])) for t in range(n)}
-        if m != period:
-            anchors = [index[fixed.value]]
-        else:
-            # the class of beta is beta -> mu(l) = q^l beta + c_l iterated m
-            # times; scanning in sort_key order meets each class first at its
-            # smallest member
-            ql, cl = qt[l], c[l]
-            skip = [False] * len(points)
-            if fixed is not None:
-                skip[index[fixed.value]] = True
-            anchors = []
-            for b in range(len(points)):
-                if skip[b]:
-                    continue
-                anchors.append(b)
-                v = points[b]
-                for _ in range(m - 1):
-                    v = add(mul(ql, v), cl)
-                    skip[index[v]] = True
+        # the class of beta is its cycle under beta -> mu(l) = q^l beta + c_l,
+        # listed at its smallest member
+        step = [index[add(mul(qt[l], v), c[l])] for v in points]
+        anchors = [cls[0] for cls in _cycles(step, m) if len(cls) == m]
         also_b = {b for b in anchors if points[b] in vanishing}
         count += (len(anchors) + len(also_b)) * len(units)
         _check_budget(count, n)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 
-from .algebra import AlgebraSpec
+from .algebra import AlgebraSpec, _check_length
 from .errors import InvalidSpec, QZero, SearchSpaceTooLarge, UnsupportedField
 from .fields import FieldElement, FieldSpec, _render_guard, multiplicative_order
 from .poly import Poly, roots_in_field
@@ -129,6 +129,33 @@ def orbit_from_seed(f: Poly, alpha: FieldElement) -> LambdaOrbit:
     raise InvalidSpec(f"no cycle through {alpha} found within {limit} steps")
 
 
+def _cycles(nxt: list[int], max_period: int) -> list[list[int]]:
+    """Every cycle of the map i -> nxt[i] with period <= max_period, as positions.
+
+    One walk visits each position once: a path runs until it rejoins itself,
+    a fresh cycle, or meets an explored position.  Each cycle starts at its
+    smallest position, and they are sorted by (period, positions); on a
+    _PointTable that is sort_key order of the points.
+    """
+    state = [0] * len(nxt)  # 0 unseen, 1 on the current path, 2 explored
+    out = []
+    for start in range(len(nxt)):
+        path, i = [], start
+        while not state[i]:
+            state[i] = 1
+            path.append(i)
+            i = nxt[i]
+        if state[i] == 1:
+            cycle = path[path.index(i):]
+            if len(cycle) <= max_period:
+                s = cycle.index(min(cycle))
+                out.append(cycle[s:] + cycle[:s])
+        for j in path:
+            state[j] = 2
+    out.sort(key=lambda c: (len(c), c))
+    return out
+
+
 class _PointTable:
     """f, and g when given, at every point of one finite field, on raw values.
 
@@ -156,32 +183,6 @@ class _PointTable:
 
     def element(self, i: int) -> FieldElement:
         return FieldElement(self.field, self.points[i])
-
-    def cycles(self, max_period: int) -> list[list[int]]:
-        """Every cycle of f with period <= max_period, as positions.
-
-        Each cycle starts at its smallest position, and they are sorted by
-        (period, positions), which is sort_key order of the points.
-        """
-        nxt = self.next
-        state = [0] * len(nxt)  # 0 unseen, 1 on the current path, 2 explored
-        out = []
-        for start in range(len(nxt)):
-            path, i = [], start
-            while not state[i]:
-                state[i] = 1
-                path.append(i)
-                i = nxt[i]
-            # the walk rejoined its own path (a fresh cycle) or an explored point
-            if state[i] == 1:
-                cycle = path[path.index(i):]
-                if len(cycle) <= max_period:
-                    s = cycle.index(min(cycle))
-                    out.append(cycle[s:] + cycle[:s])
-            for j in path:
-                state[j] = 2
-        out.sort(key=lambda c: (len(c), c))
-        return out
 
     def nu_first_zero_at(self, q: FieldElement, n: int) -> list[int]:
         """Positions alpha whose nu-sequence first vanishes at n: nu(n) = 0, nu(i) != 0 for 0 < i < n.
@@ -230,7 +231,7 @@ def enumerate_lambda_orbits(field: FieldSpec, f: Poly, max_period: int) -> list[
         fixed = sorted(roots_in_field(diff), key=FieldElement.sort_key)
         return [LambdaOrbit(f, (a,)) for a in fixed]
     table = _PointTable(field, f)
-    return [LambdaOrbit(f, tuple(map(table.element, cycle))) for cycle in table.cycles(max_period)]
+    return [LambdaOrbit(f, tuple(map(table.element, cycle))) for cycle in _cycles(table.next, max_period)]
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +278,12 @@ class MuSequence:
         """values(count) as raw values; g is evaluated once per orbit point.
 
         Over Q a value str() could not render raises DigitLimitExceeded as
-        soon as it is computed.
+        soon as it is computed.  Past _SEQUENCE_BUDGET values
+        SearchSpaceTooLarge is raised at once.
         """
         if count <= 0:
             return []
+        _check_length(count)
         ring = self.field._ring
         add, mul, q = ring._add, ring._mul, self.q.value
         g_at = [self.g._at(v.value) for v in self.orbit.values[:count - 1]]
@@ -311,12 +314,17 @@ def mu_periods(orbit: LambdaOrbit, q: FieldElement, g: Poly) -> tuple[FieldEleme
               or 0 for infinite over Q).
       Q != 1: the fixed point Xi / (1 - Q) has period 1 and every other
               anchor has period ord(Q).
+
+    Xi takes one step per orbit point, so unlike MuSequence it is not held
+    to the sequence budget: an orbit longer than the budget has its rule.
     """
     if q.is_zero:
         raise QZero("mu-periodicity needs q != 0")
     spec = orbit.field
     big_q = q ** orbit.period
-    xi = MuSequence(orbit, q, g, spec.zero).value(orbit.period)
+    xi = spec.zero
+    for v in orbit.values:
+        xi = q * xi + g(v)
     if big_q.is_one:
         return None, 1 if xi.is_zero else spec.char
     return xi / (spec.one - big_q), multiplicative_order(big_q)
@@ -367,10 +375,12 @@ def nu_table(alg: AlgebraSpec, alpha: FieldElement, count: int) -> NuTable:
     """nu(0..count); f^[i](alpha) for i < count is evaluated only when g reads it.
 
     Over Q a value str() could not render raises DigitLimitExceeded as soon
-    as it is computed; the points are not checked.
+    as it is computed; the points are not checked.  Past count =
+    _SEQUENCE_BUDGET SearchSpaceTooLarge is raised at once.
     """
     if alpha.spec != alg.field:
         raise InvalidSpec("alpha must lie in the coefficient field")
+    _check_length(count)
     ring = alg.field._ring
     add, mul, q = ring._add, ring._mul, alg.q.value
     guard = _render_guard(alg.field)

@@ -684,6 +684,43 @@ def test_build_module_past_the_cell_budget_fails_before_it_allocates():
                            "past the budget of 16777216\n")
 
 
+def test_bruteforce_isomorphism_past_the_cell_budget_fails_before_it_allocates(capsys):
+    # the intertwiner system of two p-dimensional U(h_3) modules over GF(p) has
+    # 3 p^4 dense cells: p = 47 fits the budget, p = 89 took 9 s and 1.17 GB
+    def argv(p):
+        return ["check-iso", "--field", f"GF({p})", "--q", "1", "--f", "h", "--g", "h", "--brute",
+                "--family", "A", "--alpha", "1", "--beta", "0", "--gamma", "1",
+                "--family2", "A", "--alpha2", "1", "--beta2", "0", "--gamma2", "1"]
+
+    assert run_cli(capsys, *argv(47)) == (0, "isomorphic: True\nbrute-force agrees: True\n", "")
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", _QGHA_UNDER_1GIB, *argv(89)], capture_output=True, text=True,
+                          env=_subprocess_env(), timeout=60)
+    assert time.perf_counter() - start < 2
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == ("error: the intertwiner system of two 89-dimensional modules takes 188226723 cells, "
+                           "past the budget of 16777216\n")
+
+
+@pytest.mark.parametrize("argv,terms", [
+    (["nu", *BASE, "--alpha", "1", "--k", "300000000"], 300000000),
+    (["mu", *BASE, "--alpha", "1", "--beta", "1", "--k", "300000000"], 300000000),
+    (["theta", "--field", "GF(5)", "--q", "2", "--f", "h + 1", "--g", "h", "--k", "100000000"], 100000000),
+    # the one orbit of h + 1 has period 65537 and its anchors period 65536; the
+    # drift of the modules of dimension 65537 * 65536 died with MemoryError
+    (["enumerate", "--field", "GF(65537)", "--q", "3", "--f", "h + 1", "--g", "h", "--dim", "4295032832"],
+     4295032833),
+], ids=["nu", "mu", "theta", "enumerate"])
+def test_sequences_past_the_length_budget_fail_fast(argv, terms):
+    # the first three ran past 20 s under 1 GiB before --k had a budget
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", _QGHA_UNDER_1GIB, *argv], capture_output=True, text=True,
+                          env=_subprocess_env(), timeout=60)
+    assert time.perf_counter() - start < 2
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: {terms} terms of a sequence are past the length budget of 65536\n"
+
+
 _NU_G1 = ["nu", "--field", "Q", "--q", "2", "--f", "h^2 + 1", "--g", "1", "--alpha", "0"]
 
 

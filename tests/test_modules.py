@@ -388,21 +388,26 @@ def test_iso_c_families():
 
 
 def test_iso_across_families():
-    alg = alg_sq()
-    mu = mu_at(alg, 1, 3)
-    a = ModuleSpec.family_a(mu, F5.element(2))
-    b = ModuleSpec.family_b(mu, F5.element(2))
-    c = ModuleSpec.family_c(F5.one, 4)
     # a valid B has a vanishing mu, so its x-action is nilpotent while A's
     # is invertible; the families never meet
-    assert not iso_structural(alg, a, b)
-    assert not iso_structural(alg, b, a)
-    assert not iso_structural(alg, a, c)
-    assert not iso_structural(alg, c, b)
-    rep_a, rep_b, rep_c = (build_matrix_rep(alg, s) for s in (a, b, c))
-    assert not iso_bruteforce(rep_a, rep_b)
-    assert not iso_bruteforce(rep_a, rep_c)
-    assert not iso_bruteforce(rep_b, rep_c)
+    f7 = FieldSpec.prime(7)
+    alg7 = AlgebraSpec(f7, f7.element(2), Poly.from_ints(f7, [0, 0, 1]), Poly.gen(f7))
+    for alg, anchor_a, anchor_b, n in [
+        # over GF(5) A's mu vanishes too
+        (alg_sq(), 3, 3, 4),
+        # over GF(7) the anchors of lambda = (1) of period 3 fall into the classes
+        # {0, 1, 3} and {2, 5, 4}: A's mu never vanishes, B's does
+        (alg7, 2, 0, 3),
+    ]:
+        gamma = alg.field.element(2)
+        a = ModuleSpec.family_a(mu_at(alg, 1, anchor_a), gamma)
+        b = ModuleSpec.family_b(mu_at(alg, 1, anchor_b), gamma)
+        c = ModuleSpec.family_c(alg.field.one, n)
+        assert a.dim == b.dim == n
+        assert any(v.is_zero for v in a.mu.values(n)) == (anchor_a == 3)
+        for s1, s2 in itertools.permutations((a, b, c), 2):
+            assert not iso_structural(alg, s1, s2)
+            assert not iso_bruteforce(build_matrix_rep(alg, s1), build_matrix_rep(alg, s2))
 
 
 def test_iso_bruteforce_dimension_mismatch_and_infinite_field():

@@ -2,10 +2,12 @@
 
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
-from qgha.algebra import AlgebraSpec
+from qgha import algebra
+from qgha.algebra import AlgebraSpec, theta
 from qgha.errors import FieldMismatch, InvalidSpec, QZero, SearchSpaceTooLarge, UnsupportedField
 from qgha.fields import FieldSpec
 from qgha.poly import Poly
@@ -339,3 +341,52 @@ def test_nu_first_zero_matches_nu_table_past_the_field_squared(field):
                 if next((t for t in range(1, n + 1) if nu[t].is_zero), None) == n:
                     want.append(i)
             assert table.nu_first_zero_at(alg.q, n) == want, (f.render(), g.render(), alg.q, n)
+
+
+@pytest.mark.parametrize("g_degree", [0, 2], ids=["constant g", "g of degree 2"])
+@pytest.mark.parametrize("field", [QQ, F5, FieldSpec.extension(7, 2)], ids=str)
+def test_nu_is_theta_at_alpha(field, g_degree):
+    # two layers, one value: nu_alpha(i) = sum_{j<i} q^(i-1-j) g(f^[j](alpha)),
+    # and theta_i = sum_{j<i} q^(i-1-j) sigma^j(g) evaluated at alpha.  Over Q
+    # f is affine: theta_12 of a quadratic f has degree 4096 and huge coefficients
+    rng = random.Random(70 + (field.order or 0) + g_degree)
+    points = list(field.elements()) if field.order else [QQ.element(v) for v in (0, 1, -2, Fraction(1, 3))]
+
+    def unit():
+        while (v := field.random_element(rng)).is_zero:
+            pass
+        return v
+
+    for _ in range(3):
+        f = Poly(field, [field.random_element(rng) for _ in range(1 if field.order is None else 2)] + [unit()])
+        g = Poly(field, [field.random_element(rng) for _ in range(g_degree)] + [unit()])
+        alg = AlgebraSpec(field, field.random_element(rng), f, g, degree_cap=1 << 12)
+        thetas = [theta(alg, i) for i in range(13)]
+        first_zero = []
+        for alpha in points:
+            at_alpha = [t(alpha) for t in thetas]
+            assert list(nu_table(alg, alpha, 12).values) == at_alpha, (f.render(), g.render(), alpha)
+            first_zero.append(next((i for i in range(1, 13) if at_alpha[i].is_zero), None))
+        if field.order:
+            table = _PointTable(field, f, g)
+            for n in range(1, 13):
+                want = [i for i, z in enumerate(first_zero) if z == n]
+                assert table.nu_first_zero_at(alg.q, n) == want, (f.render(), g.render(), n)
+
+
+def test_sequences_past_the_length_budget_fail_fast(monkeypatch):
+    monkeypatch.setattr(algebra, "_SEQUENCE_BUDGET", 40)
+    alg = AlgebraSpec(F5, F5.element(2), Poly.from_ints(F5, [1, 1]), Poly.gen(F5))
+    mu = MuSequence(orbit_from_seed(Poly.gen(F5), F5.one), alg.q, alg.g, F5.one)
+    assert theta(alg, 40) == theta(alg, 39).compose(alg.f) + alg.q ** 39 * alg.g
+    assert len(nu_table(alg, F5.one, 40).values) == 41
+    assert (len(mu.values(40)), mu.value(39)) == (40, mu.values(40)[-1])
+    for build in (lambda: theta(alg, 41), lambda: nu_table(alg, F5.one, 41), lambda: mu.values(41),
+                  lambda: mu.value(40)):
+        with pytest.raises(SearchSpaceTooLarge, match="41 terms of a sequence are past the length budget of 40"):
+            build()
+    # the period rule walks one orbit, however long: h + 1 over GF(47) has one orbit of period 47
+    f47 = FieldSpec.prime(47)
+    orbit = orbit_from_seed(Poly.from_ints(f47, [1, 1]), f47.zero)
+    assert orbit.period == 47
+    assert mu_periods(orbit, f47.element(2), Poly.gen(f47)) == (f47.element(46), 23)
