@@ -20,19 +20,26 @@ Division is one long division for every field: over Q it runs on those
 Fractions, and _poly_from puts the quotient and remainder back in canonical
 form.
 
-Polynomial products are Kronecker substitutions (Schoenhage 1982; Harvey,
-JSC 2009): each factor is packed into one big int of fixed-width slots and
-the product's coefficients are read back from the slots.  GF(p^k) gives each
-coefficient 2k-1 slots, one per power of u, and folds u^k..u^(2k-2) back with
-a fixed table; GF(p) is the case k = 1.  Over Q the integer numerators are
-packed with every slot offset by half its range, so signed slots read back
-one by one.
+A polynomial product with a factor of at most one term is a scale of the
+other factor, one element product per coefficient; about half the products
+of a PBW multiplication are.  Every other product is a Kronecker
+substitution (Schoenhage 1982; Harvey, JSC 2009): each factor is packed into
+one big int of fixed-width slots and the product's coefficients are read
+back from the slots.  GF(p^k) gives each coefficient 2k-1 slots, one per
+power of u, and folds u^k..u^(2k-2) back with a fixed table; GF(p) is the
+case k = 1.  Over Q the integer numerators are packed with every slot
+offset by half its range, so signed slots read back one by one.
 
 Element products and inverses in GF(p^k) with at most _LOG_TABLE_ORDER
 elements are lookups in discrete log and antilog tables (Lidl and
 Niederreiter, Finite Fields) that each ring builds once, with the raw format
 unchanged; larger fields pay one packed product, or one extended Euclid
 that runs on the GF(p) ring's polynomial division, product and difference.
+The fields with log tables also pack and read polynomial products by table:
+a factor is one join of its coefficients' slot blocks, and each folded
+block of the product, reduced mod p, is one lookup.  Both tables gain an
+entry the first time a product meets an element, so building a field costs
+no more than before; larger fields flatten and read the digits one by one.
 """
 
 from __future__ import annotations
@@ -94,11 +101,16 @@ def _width(bound: int) -> int:
     return 1 << (w - 1).bit_length() if w <= 8 else w
 
 
+def _slot_bytes(digits: Sequence[int], width: int) -> bytes:
+    """The nonnegative digits as width-byte little-endian slots."""
+    if width not in _WORDS:
+        return b"".join([d.to_bytes(width, "little") for d in digits])
+    return array(_WORDS[width], digits).tobytes()
+
+
 def _pack(digits: Sequence[int], width: int) -> int:
     """The int whose width-byte little-endian slots hold the nonnegative digits."""
-    if width not in _WORDS:
-        return int.from_bytes(b"".join([d.to_bytes(width, "little") for d in digits]), "little")
-    return int.from_bytes(array(_WORDS[width], digits), "little")
+    return int.from_bytes(_slot_bytes(digits, width), "little")
 
 
 def _unpack(n: int, width: int, count: int) -> list[int]:
@@ -114,6 +126,20 @@ def _trimmed(values) -> list:
     while out and not out[-1]:
         out.pop()
     return out
+
+
+class _Memo(dict):
+    """A dict that fills a missing key with fn(key) on its first read."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 def _power(x, n: int, one, mul=operator.mul):
@@ -132,13 +158,13 @@ def _power(x, n: int, one, mul=operator.mul):
 
 
 class _Ring:
-    """Raw-value arithmetic of one field; subclasses supply the element ops and the product.
+    """Raw-value arithmetic of one field; subclasses supply the element ops and _kronecker.
 
     The polynomial ops here serve GF(p) and GF(p^k): they take sequences of
     raw values and return trimmed tuples.  _RationalRing overrides all of
-    them but _poly_divmod, which serves Q as well: a _QPoly reads as its
-    Fraction coefficients, and the quotient and remainder come back through
-    _poly_from.
+    them but _poly_divmod and _poly_mul, which serve Q as well: a _QPoly
+    reads as its Fraction coefficients, and the quotient and remainder come
+    back through _poly_from.
     """
 
     def _poly_from(self, values: Iterable) -> tuple:
@@ -167,6 +193,18 @@ class _Ring:
             return ()
         mul = self._mul
         return tuple([mul(v, c) for v in a])
+
+    def _poly_mul(self, a: Sequence, b: Sequence):
+        """a b: a factor with at most one term scales the other, longer ones make one Kronecker product.
+
+        About half the products of a PBW multiplication have a constant
+        factor, and a scale costs a fraction of a packed product.
+        """
+        if len(a) > len(b):
+            a, b = b, a
+        if len(a) > 1:
+            return self._kronecker(a, b)
+        return self._poly_scale(b, a[0] if a else self.zero)
 
     def _poly_lincomb(self, coeffs: Sequence, polys: Sequence) -> tuple:
         """sum c_i polys[i] over the pairs of coeffs and polys: scalar products only.
@@ -326,9 +364,7 @@ class _RationalRing(_Ring):
         n = c.numerator
         return _canon(a.den * c.denominator, [v * n for v in a.nums])
 
-    def _poly_mul(self, a: _QPoly, b: _QPoly) -> _QPoly:
-        if not a.nums or not b.nums:
-            return _QZERO
+    def _kronecker(self, a: _QPoly, b: _QPoly) -> _QPoly:
         return _canon(a.den * b.den, _signed_product(a.nums, b.nums))
 
     def _poly_lincomb(self, coeffs: Sequence, polys: Sequence[_QPoly]) -> _QPoly:
@@ -377,9 +413,7 @@ class _PrimeRing(_Ring):
     def _inv(self, a):
         return pow(a, -1, self.p)
 
-    def _poly_mul(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-        if not a or not b:
-            return ()
+    def _kronecker(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
         p = self.p
         width = _width(min(len(a), len(b)) * (p - 1) ** 2)
         prod = _pack(a, width) * _pack(b, width)
@@ -402,7 +436,9 @@ class _ExtensionRing(_Ring):
     1/a = exp[n - log a] for n = p^k - 1.  Past it, a product is one packed
     product (_packed_mul) and an inverse is extended Euclid (_euclid_inv)
     on the polynomial ops of the GF(p) ring self.base; the tables are built
-    with the packed product.
+    with the packed product.  Fields with log tables also pack and read
+    polynomial products through two lookup tables, filled as elements
+    appear (_blocks, _reads).
     """
 
     zero, one = (), (1,)
@@ -422,6 +458,12 @@ class _ExtensionRing(_Ring):
         self.elem_width = _width((2 * k - 1) * k * (p - 1) ** 3)
         self.fold = _pack(fold, self.elem_width)
         self._exp, self._log = self._log_tables() if p ** k <= _LOG_TABLE_ORDER else (None, None)
+        if self._log is not None:
+            # for _kronecker, filled as elements appear, so each holds at most p^k entries:
+            # the slot block of an element by slot width, and the element of a folded block
+            stride = 2 * k - 1
+            self._blocks = _Memo(lambda w: _Memo(lambda v: _slot_bytes(v + (0,) * (stride - len(v)), w)))
+            self._reads = _Memo(lambda block: tuple(_trimmed(block)))
 
     def _coerce(self, value) -> tuple[int, ...]:
         if isinstance(value, (list, tuple)):
@@ -500,20 +542,26 @@ class _ExtensionRing(_Ring):
             r0, r1, s0, s1 = r1, rem, s1, base._poly_sub(s0, base._poly_mul(quot, s1))
         return base._poly_scale(s1, base._inv(r1[0]))
 
-    def _poly_mul(self, a: Sequence, b: Sequence) -> tuple:
+    def _kronecker(self, a: Sequence, b: Sequence) -> tuple:
         """Each coefficient gets a block of 2k-1 slots, one per power of u.
 
         Slot k+e of every block of the product is shifted down to slot 0,
         masked, and multiplied by the packed u^(k+e) mod modulus, which adds
-        it into the block's low k slots; all blocks fold at once.
+        it into the block's low k slots; all blocks fold at once.  With log
+        tables, each factor packs by one join of its coefficients' blocks
+        (_blocks) and each folded block, reduced mod p, reads back as one
+        lookup (_reads); without them, the digits are flattened and the k
+        low slots of each block read back one by one.
         """
-        if not a or not b:
-            return ()
         k, p = self.k, self.p
         stride, n = 2 * k - 1, len(a) + len(b) - 1
         # per pair of terms a slot sums k residue products, then k-1 table terms of each
         width = _width(min(len(a), len(b)) * k * (p - 1) ** 2 * (1 + (k - 1) * (p - 1)))
-        x, y = (_pack([d for v in poly for d in v + (0,) * (stride - len(v))], width) for poly in (a, b))
+        if self._log is not None:
+            blocks = self._blocks[width]
+            x, y = (int.from_bytes(b"".join(map(blocks.__getitem__, poly)), "little") for poly in (a, b))
+        else:
+            x, y = (_pack([d for v in poly for d in v + (0,) * (stride - len(v))], width) for poly in (a, b))
         prod = x * y
         pad = bytes(width * (k - 1))
         folded = prod & int.from_bytes((b"\xff" * (width * k) + pad) * n, "little")
@@ -521,6 +569,9 @@ class _ExtensionRing(_Ring):
         for e, row in enumerate(self.table):
             folded += (prod >> (8 * width * (k + e)) & first) * _pack(row, width)
         slots = _unpack(folded, width, n * stride)
+        if self._log is not None:
+            residues = [v % p for v in slots]
+            return tuple(map(self._reads.__getitem__, zip(*[iter(residues)] * stride)))
         cols = [[v % p for v in slots[i::stride]] for i in range(k)]
         return tuple([c if c[-1] else tuple(_trimmed(c)) for c in zip(*cols)])
 

@@ -465,6 +465,7 @@ def enumerate_simples(alg: AlgebraSpec, n: int) -> list[ModuleSpec]:
     units = [table.element(i) for i in range(1, len(points))]
     plan = []  # (orbit, anchors, the anchors that also give family B)
     count = 0
+    orders: dict[int, int] = {}  # ord(q^l) by orbit period l, for mu_periods
     for cycle in _cycles(table.next, n):
         orbit = LambdaOrbit(alg.f, tuple(map(table.element, cycle)))
         l = orbit.period
@@ -473,7 +474,7 @@ def enumerate_simples(alg: AlgebraSpec, n: int) -> list[ModuleSpec]:
         m = n // l
         # a fixed anchor exists only when q^l != 1; it alone has period 1,
         # and every other anchor has period ord(q^l) >= 2
-        fixed, period = mu_periods(orbit, alg.q, alg.g)
+        fixed, period = mu_periods(orbit, alg.q, alg.g, orders)
         if m != period and not (m == 1 and fixed is not None):
             continue
         # mu(t) = q^t beta + c_t, where the drift c_t is the sequence anchored at 0

@@ -74,6 +74,10 @@ _ORBIT_WORK_BUDGET = 2 ** 19
 _POINT_TABLE_BUDGET = 2 ** 22
 # The most iterates orbit_from_seed computes over Q before it gives up.
 _ORBIT_Q_STEPS = 64
+# The most steps of the nu recurrence _PointTable.nu_first_zero_at may take:
+# |F| n, n the target index.  GF(65537) with n = 64 (4,194,368 steps) takes
+# 1.2 s on a 2-core Xeon and fits.
+_NU_WALK_BUDGET = 2 ** 22
 
 
 def _escapes(f: Poly):
@@ -191,7 +195,9 @@ class _PointTable:
         the first zero.  The state (f^[i](alpha), nu(i)) takes at most |F|^2
         values, so once nu has missed 0 for |F|(|F| - 1) + 1 steps a nonzero
         state has recurred and nu never vanishes: past n = |F|^2 no alpha
-        qualifies, and nothing is walked.
+        qualifies, and nothing is walked.  Otherwise a walk that may take
+        more than _NU_WALK_BUDGET steps, |F| n, raises SearchSpaceTooLarge
+        before it starts.
         """
         ring = self.field._ring
         add, mul, q = ring._add, ring._mul, q.value
@@ -199,6 +205,9 @@ class _PointTable:
         out = []
         if n > len(nxt) ** 2:
             return out
+        if len(nxt) * n > _NU_WALK_BUDGET:
+            raise SearchSpaceTooLarge(f"the nu-walk over {self.field} takes up to {len(nxt) * n} steps, "
+                                      f"more than the budget {_NU_WALK_BUDGET}")
         for alpha in range(len(nxt)):
             nu, i = ring.zero, alpha
             for t in range(1, n + 1):
@@ -301,7 +310,8 @@ class MuSequence:
         return mu_period(self.orbit, self.q, self.g, self.anchor)
 
 
-def mu_periods(orbit: LambdaOrbit, q: FieldElement, g: Poly) -> tuple[FieldElement | None, int]:
+def mu_periods(orbit: LambdaOrbit, q: FieldElement, g: Poly,
+               orders: dict[int, int] | None = None) -> tuple[FieldElement | None, int]:
     """The mu-period rule of one orbit: (fixed anchor or None, period of every other anchor).
 
     Write Q = q^l and Xi for the drift over one lambda-period, mu(l) of
@@ -317,6 +327,10 @@ def mu_periods(orbit: LambdaOrbit, q: FieldElement, g: Poly) -> tuple[FieldEleme
 
     Xi takes one step per orbit point, so unlike MuSequence it is not held
     to the sequence budget: an orbit longer than the budget has its rule.
+    ord(Q) depends on l alone.  orders, when given, maps periods l to
+    ord(q^l) for this q and is filled as they are computed: enumerate_simples
+    shares one across its orbits, which over GF(1009) with f = h are 1009
+    orbits of period 1.
     """
     if q.is_zero:
         raise QZero("mu-periodicity needs q != 0")
@@ -327,7 +341,10 @@ def mu_periods(orbit: LambdaOrbit, q: FieldElement, g: Poly) -> tuple[FieldEleme
         xi = q * xi + g(v)
     if big_q.is_one:
         return None, 1 if xi.is_zero else spec.char
-    return xi / (spec.one - big_q), multiplicative_order(big_q)
+    orders = {} if orders is None else orders
+    if orbit.period not in orders:
+        orders[orbit.period] = multiplicative_order(big_q)
+    return xi / (spec.one - big_q), orders[orbit.period]
 
 
 def mu_period(orbit: LambdaOrbit, q: FieldElement, g: Poly, anchor: FieldElement) -> int:

@@ -721,6 +721,19 @@ def test_sequences_past_the_length_budget_fail_fast(argv, terms):
     assert proc.stderr == f"error: {terms} terms of a sequence are past the length budget of 65536\n"
 
 
+def test_enumerate_refuses_a_long_nu_walk_before_it_starts():
+    # n = |F|^2 - 1 is the last dimension whose nu-walk is not skipped; the
+    # walk of |F| n steps ran past 30 s before it had a budget
+    argv = ["enumerate", "--field", "GF(65537)", "--q", "3", "--f", "h + 1", "--g", "h", "--dim", "4295098368"]
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", _QGHA_UNDER_1GIB, *argv], capture_output=True, text=True,
+                          env=_subprocess_env(), timeout=60)
+    assert time.perf_counter() - start < 2
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == ("error: the nu-walk over GF(65537) takes up to 281487861743616 steps, "
+                           "more than the budget 4194304\n")
+
+
 _NU_G1 = ["nu", "--field", "Q", "--q", "2", "--f", "h^2 + 1", "--g", "1", "--alpha", "0"]
 
 

@@ -1,7 +1,9 @@
 """Property tests for the field rings and the Poly kernel.
 
-Fields: Q, GF(5), GF(4294967311) (residue products overflow int64) and
-GF(7^2).  Element and polynomial arithmetic is checked against oracles
+Fields: Q, GF(5), GF(4294967311) (residue products overflow int64),
+GF(7^2), GF(2^8) and GF(2^11); GF(2^11) is past the log tables, so its
+polynomial products take the digit-by-digit packing that the other
+extension fields skip.  Element and polynomial arithmetic is checked against oracles
 written here on the documented value formats: Fractions, int residues and
 trimmed u-coefficient tuples.  Division is checked through a = q*b + r with
 deg r < deg b, and, where sympy is installed, GF(p) products and division
@@ -35,7 +37,9 @@ QQ = FieldSpec.rationals()
 F5 = FieldSpec.prime(5)
 FBIG = FieldSpec.prime(4294967311)
 F49 = FieldSpec.extension(7, 2)
-FIELDS = [QQ, F5, FBIG, F49]
+F256 = FieldSpec.extension(2, 8)
+F2048 = FieldSpec.extension(2, 11)
+FIELDS = [QQ, F5, FBIG, F49, F256, F2048]
 PRIME_FIELDS = [F5, FBIG]
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -109,6 +113,16 @@ def polys(F, max_len=12):
     return st.lists(elements(F), max_size=max_len).map(lambda cs: Poly(F, cs))
 
 
+def factors(F):
+    """Product factors: one nonzero term, up to 12 terms, or up to 40.
+
+    A one-term factor scales the other one; the long ones need wider slots
+    than the short ones over GF(5), GF(2^8) and GF(2^11).
+    """
+    one_term = elements(F).filter(lambda c: not c.is_zero).map(lambda c: Poly(F, [c]))
+    return one_term | polys(F) | polys(F, max_len=40)
+
+
 field_param = pytest.mark.parametrize("F", FIELDS, ids=str)
 
 
@@ -140,11 +154,20 @@ def test_ring_axioms(F, data):
 @SETTINGS
 @given(data=st.data())
 def test_poly_product_matches_schoolbook(F, data):
-    a, b = data.draw(polys(F)), data.draw(polys(F))
+    a, b = data.draw(factors(F)), data.draw(factors(F))
     prod = a * b
     assert values(prod) == oracle_poly_mul(F, values(a), values(b))
     assert prod == b * a
     assert prod.degree == (-1 if a.is_zero or b.is_zero else a.degree + b.degree)
+
+
+def test_gf49_product_past_its_first_slot_width():
+    # over GF(7^2) a slot of the product takes 2 bytes up to 130 terms per factor, and 4 past it
+    rng = random.Random(49)
+    for n in (130, 131):
+        a, b = ([F49.element([rng.randrange(7), rng.randrange(7)]) for _ in range(n)] + [F49.one] for _ in "ab")
+        a, b = Poly(F49, a), Poly(F49, b)
+        assert values(a * b) == oracle_poly_mul(F49, values(a), values(b))
 
 
 @field_param
@@ -272,7 +295,7 @@ def test_rational_rref_matches_generic_and_sympy(rows):
 
 # -- elimination over finite fields ---------------------------------------------
 
-FINITE_FIELDS = [F5, F49, FieldSpec.extension(2, 3), FieldSpec.extension(3, 3), FieldSpec.extension(2, 8),
+FINITE_FIELDS = [F5, F49, FieldSpec.extension(2, 3), FieldSpec.extension(3, 3), F256,
                  FBIG, FieldSpec.prime(2**61 - 1)]
 
 

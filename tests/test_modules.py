@@ -758,6 +758,21 @@ def test_enumerate_computes_one_order_per_orbit(monkeypatch):
     assert 0 < len(calls) <= len(orbits)
 
 
+def test_enumerate_computes_one_order_per_period(monkeypatch):
+    # f = h makes each of the 1009 points an orbit of period 1, and q^1 has one order
+    F = FieldSpec.prime(1009)
+    q, g = F.element(2), Poly.from_ints(F, [1])
+    alg = AlgebraSpec(F, q, Poly.gen(F), g)
+    calls, real = [], spectra.multiplicative_order
+    monkeypatch.setattr(spectra, "multiplicative_order", lambda a: calls.append(a) or real(a))
+    assert enumerate_simples(alg, 4) == []  # 2 has order 504 in GF(1009), so no anchor has period 4
+    assert calls == [q]
+    # mu(1) = 2 beta + 1 fixes beta = -1, and every other anchor has period 504
+    orbit = LambdaOrbit(alg.f, (F.element(7),))
+    assert mu_periods(orbit, q, g) == (F.element(-1), 504)
+    assert spectra.mu_period(orbit, q, g, F.element(3)) == 504
+
+
 def test_enumerate_modules_are_simple_and_distinct():
     alg = alg_cube()
     mods = enumerate_simples(alg, 2)
