@@ -33,8 +33,10 @@ offset by half its range, so signed slots read back one by one.
 Element products and inverses in GF(p^k) with at most _LOG_TABLE_ORDER
 elements are lookups in discrete log and antilog tables (Lidl and
 Niederreiter, Finite Fields) that each ring builds once, with the raw format
-unchanged; larger fields pay one packed product, or one extended Euclid
-that runs on the GF(p) ring's polynomial division, product and difference.
+unchanged; larger fields pay one packed product, or one extended Euclid in
+GF(p)[u] (_Ring._poly_euclid).  The same Euclid and one Frobenius chain of
+p-th powers mod f (_power) decide irreducibility by Rabin's test, which
+find_irreducible runs on the candidates for a GF(p^k) modulus in order.
 The fields with log tables also pack and read polynomial products by table:
 a factor is one join of its coefficients' slot blocks, and each folded
 block of the product, reduced mod p, is one lookup.  Both tables gain an
@@ -239,6 +241,14 @@ class _Ring:
             rem = _trimmed(rem)
         return self._poly_from(quot), self._poly_from(rem)
 
+    def _poly_euclid(self, m: Sequence, a: Sequence) -> tuple:
+        """(r, s), s a = r mod m, by extended Euclid up to the first r of at most one term: r != 0 iff gcd = 1."""
+        r0, r1, s0, s1 = m, a, self._poly_from(()), self._poly_from((self.one,))
+        while len(r1) > 1:
+            quot, rem = self._poly_divmod(r0, r1)
+            r0, r1, s0, s1 = r1, rem, s1, self._poly_sub(s0, self._poly_mul(quot, s1))
+        return r1, s1
+
 
 class _QPoly:
     """A polynomial over Q as integer numerators over one denominator.
@@ -434,11 +444,10 @@ class _ExtensionRing(_Ring):
     log and antilog tables of the first primitive element g in sort_key
     order: exp[e] = g^e and log[g^e] = e, so a b = exp[log a + log b] and
     1/a = exp[n - log a] for n = p^k - 1.  Past it, a product is one packed
-    product (_packed_mul) and an inverse is extended Euclid (_euclid_inv)
-    on the polynomial ops of the GF(p) ring self.base; the tables are built
-    with the packed product.  Fields with log tables also pack and read
-    polynomial products through two lookup tables, filled as elements
-    appear (_blocks, _reads).
+    product (_packed_mul) and an inverse is the extended Euclid of the GF(p)
+    ring self.base (_euclid_inv); the tables are built with the packed
+    product.  Fields with log tables also pack and read polynomial products
+    through two lookup tables, filled as elements appear (_blocks, _reads).
     """
 
     zero, one = (), (1,)
@@ -530,17 +539,9 @@ class _ExtensionRing(_Ring):
         return tuple(_trimmed(x % self.p for x in slots[2 * k - 2::4 * k - 3]))
 
     def _euclid_inv(self, a):
-        """Extended Euclid in GF(p)[u] on the prime ring's polynomial ops.
-
-        Keeps s0 a = r0 and s1 a = r1 modulo the modulus.  The modulus is
-        irreducible, so the remainders reach a nonzero constant r1.
-        """
-        base = self.base
-        r0, r1, s0, s1 = tuple(self.modulus), a, (), (1,)
-        while len(r1) > 1:
-            quot, rem = base._poly_divmod(r0, r1)
-            r0, r1, s0, s1 = r1, rem, s1, base._poly_sub(s0, base._poly_mul(quot, s1))
-        return base._poly_scale(s1, base._inv(r1[0]))
+        """1/a by the GF(p) ring's _poly_euclid: the modulus is irreducible, so r is a nonzero constant."""
+        r, s = self.base._poly_euclid(self.modulus, a)
+        return self.base._poly_scale(s, self.base._inv(r[0]))
 
     def _kronecker(self, a: Sequence, b: Sequence) -> tuple:
         """Each coefficient gets a block of 2k-1 slots, one per power of u.
@@ -576,53 +577,52 @@ class _ExtensionRing(_Ring):
         return tuple([c if c[-1] else tuple(_trimmed(c)) for c in zip(*cols)])
 
 
-def _monic_polys(p: int, degree: int) -> Iterator[tuple[int, ...]]:
-    """All monic degree-d polynomials over GF(p) in itertools.product order of the lower coefficients.
-
-    So the u^(d-1) coefficient varies fastest and u^0 slowest: over GF(3) in
-    degree 2 the first are (0, 0, 1), (0, 1, 1), (0, 2, 1), (1, 0, 1).
-    find_irreducible, and so every GF(p^k) modulus, depends on this order.
-    """
-    for lower in itertools.product(range(p), repeat=degree):
-        yield lower + (1,)
+# Rabin's test in degree k over GF(p) makes k Frobenius steps of about
+# log2 p products mod f, each about k^2 digit operations; a field past this
+# many k^3 log2 p is refused before any division.  On a 2-core Xeon (Python
+# 3.11.7) one test inside it takes under 0.1 s, a modulus search (about k
+# tests) at most 2.3 s over 13 primes to 2^81, and GF(2^128), past it, 6.6 s.
+_RABIN_BUDGET = 1 << 17
 
 
-# The most trial divisors, p + p^2 + ... + p^(k/2), that an irreducibility
-# test of degree k may need.  GF(1009^2) needs 1009 and GF(251^3) 251;
-# GF(7^10) needs 19607 and GF(1009^4) about 10^6, and are refused at once.
-# Time still grows with the number of candidates: GF(7^8) (2800 divisors)
-# and GF(2^20) (2046) each take about 16 s on a 2-core Xeon.
-_TRIAL_DIVISOR_BUDGET = 1 << 12
-
-
-def _check_trial_divisors(p: int, degree: int):
-    """SearchSpaceTooLarge when trial division in this degree passes _TRIAL_DIVISOR_BUDGET."""
-    count, power = 0, 1
-    for _ in range(degree // 2):
-        power *= p
-        count += power
-        if count > _TRIAL_DIVISOR_BUDGET:
-            raise SearchSpaceTooLarge(
-                f"testing irreducibility in degree {degree} over GF({p}) needs more than "
-                f"{_TRIAL_DIVISOR_BUDGET} trial divisors")
+def _check_rabin_cost(p: int, degree: int):
+    if degree ** 3 * p.bit_length() > _RABIN_BUDGET:
+        raise SearchSpaceTooLarge(f"Rabin's test in degree {degree} over GF({p}) takes over {_RABIN_BUDGET} digit ops")
 
 
 def poly_is_irreducible(coeffs: Sequence[int], p: int) -> bool:
-    """Irreducibility over GF(p) by trial division up to half the degree (see _check_trial_divisors)."""
+    """Irreducibility over GF(p) by Rabin's test (Rabin 1980; von zur Gathen and Gerhard, ch. 14).
+
+    f of degree k is irreducible iff u^(p^k) = u mod f and
+    gcd(u^(p^(k/r)) - u, f) = 1 for every prime r | k; each gcd is taken
+    as the Frobenius chain u^(p^j) mod f reaches it.  Remainders and gcds
+    mod c f, c a nonzero constant, are those mod f, so f need not be monic.
+    """
     ring = _PrimeRing(p)
-    c = _trimmed(v % p for v in coeffs)
-    if len(c) < 2:
+    f = _trimmed(v % p for v in coeffs)
+    k = len(f) - 1
+    if k < 1:
         return False
-    _check_trial_divisors(p, len(c) - 1)
-    return all(ring._poly_divmod(c, cand)[1]
-               for d in range(1, (len(c) - 1) // 2 + 1) for cand in _monic_polys(p, d))
+    _check_rabin_cost(p, k)
+    x = y = ring._poly_divmod((0, 1), f)[1]  # u mod f
+    for j in range(1, k + 1):
+        y = _power(y, p, (1,), lambda a, b: ring._poly_divmod(ring._poly_mul(a, b), f)[1])  # u^(p^j) mod f
+        if k % j == 0 and is_prime(k // j) and not ring._poly_euclid(f, ring._poly_sub(y, x))[0]:
+            return False
+    return y == x
 
 
 @lru_cache(maxsize=None)
 def find_irreducible(p: int, degree: int) -> tuple[int, ...]:
-    """First monic irreducible of the given degree in the fixed enumeration order."""
-    _check_trial_divisors(p, degree)
-    for cand in _monic_polys(p, degree):
+    """First monic irreducible of the degree, the lower coefficients in itertools.product order.
+
+    So u^(d-1) varies fastest and u^0 slowest: candidate n has the base-p
+    digits of n, u^0 highest.  In degree 2 or more it starts at u^0 = 1: u divides all before.
+    """
+    _check_rabin_cost(p, degree)
+    for n in range(p ** (degree - 1) if degree > 1 else 0, p ** degree):
+        low = _digits(n, p)
+        cand = (low + (0,) * (degree - len(low)))[::-1] + (1,)
         if poly_is_irreducible(cand, p):
             return cand
     raise UnsupportedField(f"no irreducible of degree {degree} over GF({p})")

@@ -14,7 +14,7 @@ import sys
 
 from .algebra import AlgebraSpec, PBWElement
 from .errors import DegreeOverflow, DivisionByZero, PolyParseError
-from .fields import FieldSpec
+from .fields import FieldSpec, _check_rabin_cost
 from .poly import Poly
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^]))")
@@ -253,6 +253,6 @@ def parse_field(text: str) -> FieldSpec:
     k = _int(m.group(2), m.start(2)) if m.group(2) else 1
     if m.group(3) is None:
         return FieldSpec.prime(p) if k == 1 else FieldSpec.extension(p, k)
-    base = FieldSpec.prime(p)
-    mod_poly = parse_poly(m.group(3), base, var="u")
+    _check_rabin_cost(p, k)  # before the modulus, which is parsed up to degree k only
+    mod_poly = parse_poly(m.group(3), FieldSpec.prime(p), var="u", max_degree=k)
     return FieldSpec.extension(p, k, mod_poly.values)

@@ -488,20 +488,43 @@ _QGHA_UNDER_1GIB = ("import resource, runpy, sys; resource.setrlimit(resource.RL
                     "sys.argv[0] = 'qgha'; runpy.run_module('qgha', run_name='__main__')")
 
 
-@pytest.mark.parametrize("argv", [
-    ["theta", "--field", "GF(4294967311^2)", "--q", "2", "--f", "h^2", "--g", "h", "--k", "2"],
-    ["normalize", "--field", "GF(1009^4)", "--q", "2", "--f", "h", "--g", "h", "x"],
-    ["mu", "--field", "GF(7^10)", "--q", "u", "--f", "h^2+u", "--g", "h", "--alpha", "0", "--beta", "1",
-     "--k", "3"],
-])
-def test_extension_fields_past_the_trial_divisor_budget_fail_fast(argv):
-    # these died with MemoryError or ran past 60 s in the search for a modulus
+def _run_under_1gib(argv):
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-c", _QGHA_UNDER_1GIB, *argv], capture_output=True, text=True,
                           env=_subprocess_env(), timeout=60)
-    assert time.perf_counter() - start < 1
+    return proc, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("argv,code,out,err", [
+    (["theta", "--field", "GF(4294967311^2)", "--q", "2", "--f", "h^2", "--g", "h", "--k", "2"],
+     0, "theta_2 = h^2 + 2*h\n", ""),
+    (["normalize", "--field", "GF(1009^4)", "--q", "2", "--f", "h", "--g", "h", "x"], 0, "x\n", ""),
+    (["mu", "--field", "GF(7^10)", "--q", "u", "--f", "h^2+u", "--g", "h", "--alpha", "0", "--beta", "1",
+      "--k", "3"], 1, "", "error: 0 is not a periodic point of f\n"),
+])
+def test_extension_fields_past_the_old_trial_divisor_budget_run(argv, code, out, err):
+    # trial division refused these fields: finding a modulus needed more than 4096 divisors
+    proc, seconds = _run_under_1gib(argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+    assert seconds < 2
+
+
+@pytest.mark.parametrize("field", [
+    "GF(2^51)", "GF(3^100)", "GF(1009^24)", "GF(4294967311^16)",
+    "GF(2^51),mod=u^51+u^6+u^3+u+1", "GF(3^100),mod=u^100+u+2", "GF(2^100000000),mod=u^100000000+u+1",
+    # a modulus past the extension degree is refused while it is parsed
+    "GF(2^3),mod=u^30000000+1", "GF(2^3),mod=u^300000000+1", "GF(2^3),mod=(u+1)^300000000",
+])
+def test_fields_past_the_rabin_budget_and_oversized_moduli_fail_fast(field):
+    # parsed in full, the last three took 14 s to be refused, died with MemoryError after 17 s and ran past 120 s
+    proc, seconds = _run_under_1gib(["normalize", "--field", field, "--q", "1", "--f", "h", "--g", "h", "x"])
+    assert seconds < 1
     assert (proc.returncode, proc.stdout) == (1, "")
-    assert proc.stderr.startswith("error: testing irreducibility in degree")
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    if "^3)" in field:
+        assert proc.stderr.startswith("error: power degree 300") and proc.stderr.endswith("00 exceeds cap 3\n")
+    else:
+        assert proc.stderr.startswith("error: Rabin's test in degree")
 
 
 @pytest.mark.parametrize("argv", [

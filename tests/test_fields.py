@@ -25,7 +25,10 @@ from qgha.fields import (
     multiplicative_order,
     poly_is_irreducible,
 )
+from qgha.parsing import parse_field
 from qgha.poly import Poly
+
+from irreducibility_oracle import first_irreducible, is_irreducible, monic_polys
 
 QQ = FieldSpec.rationals()
 F5 = FieldSpec.prime(5)
@@ -211,23 +214,43 @@ def test_packed_product_and_euclid_past_the_bound_match_schoolbook(p, k, count):
             assert _schoolbook_mod(a, inv, F.modulus, p) == ring._packed_mul(a, inv) == (1,)
 
 
-def test_irreducible_search_refuses_past_the_trial_divisor_budget():
+def test_irreducibility_past_the_rabin_budget_is_refused_before_any_division(monkeypatch):
+    def no_division(*_):
+        raise AssertionError("a refused field divided")
+
+    monkeypatch.setattr(fields._Ring, "_poly_divmod", no_division)
     start = time.perf_counter()
-    for p, k in ((4294967311, 2), (1009, 4), (7, 10)):
-        with pytest.raises(SearchSpaceTooLarge, match="trial divisors"):
+    for p, k in ((2, 65), (3, 100), (2, 128), (1009, 30), (4294967311, 20)):
+        assert k ** 3 * p.bit_length() > fields._RABIN_BUDGET
+        with pytest.raises(SearchSpaceTooLarge, match=f"Rabin's test in degree {k} over GF"):
             FieldSpec.extension(p, k)
-    with pytest.raises(SearchSpaceTooLarge):
-        FieldSpec.extension(7, 10, (3, 1) + (0,) * 8 + (1,))
-    with pytest.raises(SearchSpaceTooLarge):
-        poly_is_irreducible((1, 0, 0, 0, 1), 4294967311)
+        mod = (1, 1) + (0,) * (k - 2) + (1,)
+        with pytest.raises(SearchSpaceTooLarge):
+            FieldSpec.extension(p, k, mod)
+        with pytest.raises(SearchSpaceTooLarge):
+            parse_field(f"GF({p}^{k}),mod=u^{k}+u+1")
+        with pytest.raises(SearchSpaceTooLarge):
+            poly_is_irreducible(mod, p)
     assert time.perf_counter() - start < 1
-    # the budget counts p + p^2 + ... + p^(k/2) divisors: 2 + ... + 2^11 = 4094 passes, 8190 does not
-    assert fields._TRIAL_DIVISOR_BUDGET == 4096
-    fields._check_trial_divisors(2, 23)
+
+
+def test_rabin_budget_bounds_degree_cubed_times_log_p():
+    budget = fields._RABIN_BUDGET
+    k = max(k for k in range(1, 1000) if k ** 3 * 2 <= budget)  # the largest degree over GF(2) inside it
+    fields._check_rabin_cost(2, k)
     with pytest.raises(SearchSpaceTooLarge):
-        fields._check_trial_divisors(2, 24)
-    for p, k in ((1009, 2), (251, 3)):
-        assert FieldSpec.extension(p, k).order == p ** k
+        fields._check_rabin_cost(2, k + 1)
+    fields._check_rabin_cost(2 ** 61 - 1, 2)
+
+
+@pytest.mark.parametrize("p,k", [(7, 8), (2, 20), (3, 13), (5, 9), (7, 10), (1009, 4), (4294967311, 2)])
+def test_fields_past_the_old_trial_division_budget_build_fast(p, k):
+    # the first four took 14-20 s to build by trial division, the last three were refused
+    start = time.perf_counter()
+    F = FieldSpec.extension(p, k)
+    assert time.perf_counter() - start < 1
+    assert poly_is_irreducible(F.modulus, p) and F.modulus == find_irreducible(p, k)
+    assert F.modulus[0] != 0 and F.modulus[-1] == 1
 
 
 def test_bad_characteristic():
@@ -343,12 +366,79 @@ def test_find_irreducible_deterministic():
         assert poly_is_irreducible(mod, p)
 
 
-def test_monic_polys_order_pins_the_moduli():
+# find_irreducible(p, k) as trial division over the monic polynomials in
+# itertools.product order found it; the slowest, GF(1009^3), GF(7^8),
+# GF(3^13), GF(2^20), GF(13^6) and GF(5^9), took 8-27 s each that way.
+PINNED_MODULI = {
+    (2, 2): "u^2+u+1", (2, 3): "u^3+u^2+1", (2, 4): "u^4+u^3+1", (2, 5): "u^5+u^3+1", (2, 6): "u^6+u^5+1",
+    (2, 7): "u^7+u^6+1", (2, 8): "u^8+u^7+u^5+u^4+1", (2, 9): "u^9+u^8+1", (2, 10): "u^10+u^7+1",
+    (2, 11): "u^11+u^9+1", (2, 12): "u^12+u^9+1", (2, 13): "u^13+u^12+u^10+u^9+1", (2, 14): "u^14+u^9+1",
+    (2, 15): "u^15+u^14+1", (2, 16): "u^16+u^15+u^13+u^11+1", (2, 17): "u^17+u^14+1", (2, 18): "u^18+u^15+1",
+    (2, 20): "u^20+u^17+1", (3, 2): "u^2+1", (3, 3): "u^3+2*u^2+1", (3, 4): "u^4+u^3+u^2+1", (3, 5): "u^5+2*u^4+1",
+    (3, 6): "u^6+u^5+u^4+1", (3, 7): "u^7+2*u^6+u^5+1", (3, 8): "u^8+u^6+u^5+1", (3, 9): "u^9+u^7+2*u^6+1",
+    (3, 10): "u^10+2*u^8+1", (3, 11): "u^11+2*u^10+u^9+1", (3, 12): "u^12+u^11+u^8+1", (3, 13): "u^13+2*u^12+1",
+    (5, 2): "u^2+u+1", (5, 3): "u^3+u^2+1", (5, 4): "u^4+u^3+u^2+1", (5, 5): "u^5+4*u^4+1",
+    (5, 6): "u^6+u^5+u^4+1", (5, 7): "u^7+u^6+1", (5, 8): "u^8+u^6+u^5+1", (5, 9): "u^9+3*u^8+2*u^7+1",
+    (7, 2): "u^2+1", (7, 3): "u^3+u^2+1", (7, 4): "u^4+u^3+1", (7, 5): "u^5+3*u^4+1", (7, 6): "u^6+u^4+1",
+    (7, 7): "u^7+6*u^6+1", (7, 8): "u^8+2*u^7+u^6+1", (11, 2): "u^2+1", (11, 3): "u^3+4*u^2+1",
+    (11, 4): "u^4+4*u^3+1", (11, 5): "u^5+2*u^4+1", (11, 6): "u^6+u^5+u^4+1", (13, 2): "u^2+3*u+1",
+    (13, 3): "u^3+4*u^2+1", (13, 4): "u^4+u^3+1", (13, 5): "u^5+8*u^4+1", (13, 6): "u^6+u^5+1", (17, 2): "u^2+u+1",
+    (17, 3): "u^3+3*u^2+1", (17, 4): "u^4+3*u^3+1", (17, 5): "u^5+4*u^4+1", (19, 2): "u^2+1", (19, 3): "u^3+u^2+1",
+    (19, 4): "u^4+6*u^3+1", (19, 5): "u^5+3*u^4+1", (23, 2): "u^2+1", (23, 3): "u^3+3*u^2+1",
+    (23, 4): "u^4+4*u^3+1", (23, 5): "u^5+2*u^4+1", (29, 2): "u^2+u+1", (29, 3): "u^3+2*u^2+1",
+    (29, 4): "u^4+3*u^3+1", (29, 5): "u^5+3*u^4+1", (31, 2): "u^2+1", (31, 3): "u^3+3*u^2+1", (31, 4): "u^4+u^3+1",
+    (31, 5): "u^5+3*u^4+1", (251, 2): "u^2+1", (251, 3): "u^3+2*u^2+1", (1009, 2): "u^2+9*u+1",
+    (1009, 3): "u^3+3*u^2+1",
+}
+
+
+def test_pinned_moduli():
+    for (p, k), mod in PINNED_MODULI.items():
+        F = FieldSpec.extension(p, k)
+        assert str(F) == f"GF({p}^{k}),mod={mod}"
+        assert F.modulus == find_irreducible(p, k) and len(F.modulus) == k + 1
+
+
+def test_find_irreducible_is_the_first_in_monic_polys_order():
     # itertools.product order of the lower coefficients: u^(d-1) varies fastest
-    assert list(itertools.islice(fields._monic_polys(3, 2), 4)) == [(0, 0, 1), (0, 1, 1), (0, 2, 1), (1, 0, 1)]
-    gf256 = (1, 0, 0, 0, 1, 1, 0, 1, 1)  # u^8 + u^7 + u^5 + u^4 + 1
-    assert next(itertools.islice(fields._monic_polys(2, 8), 141, None)) == gf256
-    assert find_irreducible(2, 8) == gf256
+    assert list(itertools.islice(monic_polys(3, 2), 4)) == [(0, 0, 1), (0, 1, 1), (0, 2, 1), (1, 0, 1)]
+    for p, k in ((2, 6), (2, 8), (3, 4), (3, 5), (5, 3), (7, 3), (13, 2)):
+        assert find_irreducible(p, k) == first_irreducible(p, k)
+
+
+@pytest.mark.parametrize("p,max_degree", [(2, 8), (3, 5), (5, 4), (7, 3), (13, 2)])
+def test_rabin_agrees_with_trial_division_on_every_small_polynomial(p, max_degree):
+    rng = random.Random(p)
+    for k in range(0, max_degree + 1):
+        for f in monic_polys(p, k):
+            expected = is_irreducible(f, p)
+            assert poly_is_irreducible(f, p) == expected, f
+            # a nonzero multiple, with coefficients outside 0..p-1, is irreducible exactly when f is
+            c = rng.randrange(1, p)
+            assert poly_is_irreducible([v * c + p * rng.randrange(-2, 3) for v in f], p) == expected, (f, c)
+    assert not poly_is_irreducible((), p) and not poly_is_irreducible((p,), p)
+
+
+def test_rabin_agrees_with_sympy_on_random_polynomials():
+    galoistools = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+
+    rng = random.Random(26)
+    irreducible = 0
+    for _ in range(300):
+        p = rng.choice((2, 3, 5, 7, 31, 1009, 65537))
+        top = min(40, max(k for k in range(1, 100) if k ** 3 * p.bit_length() <= fields._RABIN_BUDGET))
+        if rng.random() < 0.7:
+            k = rng.randrange(1, top + 1)
+            f = [rng.randrange(p) for _ in range(k)] + [rng.randrange(1, p)]
+        else:  # a product of two factors is reducible
+            f, g = ([rng.randrange(p) for _ in range(rng.randrange(1, top // 2 + 1))] + [1] for _ in range(2))
+            f = [sum(f[i] * g[j - i] for i in range(len(f)) if 0 <= j - i < len(g)) % p
+                 for j in range(len(f) + len(g) - 1)]
+        expected = galoistools.gf_irreducible_p(f[::-1], p, ZZ)
+        irreducible += expected
+        assert poly_is_irreducible(f, p) == expected, (f, p)
+    assert irreducible > 20
 
 
 def test_frobenius_degree():
