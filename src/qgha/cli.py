@@ -114,13 +114,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = verb("check-simple", "simplicity of a classified module", module_flags=True)
     p.add_argument("--brute", action="store_true", help="also run the subspace search")
-    p.add_argument("--search-bound", type=_count, default=10 ** 6,
-                   help="largest |F|^k the subspace search scans, k the dimension of the kernel it spins")
 
     p = verb("check-iso", "isomorphism of two classified modules", module_flags=True, second_module=True)
     p.add_argument("--brute", action="store_true", help="also search for an intertwiner")
-    p.add_argument("--search-bound", type=_count, default=10 ** 4,
-                   help="most lines of intertwiners the search tries")
 
     p = verb("enumerate", "all simple modules of one dimension")
     p.add_argument("--dim", type=_count, required=True)
@@ -417,7 +413,7 @@ def _run_verify_relations(alg, args):
 def _run_check_simple(alg, args):
     spec = _module_from_args(alg, args)
     verdict = is_simple_structural(alg, spec)
-    brute = is_simple_bruteforce(build_matrix_rep(alg, spec), args.search_bound) if args.brute else None
+    brute = is_simple_bruteforce(build_matrix_rep(alg, spec)) if args.brute else None
     if args.json:
         payload = {"simple": verdict.simple, "certificate": verdict.certificate}
         if args.brute:
@@ -433,9 +429,7 @@ def _run_check_iso(alg, args):
     s1 = _module_from_args(alg, args)
     s2 = _module_from_args(alg, args, "2")
     verdict = iso_structural(alg, s1, s2)
-    brute = None
-    if args.brute:
-        brute = iso_bruteforce(build_matrix_rep(alg, s1), build_matrix_rep(alg, s2), args.search_bound)
+    brute = iso_bruteforce(build_matrix_rep(alg, s1), build_matrix_rep(alg, s2)) if args.brute else None
     if args.json:
         payload = {"isomorphic": verdict}
         if args.brute:

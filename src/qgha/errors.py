@@ -72,7 +72,7 @@ class InvalidSpec(QghaError):
 
 
 class SearchSpaceTooLarge(QghaError):
-    """A brute-force search would exceed its configured bound."""
+    """A search or computation would exceed a work budget."""
 
     code = "search_space_too_large"
 

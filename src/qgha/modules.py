@@ -26,7 +26,8 @@ The brute-force oracles check the structural answers on the matrices.
 is_simple_bruteforce is Norton's irreducibility test: one dual spin and
 the lines of one kernel, the smallest among x, y and h - c, decide it
 exactly; iso_bruteforce is exact over every field, Q included, by one scan
-that the polynomial identity lemma keeps finite.
+that the polynomial identity lemma keeps finite.  Module budgets alone bound
+their work: no caller sets a bound.
 """
 
 from __future__ import annotations
@@ -62,6 +63,9 @@ _ENUMERATE_BUDGET = 1 << 20
 # iso_bruteforce a pair whose intertwiner system would; each cell is an 8-byte
 # slot, so 128 MB at the budget
 _MATRIX_CELL_BUDGET = 1 << 24
+# the scan budgets: |F|^dim N for is_simple_bruteforce, lines of intertwiners for iso_bruteforce
+_KERNEL_VECTOR_BUDGET = 10 ** 6
+_INTERTWINER_LINE_BUDGET = 10 ** 4
 
 
 @dataclass(frozen=True)
@@ -246,7 +250,7 @@ def is_simple_structural(alg: AlgebraSpec, spec: ModuleSpec) -> SimplicityReport
     return SimplicityReport(False, f"nu({i}) = 0: basis vectors {i}..{spec.n - 1} span a proper submodule")
 
 
-def is_simple_bruteforce(rep: MatrixRep, bound: int = 10 ** 6) -> bool:
+def is_simple_bruteforce(rep: MatrixRep) -> bool:
     """Norton's irreducibility test (Parker 1984; Holt-Rees 1994) on the matrices.
 
     theta is the first candidate, of x, y and h - c for each distinct c on
@@ -261,7 +265,7 @@ def is_simple_bruteforce(rep: MatrixRep, bound: int = 10 ** 6) -> bool:
     and the dual spin stays in the proper subspace U^perp.  SearchSpaceTooLarge
     is raised before the first candidate when all of them together pass
     _MATRIX_CELL_BUDGET cells, and before any line of N when |F|^k passes
-    the bound, k = dim N >= 2; past k = 1 only finite fields are accepted.
+    _KERNEL_VECTOR_BUDGET, k = dim N >= 2; such an N needs a finite field.
     """
     field, n = rep.field, rep.dim
     if n == 1:
@@ -317,8 +321,8 @@ def is_simple_bruteforce(rep: MatrixRep, bound: int = 10 ** 6) -> bool:
     if k > 1:
         if field.order is None:
             raise UnsupportedField("brute-force simplicity needs a finite field past a one-dimensional kernel")
-        if field.order ** k > bound:
-            raise SearchSpaceTooLarge(f"|F|^k = {field.order ** k} exceeds bound {bound}")
+        if field.order ** k > _KERNEL_VECTOR_BUDGET:
+            raise SearchSpaceTooLarge(f"|F|^k = {field.order ** k} exceeds bound {_KERNEL_VECTOR_BUDGET}")
         elems = list(field._raw_elements())
     spin, cols = [sparse(m) for m in mats], list(zip(*basis))
     return all(generates(spin, [_dot(cs, col, ring) for col in cols]) for cs in _projective_points(zero, one, elems, k))
@@ -369,7 +373,7 @@ def iso_structural(alg: AlgebraSpec, s1: ModuleSpec, s2: ModuleSpec) -> bool:
     return s1.gamma == s2.gamma and _joint_shift_exists(s1, s2)
 
 
-def iso_bruteforce(r1: MatrixRep, r2: MatrixRep, scan_bound: int = 10 ** 4) -> bool:
+def iso_bruteforce(r1: MatrixRep, r2: MatrixRep) -> bool:
     """Search for an invertible intertwiner T with T a1 = a2 T for a = x, y, h.
 
     For a basis T_1..T_d of the intertwiners, det(sum c_i T_i) is a form of
@@ -380,9 +384,9 @@ def iso_bruteforce(r1: MatrixRep, r2: MatrixRep, scan_bound: int = 10 ** 4) -> b
     degree at most n in c_2..c_d is nonzero at a point of S^(d-1), so the
     (n + 1)^(d-1) points {1} x S^(d-1), one per line, are tried.  Over GF(q)
     with q <= n a nonzero form can vanish on all of {1} x F^(d-1), so one T
-    per line of F^d is tried; c T is invertible iff T is.  With more lines
-    than scan_bound, one greedy T is tried first, and SearchSpaceTooLarge is
-    raised once scan_bound lines hold no invertible T: every True or False is exact.
+    per line of F^d is tried; c T is invertible iff T is.  Past
+    _INTERTWINER_LINE_BUDGET lines one greedy T is tried first, and only a
+    scan of that many lines with none invertible raises SearchSpaceTooLarge.
     The linear system for the intertwiners has n^2 unknowns and 3 n^2
     equations; past _MATRIX_CELL_BUDGET dense cells SearchSpaceTooLarge is
     raised before it is built.
@@ -404,19 +408,20 @@ def iso_bruteforce(r1: MatrixRep, r2: MatrixRep, scan_bound: int = 10 ** 4) -> b
     zero, d = Matrix.zero(field, n, n), len(mats)
     # the points {1} x S^(d-1) come first in _projective_points
     lines = m ** (d - 1) if m > n else (m ** d - 1) // (m - 1)
-    if lines > scan_bound:
+    budget = _INTERTWINER_LINE_BUDGET
+    if lines > budget:
         acc = zero  # each coefficient in turn maximises the rank; c = 0 keeps it, so it never falls
         for t in mats:
             acc = max((acc + t * c for c in elems), key=rank)
         if is_invertible(acc):
             return True
-    for cs in itertools.islice(_projective_points(field.zero, field.one, elems, d), min(lines, scan_bound)):
+    for cs in itertools.islice(_projective_points(field.zero, field.one, elems, d), min(lines, budget)):
         if is_invertible(sum((t * c for t, c in zip(mats, cs) if not c.is_zero), zero)):
             return True
-    if lines <= scan_bound:
+    if lines <= budget:
         return False
     which = " with c_1 = 1" if m > n else ""
-    raise SearchSpaceTooLarge(f"no invertible intertwiner on the first {scan_bound} of {lines} lines{which}")
+    raise SearchSpaceTooLarge(f"no invertible intertwiner on the first {budget} of {lines} lines{which}")
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +472,7 @@ def enumerate_simples(alg: AlgebraSpec, n: int) -> list[ModuleSpec]:
     count = 0
     orders: dict[int, int] = {}  # ord(q^l) by orbit period l, for mu_periods
     for cycle in _cycles(table.next, n):
-        orbit = LambdaOrbit(alg.f, tuple(map(table.element, cycle)))
+        orbit = LambdaOrbit._unchecked(alg.f, tuple(map(table.element, cycle)))
         l = orbit.period
         if n % l:
             continue

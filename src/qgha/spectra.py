@@ -35,6 +35,8 @@ class LambdaOrbit:
 
     values must be pairwise distinct with f(values[i]) = values[i+1]
     cyclically; the period l = len(values) is then automatically minimal.
+    The constructor checks this; the engine's own walks build their cycles
+    with _unchecked, which does not evaluate f again.
     """
 
     f: Poly
@@ -48,6 +50,14 @@ class LambdaOrbit:
             raise InvalidSpec("orbit points must be pairwise distinct")
         if list(map(self.f._at, raw)) != raw[1:] + raw[:1]:
             raise InvalidSpec("values are not an f-cycle")
+
+    @staticmethod
+    def _unchecked(f: Poly, values: tuple[FieldElement, ...]) -> "LambdaOrbit":
+        """An orbit from a cycle of f that the caller has just found, by a walk or as roots of f - h."""
+        out = object.__new__(LambdaOrbit)
+        object.__setattr__(out, "f", f)
+        object.__setattr__(out, "values", values)
+        return out
 
     @property
     def period(self) -> int:
@@ -123,7 +133,7 @@ def orbit_from_seed(f: Poly, alpha: FieldElement) -> LambdaOrbit:
             raise InvalidSpec(f"{alpha} is not a periodic point of f")
         current = f._at(current)
         if current == start:
-            return LambdaOrbit(f, tuple(FieldElement(spec, v) for v in seen))
+            return LambdaOrbit._unchecked(f, tuple(FieldElement(spec, v) for v in seen))
         if current in seen:
             raise InvalidSpec(f"{alpha} is not a periodic point of f")
         seen[current] = None
@@ -225,7 +235,7 @@ def enumerate_lambda_orbits(field: FieldSpec, f: Poly, max_period: int) -> list[
 
     Over a finite field this tabulates f once on raw values and walks the
     functional graph on positions; only the reported cycles become
-    (validated) LambdaOrbits.
+    LambdaOrbits, and f is not evaluated again to check them.
     Over Q only fixed points are enumerable (roots of f(h) - h); longer
     periods would need algebraic number arithmetic, so they are refused.
     """
@@ -238,9 +248,9 @@ def enumerate_lambda_orbits(field: FieldSpec, f: Poly, max_period: int) -> list[
         if diff.is_zero:
             raise UnsupportedField("f = h fixes every rational; the orbit set is infinite")
         fixed = sorted(roots_in_field(diff), key=FieldElement.sort_key)
-        return [LambdaOrbit(f, (a,)) for a in fixed]
+        return [LambdaOrbit._unchecked(f, (a,)) for a in fixed]
     table = _PointTable(field, f)
-    return [LambdaOrbit(f, tuple(map(table.element, cycle))) for cycle in _cycles(table.next, max_period)]
+    return [LambdaOrbit._unchecked(f, tuple(map(table.element, cycle))) for cycle in _cycles(table.next, max_period)]
 
 
 # ---------------------------------------------------------------------------

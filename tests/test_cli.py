@@ -121,6 +121,20 @@ def test_orbits(capsys):
     ]
 
 
+def test_q_orbits_with_a_large_constant_term_answer_or_fail_fast(capsys):
+    # the fixed points are the rational roots of f - h; its constant term is
+    # factored, not trial-divided up to its square root (4.2 s at 10^16)
+    argv = ["orbits", "--field", "Q", "--q", "2", "--g", "h", "--k", "1"]
+    start = time.perf_counter()
+    assert run_cli(capsys, *argv, "--f", "h^2 + 10^16") == (0, "0 orbit(s) with period <= 1:\n", "")
+    assert time.perf_counter() - start < 0.5
+    # two primes near 10^15 are not split within the rho budget
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv, "--f", "h^2 + 1000000000000037*1000000000000091")
+    assert time.perf_counter() - start < 10
+    assert (code, out) == (1, "") and err.startswith("error: ") and err.endswith(" rho steps\n")
+
+
 def test_mu(capsys):
     payload = run_json(
         capsys, "mu", *BASE, "--alpha", "1", "--beta", "3", "--k", "5", schema="qgha:mu"
@@ -288,7 +302,6 @@ def test_exit_code_1_on_semantic_errors(capsys):
     ["build-module", *BASE, "--family", "C", "--alpha", "1", "--dim", "-1"],
     ["check-iso", *BASE, "--family", "C", "--alpha", "1", "--dim", "2",
      "--family2", "C", "--alpha2", "1", "--dim2", "-1"],
-    ["check-simple", *BASE, "--family", "C", "--alpha", "1", "--dim", "2", "--brute", "--search-bound", "-1"],
 ], ids=lambda argv: " ".join(argv[:1] + argv[-4:]))
 def test_negative_counts_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as e:
@@ -296,6 +309,20 @@ def test_negative_counts_are_usage_errors(capsys, argv):
     out, err = capsys.readouterr()
     assert e.value.code == 2 and out == ""
     assert "must be nonnegative" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-simple", *BASE, "--family", "C", "--alpha", "1", "--dim", "2", "--brute", "--search-bound", "5"],
+    ["check-iso", *BASE, "--family", "C", "--alpha", "1", "--dim", "2",
+     "--family2", "C", "--alpha2", "1", "--dim2", "2", "--brute", "--search-bound", "5"],
+], ids=lambda argv: argv[0])
+def test_the_bruteforce_budgets_are_not_options(capsys, argv):
+    # the brute-force oracles are bounded by module budgets; no flag sets them
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert e.value.code == 2 and out == ""
+    assert "unrecognized arguments: --search-bound 5" in err and "Traceback" not in err
 
 
 def test_center_refuses_a_window_past_the_cell_budget(capsys):
@@ -655,10 +682,11 @@ def test_enumerate_refuses_past_the_module_budget(capsys):
 
 
 def test_bruteforce_in_dimension_30_answers_at_once():
-    # 2^30 <= the bound; a scan of the 2^30 - 1 lines of GF(2)^30 is out of
-    # reach, but Norton's test needs one line, ker x, and one dual spin
+    # a scan of the 2^30 - 1 lines of GF(2)^30 is out of reach, but Norton's
+    # test needs one line, ker x (k = 1, so no kernel budget is read), and
+    # one dual spin
     argv = ["check-simple", "--field", "GF(2)", "--q", "1", "--f", "h", "--g", "0", "--family", "C",
-            "--alpha", "0", "--dim", "30", "--brute", "--search-bound", str(2 * 10 ** 9)]
+            "--alpha", "0", "--dim", "30", "--brute"]
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-c", _QGHA_UNDER_1GIB, *argv], capture_output=True, text=True,
                           env=_subprocess_env(), timeout=60)
@@ -668,7 +696,7 @@ def test_bruteforce_in_dimension_30_answers_at_once():
 
 
 def test_bruteforce_checks_the_dimension_13_heisenberg_module(capsys):
-    # U(h_3) = H_1(h, h) over GF(13): |F|^dim = 13^13 is past the bound, |F|^k = 13 is not
+    # U(h_3) = H_1(h, h) over GF(13): |F|^dim = 13^13 is past the kernel budget, |F|^k = 13 is not
     code, out, err = run_cli(capsys, "check-simple", "--field", "GF(13)", "--q", "1", "--f", "h", "--g", "h",
                              "--family", "A", "--alpha", "1", "--beta", "0", "--gamma", "1", "--brute")
     assert (code, err) == (0, "")

@@ -181,8 +181,9 @@ def test_bruteforce_simplicity_guards(monkeypatch):
     rep = MatrixRep(F5, 4, c, c, c)
     assert is_simple_bruteforce(rep) and is_simple_per_line(rep)
     monkeypatch.setattr(modules, "_projective_points", no_lines)
+    monkeypatch.setattr(modules, "_KERNEL_VECTOR_BUDGET", 100)
     with pytest.raises(SearchSpaceTooLarge, match="625 exceeds bound 100"):
-        is_simple_bruteforce(rep, bound=100)
+        is_simple_bruteforce(rep)
     # C(0, 2) of H_2(h^2, h) over Q: ker x is one line and the dual spin of
     # e_0 stays in it, so no line of the kernel is spun on any field
     alg_q = AlgebraSpec(QQ, QQ.element(2), Poly.from_ints(QQ, [0, 0, 1]), Poly.gen(QQ))
@@ -463,7 +464,7 @@ def test_iso_bruteforce_scans_one_intertwiner_per_line(monkeypatch, field):
     assert len(calls) == 1  # End(S) is a line; Hom(S, S') = 0 needs no test
 
 
-def test_iso_bruteforce_scan_bound_counts_lines():
+def test_iso_bruteforce_line_budget_counts_lines(monkeypatch):
     # zero matrices vs a nilpotent shift: the intertwiner space is large
     # (6-dimensional) but contains no invertible element.  n + 1 = 7 > |F|,
     # so S is all of GF(5): (5^6 - 1) / 4 = 3906 lines
@@ -472,22 +473,30 @@ def test_iso_bruteforce_scan_bound_counts_lines():
     shift = Matrix.from_entries(F5, n, n, {(i + 1, i): F5.one for i in range(n - 1)})
     r1 = MatrixRep(F5, n, zero, zero, zero)
     r2 = MatrixRep(F5, n, shift, zero, zero)
-    with pytest.raises(SearchSpaceTooLarge, match="no invertible intertwiner on the first 60 of 3906 lines$"):
-        iso_bruteforce(r1, r2, scan_bound=60)
     assert not iso_bruteforce(r1, r2)
+    monkeypatch.setattr(modules, "_INTERTWINER_LINE_BUDGET", 60)
+    with pytest.raises(SearchSpaceTooLarge, match="no invertible intertwiner on the first 60 of 3906 lines$"):
+        iso_bruteforce(r1, r2)
     # over Q with n = 2 the same pair has the 2-dimensional intertwiner space
     # of matrices with row 0 zero; S = {0, 1, 2}, so 3 lines with c_1 = 1
     zero = Matrix.zero(QQ, 2, 2)
     shift = Matrix.from_entries(QQ, 2, 2, {(1, 0): QQ.one})
     r1, r2 = MatrixRep(QQ, 2, zero, zero, zero), MatrixRep(QQ, 2, shift, zero, zero)
+    monkeypatch.setattr(modules, "_INTERTWINER_LINE_BUDGET", 2)
     with pytest.raises(SearchSpaceTooLarge, match="no invertible intertwiner on the first 2 of 3 lines with c_1 = 1$"):
-        iso_bruteforce(r1, r2, scan_bound=2)
-    assert not iso_bruteforce(r1, r2, scan_bound=3)
+        iso_bruteforce(r1, r2)
+    monkeypatch.setattr(modules, "_INTERTWINER_LINE_BUDGET", 3)
+    assert not iso_bruteforce(r1, r2)
 
 
-def test_iso_bruteforce_finds_an_isomorphism_past_the_scan_bound():
-    # more lines than scan_bound, yet an invertible intertwiner is met before
-    # the bound: the scan refuses only once the bound is spent
+def test_bruteforce_budgets_keep_their_values():
+    assert modules._KERNEL_VECTOR_BUDGET == 10 ** 6
+    assert modules._INTERTWINER_LINE_BUDGET == 10 ** 4
+
+
+def test_iso_bruteforce_finds_an_isomorphism_past_the_line_budget():
+    # more lines than the line budget, yet an invertible intertwiner is met
+    # before it is spent: the scan refuses only once the budget is spent
     alg = alg_sq()
     # C(0, 7): x a nilpotent Jordan block, y = h = 0, so End is the
     # polynomials in x: d = 7 and (5^7 - 1) / 4 = 19531 lines
@@ -495,7 +504,7 @@ def test_iso_bruteforce_finds_an_isomorphism_past_the_scan_bound():
     assert len(intertwiners(((c7.x, c7.x), (c7.y, c7.y), (c7.h, c7.h)))) == 7
     assert iso_bruteforce(c7, c7)
     # S^4 for a one-dimensional S: End is all 4 x 4 matrices, d = 16, and
-    # the lines with c_1 = 1 that the bound reaches all leave a row zero
+    # the lines with c_1 = 1 that the budget reaches all leave a row zero
     s = build_matrix_rep(alg, ModuleSpec.family_a(mu_at(alg, 1, 4), F5.one))
     s4 = direct_sum(direct_sum(s, s), direct_sum(s, s))
     assert len(intertwiners(((s4.x, s4.x), (s4.y, s4.y), (s4.h, s4.h)))) == 16

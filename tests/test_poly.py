@@ -1,6 +1,8 @@
 """Commutative polynomial layer: arithmetic, substitution, roots."""
 
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgha.algebra import AlgebraSpec
-from qgha.errors import DegreeOverflow, DivisionByZero, FieldMismatch, ZeroArgument
+from qgha import poly
+from qgha.errors import DegreeOverflow, DivisionByZero, FieldMismatch, SearchSpaceTooLarge, ZeroArgument
 from qgha.fields import FieldSpec
 from qgha.poly import (
     Poly,
@@ -143,6 +146,72 @@ def test_rational_roots():
     assert rational_roots(Poly.from_ints(QQ, [-2, 0, 1])) == set()
     with pytest.raises(ZeroArgument):
         roots_in_field(Poly.zero(QQ))
+
+
+def brute_rational_roots(coeffs: list[Fraction]) -> set[Fraction]:
+    """Scan every a/b with b <= |a_n| and |a/b| under the Cauchy bound, the a_i cleared to integers."""
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * scale) for c in coeffs]
+    n, lead = len(ints) - 1, abs(ints[-1])
+    bound = 1 - (-max(abs(c) for c in ints[:-1]) // lead)  # 1 + the ceiling of max |a_i| / |a_n|
+    found = set()
+    for b in range(1, lead + 1):
+        for a in range(-bound * b, bound * b + 1):
+            if sum(c * a ** i * b ** (n - i) for i, c in enumerate(ints)) == 0:
+                found.add(Fraction(a, b))
+    return found
+
+
+def test_rational_roots_match_a_brute_force_scan():
+    # products of linear factors b h - a and a random factor of degree <= 2,
+    # scaled by a random rational, so the forms have rational roots and
+    # uncleared denominators
+    rng = random.Random(11)
+    h = Poly.gen(QQ)
+    for _ in range(150):
+        p = Poly.constant(QQ, Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 6)))
+        for _ in range(rng.randint(0, 3)):
+            p = p * (rng.randint(1, 3) * h - Poly.constant(QQ, rng.randint(-4, 4)))
+        rest = [rng.randint(-4, 4) for _ in range(rng.randint(0, 2))] + [rng.choice([-2, -1, 1, 3])]
+        p = p * Poly.from_ints(QQ, rest)
+        if p.degree < 1:
+            continue
+        assert {r.value for r in rational_roots(p)} == brute_rational_roots([c.value for c in p.coeffs]), p
+
+
+def test_rational_roots_refuse_past_the_work_budget_before_any_candidate(monkeypatch):
+    def no_divisors(_):
+        raise AssertionError("a divisor list was built")
+
+    # 6983776800 = 2^5 3^3 5^2 7 11 13 17 has 2304 divisors: 2304^2 pairs
+    # of 3 coefficients are past the budget
+    wide = Poly.from_ints(QQ, [6983776800, 0, 6983776800])
+    monkeypatch.setattr(poly, "_divisors", no_divisors)
+    with pytest.raises(SearchSpaceTooLarge, match="15925248 Horner steps, past the budget of 524288$"):
+        rational_roots(wide)
+    monkeypatch.undo()
+    # h^2 - 6 h + 8 = (h - 2)(h - 4): d(8) = 4 pairs of 3 coefficients
+    p = Poly.from_ints(QQ, [8, -6, 1])
+    monkeypatch.setattr(poly, "_ROOT_WORK_BUDGET", 11)
+    with pytest.raises(SearchSpaceTooLarge, match="12 Horner steps"):
+        rational_roots(p)
+    monkeypatch.setattr(poly, "_ROOT_WORK_BUDGET", 12)
+    assert rational_roots(p) == {QQ.element(2), QQ.element(4)}
+
+
+def test_rational_roots_answer_or_fail_fast_on_large_constant_terms():
+    # trial division up to isqrt(10^16) took seconds; the factorization takes none
+    for e in (16, 40, 100):
+        start = time.perf_counter()
+        assert rational_roots(Poly.from_ints(QQ, [10 ** e, -1, 1])) == set()
+        assert time.perf_counter() - start < 0.5
+    assert rational_roots(Poly.from_ints(QQ, [-10 ** 20, 10 ** 20 - 1, 1])) == {QQ.one, QQ.element(-10 ** 20)}
+    # two primes near 10^15 take more rho steps than _factorize spends
+    p, q = 10 ** 15 + 37, 10 ** 15 + 91
+    start = time.perf_counter()
+    with pytest.raises(SearchSpaceTooLarge, match="rho steps"):
+        rational_roots(Poly.from_ints(QQ, [p * q, 0, 1]))
+    assert time.perf_counter() - start < 10
 
 
 def test_poly_hash_consistency():

@@ -10,6 +10,7 @@ from qgha import algebra
 from qgha.algebra import AlgebraSpec, theta
 from qgha.errors import FieldMismatch, InvalidSpec, QZero, SearchSpaceTooLarge, UnsupportedField
 from qgha.fields import FieldSpec
+from qgha.modules import enumerate_simples
 from qgha.poly import Poly
 from qgha.spectra import (
     LambdaOrbit,
@@ -143,10 +144,9 @@ def test_orbit_from_seed_over_a_large_field_is_bounded():
 
 
 def test_orbit_check_runs_on_raw_values(monkeypatch):
-    # u h + 1 over GF(251^3) has one cycle of 126506 points through 0, and
-    # orbit_from_seed checks it once more when it builds the LambdaOrbit.
-    # That check costs about one raw evaluation of f per point; through
-    # FieldElement arithmetic it cost about a third more.
+    # u h + 1 over GF(251^3) has one cycle of 126506 points through 0.  The
+    # public constructor checks it at about one raw evaluation of f per
+    # point; through FieldElement arithmetic it cost about a third more.
     F = FieldSpec.extension(251, 3)
     f = Poly(F, [F.one, F.generator])
     start = time.perf_counter()
@@ -161,6 +161,44 @@ def test_orbit_check_runs_on_raw_values(monkeypatch):
     start = time.perf_counter()
     assert LambdaOrbit(f, orbit.values) == orbit
     assert time.perf_counter() - start < 2 * evaluation + 0.5
+
+
+def test_walked_orbits_evaluate_f_once_per_point(monkeypatch):
+    # a period-l orbit costs orbit_from_seed l evaluations of f, and a table
+    # of f costs one per point: the LambdaOrbits they build are not checked again
+    calls = []
+    at = Poly._at
+
+    def counting(poly, x):
+        calls.append(poly)
+        return at(poly, x)
+
+    monkeypatch.setattr(Poly, "_at", counting)
+    F101, F49 = FieldSpec.prime(101), FieldSpec.extension(7, 2)
+    cases = [(Poly.from_ints(F101, [1, 1]), F101.zero, 101),  # h + 1: one cycle through every point
+             (Poly.from_ints(F101, [0, 0, 1]), F101.one, 1),
+             (Poly(F49, [F49.zero, F49.generator]), F49.one, None),  # u h: the powers of u
+             (Poly.from_ints(QQ, [0, -1]), QQ.one, 2),  # -h: 1 -> -1 -> 1
+             (Poly.from_ints(QQ, [-2, 0, 1]), QQ.element(2), 1)]
+    for f, seed, period in cases:
+        calls.clear()
+        orbit = orbit_from_seed(f, seed)
+        assert period is None or orbit.period == period
+        assert calls == [f] * orbit.period
+        calls.clear()
+        assert LambdaOrbit(f, orbit.values) == orbit  # the public constructor still checks
+        assert calls == [f] * orbit.period
+    f = Poly.from_ints(F101, [3, 0, 1])
+    calls.clear()
+    orbits = enumerate_lambda_orbits(F101, f, 101)
+    assert calls == [f] * 101 and sum(o.period for o in orbits) > 1
+    calls.clear()
+    assert enumerate_simples(AlgebraSpec(F101, F101.element(2), f, Poly.gen(F101)), 4)
+    assert calls.count(f) == 101
+    # over Q the fixed points 2 and -1 of h^2 - 2 are exact roots of f - h
+    calls.clear()
+    assert len(enumerate_lambda_orbits(QQ, Poly.from_ints(QQ, [-2, 0, 1]), 1)) == 2
+    assert calls == []
 
 
 def test_orbit_validation():
