@@ -5,10 +5,13 @@ and over GF(p^k) the trimmed u-coefficient tuple, low to high, of a residue
 modulo a monic irreducible.  Only this module knows that format, except that
 a raw value is falsy exactly when it is zero.  Each FieldSpec builds one
 private ring of its kind for raw values: coerce, add, neg, sub, mul and inv
-of elements, and from-values, add, sub, neg, scale, mul, divmod and scalar
-linear combination of polynomials.  FieldElement, poly.Poly and linalg
-delegate to it; linalg eliminates on the polynomial ops, a column of a
-linear system being a polynomial over the row index.
+of elements, and from-values, add, add-a-term (a + c h^d, a monomial when
+a = 0), sub, neg, scale, mul, divmod and scalar linear combination of
+polynomials.  FieldElement, poly.Poly and linalg delegate to it; linalg
+eliminates on the polynomial ops, a column of a linear system being a
+polynomial over the row index.  Add-a-term builds a unit vector or a
+shifted column from ring values alone: a slice and join of tuples, and over
+Q one numerator over the denominator of a lowest-terms Fraction.
 
 A ring polynomial is one canonical value, low to high.  Over GF(p) and
 GF(p^k) it is the trimmed tuple of raw coefficients.  Over Q it is a _QPoly:
@@ -183,6 +186,16 @@ class _Ring:
                 out[i] = add(out[i], v)
         return tuple(_trimmed(out))
 
+    def _poly_add_term(self, a: tuple, c, d: int) -> tuple:
+        """a + c h^d for a raw scalar c, by slicing and joining a; a = () gives the monomial c h^d."""
+        n = len(a)
+        if d >= n:
+            return a + (self.zero,) * (d - n) + (c,) if c else a
+        v = self._add(a[d], c)
+        if v or d < n - 1:
+            return a[:d] + (v,) + a[d + 1:]
+        return tuple(_trimmed(a[:d]))
+
     def _poly_sub(self, a, b):
         return self._poly_add(a, self._poly_neg(b))
 
@@ -343,7 +356,12 @@ class _RationalRing(_Ring):
     _inv = staticmethod(partial(operator.truediv, 1))
 
     def _poly_from(self, values: Iterable) -> _QPoly:
-        """Fractions or ints; over the lcm of their denominators the numerators share no factor with it."""
+        """Fractions or ints over the lcm of their denominators, with which the numerators share no factor.
+
+        A _QPoly is already in that form and comes back as it is.
+        """
+        if values.__class__ is _QPoly:
+            return values
         values = _trimmed(values)
         if not values:
             return _QZERO
@@ -365,6 +383,12 @@ class _RationalRing(_Ring):
         out += x[len(y):]
         return _canon(den, out)
 
+    def _poly_add_term(self, a: _QPoly, c: Fraction, d: int) -> _QPoly:
+        """A Fraction is in lowest terms, so c h^d is canonical as it stands; a != 0 adds it by _poly_add."""
+        if not c:
+            return a
+        return self._poly_add(a, _QPoly(c.denominator, (0,) * d + (c.numerator,)))
+
     def _poly_neg(self, a: _QPoly) -> _QPoly:
         return _QPoly(a.den, tuple(map(operator.neg, a.nums)))
 
@@ -379,8 +403,7 @@ class _RationalRing(_Ring):
 
     def _poly_lincomb(self, coeffs: Sequence, polys: Sequence[_QPoly]) -> _QPoly:
         """Integer sums over the lcm of the denominators taking part, then one gcd."""
-        if coeffs.__class__ is not _QPoly:
-            coeffs = self._poly_from(coeffs)
+        coeffs = self._poly_from(coeffs)
         terms = [(c, poly) for c, poly in zip(coeffs.nums, polys) if c and poly.nums]
         if not terms:
             return _QZERO

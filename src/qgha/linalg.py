@@ -162,10 +162,11 @@ def _eliminate(cols: Sequence, ring) -> tuple[list[int], dict[int, object]]:
 
     Each column is a ring polynomial over the row index (see fields), so
     its leading row is its last nonzero one.  Column j starts with the
-    combination e_j of the input columns.  While its leading row is that of
-    an earlier pivot, the column and its combination take c times the pivot
-    and its combination, c the column's leading entry over the pivot's, in
-    one linear combination each.  A column that reaches 0 is free: its
+    combination e_j of the input columns, the monomial of degree j, which
+    one _poly_add_term builds with no coefficient list.  While its leading
+    row is that of an earlier pivot, the column and its combination take c
+    times the pivot and its combination, c the column's leading entry over
+    the pivot's, in one linear combination each.  A column that reaches 0 is free: its
     combination, a ring polynomial over the column index, is 1 at j, 0 at
     every other free column and past j, so it is the canonical kernel
     vector of reduced row echelon form.  Any other column becomes the pivot
@@ -173,12 +174,13 @@ def _eliminate(cols: Sequence, ring) -> tuple[list[int], dict[int, object]]:
     of the columns before it, so the pivots are the pivot columns of
     reduced row echelon form, in increasing order.
     """
-    zero, one, mul, neg, lincomb = ring.zero, ring.one, ring._mul, ring._neg, ring._poly_lincomb
+    one, mul, neg, lincomb, add_term = ring.one, ring._mul, ring._neg, ring._poly_lincomb, ring._poly_add_term
+    empty = ring._poly_from(())
     leads: dict[int, tuple] = {}  # leading row -> (pivot column, its combination, 1 / its leading entry)
     pivots: list[int] = []
     kernel: dict[int, object] = {}
     for j, col in enumerate(cols):
-        combo = ring._poly_from([zero] * j + [one])
+        combo = add_term(empty, one, j)
         while col and len(col) - 1 in leads:
             pivot, pivot_combo, inv = leads[len(col) - 1]
             c = neg(mul(col[-1], inv))

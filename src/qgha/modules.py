@@ -322,7 +322,8 @@ def is_simple_bruteforce(rep: MatrixRep) -> bool:
         if field.order is None:
             raise UnsupportedField("brute-force simplicity needs a finite field past a one-dimensional kernel")
         if field.order ** k > _KERNEL_VECTOR_BUDGET:
-            raise SearchSpaceTooLarge(f"|F|^k = {field.order ** k} exceeds bound {_KERNEL_VECTOR_BUDGET}")
+            raise SearchSpaceTooLarge(f"|F|^k = {field.order ** k} kernel vectors, "
+                                      f"more than the budget {_KERNEL_VECTOR_BUDGET}")
         elems = list(field._raw_elements())
     spin, cols = [sparse(m) for m in mats], list(zip(*basis))
     return all(generates(spin, [_dot(cs, col, ring) for col in cols]) for cs in _projective_points(zero, one, elems, k))

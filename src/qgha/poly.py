@@ -56,7 +56,8 @@ class Poly:
 
     @staticmethod
     def monomial(spec: FieldSpec, degree: int, c=1) -> "Poly":
-        return Poly(spec, [0] * degree + [c])
+        zero = Poly.zero(spec)
+        return zero._wrap(spec._ring._poly_add_term(zero.values, spec.element(c).value, degree))
 
     @staticmethod
     def from_ints(spec: FieldSpec, ints: Sequence) -> "Poly":

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .algebra import AlgebraSpec, PBWElement, commutator, q_commutator, theta
 from .errors import DegreeOverflow, SearchSpaceTooLarge, UnsupportedDegF
-from .linalg import _nullspace, _solve
+from .linalg import _eliminate, _nullspace, _solve
 from .poly import Poly
 
 
@@ -153,13 +153,13 @@ def center_basis_truncated(alg: AlgebraSpec, max_xy: int, max_h: int) -> list[PB
                                   f"more than the budget {_CENTER_CELL_BUDGET}")
     field = alg.field
     ring = field._ring
-    zero, one, add, mul, sub, poly_from = ring.zero, ring.one, ring._add, ring._mul, ring._sub, ring._poly_from
+    one, mul, poly_from, add_term = ring.one, ring._mul, ring._poly_from, ring._poly_add_term
     width = max_h + 1
 
-    f_pows = [poly_from([one])]
+    empty = poly_from(())
+    f_pows = [add_term(empty, one, 0)]
     for _ in range(max_h):
         f_pows.append(ring._poly_mul(f_pows[-1], alg.f.values))
-    f_pows = [list(fp) for fp in f_pows]
     thetas = [theta(alg, k).values for k in range(max_xy + 1)]
     inv_q_pows = [one]  # 1 / q^k for every k with q^k != 0: all k, or k = 0 when q = 0
     if not alg.q.is_zero:
@@ -167,7 +167,7 @@ def center_basis_truncated(alg: AlgebraSpec, max_xy: int, max_h: int) -> list[PB
         for _ in range(max_xy):
             inv_q_pows.append(mul(inv_q_pows[-1], inv_q))
 
-    # a basis of the solutions of blocks k .. max_xy, each the coefficients of p_k .. p_max_xy
+    # a basis of the solutions of blocks k .. max_xy, each the ring polynomials p_k .. p_max_xy
     basis: list[list] = []
     for k in range(max_xy, -1, -1):
         # block k divided by q^k, so that f^d needs no product: column d < width holds
@@ -175,26 +175,20 @@ def center_basis_truncated(alg: AlgebraSpec, max_xy: int, max_h: int) -> list[PB
         # when q^k = 0 they hold -h^d and theta_{k+1} times basis[j]'s p_{k+1}.  For d >= 1 the
         # leading row of column d is d deg f (d when q^k = 0), so only the theta columns reduce.
         if k < len(inv_q_pows):
-            scale = inv_q_pows[k]
-            cols = [poly_from(fp[:d] + [sub(fp[d], scale)] + fp[d + 1:]) for d, fp in enumerate(f_pows)]
+            scale, tops = inv_q_pows[k], f_pows
         else:
-            scale = one
-            cols = [poly_from([zero] * d + [ring._neg(one)]) for d in range(width)]
+            scale, tops = one, [empty] * width
+        c = ring._neg(scale)
+        cols = [add_term(a, c, d) for d, a in enumerate(tops)]
         if basis:
             th = ring._poly_scale(thetas[k + 1], scale)
-            cols += [ring._poly_mul(poly_from(vec[:width]), th) for vec in basis]
-        solutions = []
-        for sol in _nullspace(cols, ring):
-            rest = [zero] * (width * (max_xy - k))
-            for t, vec in zip(sol[width:], basis):
-                if t:
-                    rest = [add(a, mul(t, b)) if b else a for a, b in zip(rest, vec)]
-            solutions.append(sol[:width] + rest)
-        basis = solutions
+            cols += [ring._poly_mul(vec[0], th) for vec in basis]
+        # a kernel vector x, over the column index, extends to p_k = x[:width] followed by
+        # sum_j t_j basis[j], t = x[width:], one linear combination per block
+        basis = [[poly_from(x[:width]), *(ring._poly_lincomb(x[width:], block) for block in zip(*basis))]
+                 for x in _eliminate(cols, ring)[1].values()]
 
-    return [PBWElement(alg, {(k, k): Poly._raw(field, vec[k * width:(k + 1) * width])
-                             for k in range(max_xy + 1)})
-            for vec in basis]
+    return [PBWElement(alg, {(k, k): Poly._raw(field, p) for k, p in enumerate(vec)}) for vec in basis]
 
 
 # ---------------------------------------------------------------------------

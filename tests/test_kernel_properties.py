@@ -7,7 +7,9 @@ extension fields skip.  Element and polynomial arithmetic is checked against ora
 written here on the documented value formats: Fractions, int residues and
 trimmed u-coefficient tuples.  Division is checked through a = q*b + r with
 deg r < deg b, and, where sympy is installed, GF(p) products and division
-are checked against sympy.Poly(..., modulus=p).  The elimination kernel is
+are checked against sympy.Poly(..., modulus=p).  a + c h^d (_poly_add_term)
+is checked against _poly_from of the explicit coefficients over Q, GF(5),
+GF(7^2) and GF(2^11).  The elimination kernel is
 checked against generic_rref, the element-wise Gauss-Jordan of rref_oracle:
 rref over Q also against sympy's Matrix.rref on random rational matrices,
 and over GF(5), GF(7^2), GF(2^3), GF(3^3), GF(2^8), GF(4294967311) and
@@ -16,6 +18,7 @@ systems over Q and those finite fields.  The engine must also import and
 run with numpy blocked.
 """
 
+import math
 import os
 import random
 import subprocess
@@ -182,6 +185,58 @@ def test_poly_add_sub_scale(F, data):
     assert (a - b) + b == a and (a - a).is_zero
     assert values(a * c) == _trim(oracle_mul(F, v, c.value) for v in values(a))
     assert a * c == Poly(F, [c]) * a
+
+
+def _check_add_term(F, a, c, d):
+    """_poly_add_term(a, c, d) is the _poly_from of a's coefficients with c added at d, in value and hash."""
+    ring = F._ring
+    coeffs = list(a) + [ring.zero] * (d + 1 - len(a))
+    coeffs[d] = ring._add(coeffs[d], c)
+    got, expect = ring._poly_add_term(a, c, d), ring._poly_from(coeffs)
+    assert got == expect and hash(got) == hash(expect)
+    if F.is_rationals:
+        assert got.den > 0 and math.gcd(got.den, *got.nums) == 1
+
+
+ADD_TERM_FIELDS = [QQ, F5, F49, F2048]
+
+
+@pytest.mark.parametrize("F", ADD_TERM_FIELDS, ids=str)
+@SETTINGS
+@given(data=st.data())
+def test_poly_add_term_matches_poly_from(F, data):
+    ring = F._ring
+    a = data.draw(polys(F, max_len=6)).values
+    c = data.draw(elements(F)).value
+    cases = [(a, c, data.draw(st.integers(0, 8))), (a, ring.zero, data.draw(st.integers(0, 8))), (a, c, 0),
+             (a, c, len(a) + data.draw(st.integers(0, 3))), (ring._poly_from(()), c, data.draw(st.integers(0, 8)))]
+    if a:
+        cases += [(a, c, data.draw(st.integers(0, len(a) - 1))), (a, ring._neg(a[-1]), len(a) - 1)]
+    for a, c, d in cases:
+        _check_add_term(F, a, c, d)
+
+
+@pytest.mark.parametrize("F", ADD_TERM_FIELDS, ids=str)
+def test_poly_add_term_cases(F):
+    ring = F._ring
+    one, zero, neg = ring.one, ring.zero, ring._neg
+    a = ring._poly_from([one, zero, zero, one])
+    assert ring._poly_add_term(a, neg(one), 3) == ring._poly_from([one])  # the cancelled top trims past the zeros
+    assert ring._poly_add_term(ring._poly_from(()), one, 2) == ring._poly_from([zero, zero, one])
+    for c in (zero, one, neg(one)):
+        for d in range(6):  # d = 0, inside a, its top, and past it
+            _check_add_term(F, a, c, d)
+            _check_add_term(F, ring._poly_from(()), c, d)
+
+
+def test_poly_add_term_over_q_is_canonical():
+    ring = QQ._ring
+    for a in ([], [Fraction(1, 6), 0, Fraction(5, 4)], [Fraction(1, 2), 0, Fraction(1, 2)], [3, 0, 0, 0, 0, 7]):
+        a = ring._poly_from(a)
+        for c in (Fraction(-3, 6), Fraction(4, 6), Fraction(-1, 2), Fraction(0), Fraction(10, 5)):
+            for d in range(7):
+                _check_add_term(QQ, a, c, d)
+    assert ring._poly_add_term(ring._poly_from(()), Fraction(-3, 6), 2) == ring._poly_from([0, 0, Fraction(-1, 2)])
 
 
 @field_param

@@ -182,7 +182,7 @@ def test_bruteforce_simplicity_guards(monkeypatch):
     assert is_simple_bruteforce(rep) and is_simple_per_line(rep)
     monkeypatch.setattr(modules, "_projective_points", no_lines)
     monkeypatch.setattr(modules, "_KERNEL_VECTOR_BUDGET", 100)
-    with pytest.raises(SearchSpaceTooLarge, match="625 exceeds bound 100"):
+    with pytest.raises(SearchSpaceTooLarge, match="625 kernel vectors, more than the budget 100"):
         is_simple_bruteforce(rep)
     # C(0, 2) of H_2(h^2, h) over Q: ker x is one line and the dual spin of
     # e_0 stays in it, so no line of the kernel is spun on any field

@@ -206,21 +206,35 @@ def _center_elementwise(alg, max_xy, max_h):
     return basis
 
 
-_F49, _F8 = FieldSpec.extension(7, 2), FieldSpec.extension(2, 3)
+_F49, _F8, _F2048 = FieldSpec.extension(7, 2), FieldSpec.extension(2, 3), FieldSpec.extension(2, 11)
+_QS = {
+    QQ: [0, 1, -1, 2, QQ.element(1) / 3],
+    F5: [0, 1, 4, 2],
+    _F49: [0, 1, 6, _F49.generator],
+    _F8: [0, 1, _F8.generator, _F8.generator + 1],
+    _F2048: [0, 1, _F2048.generator, _F2048.generator + 1],
+}
 
 
-# per field: q = 0, q = 1, roots of unity of small order, and q of large or infinite order
-@pytest.mark.parametrize("field,qs", [
-    (QQ, [0, 1, -1, 2, QQ.element(1) / 3]),
-    (F5, [0, 1, 4, 2]),
-    (_F49, [0, 1, 6, _F49.generator]),
-    (_F8, [0, 1, _F8.generator, _F8.generator + 1]),
-], ids=["Q", "GF(5)", "GF(7^2)", "GF(2^3)"])
-def test_center_matches_elementwise_assembly(field, qs):
+# per field: q = 0, q = 1, roots of unity of small order, and q of large or infinite order; every
+# window with max_xy and max_h up to the given pair, max_xy = 0 and max_h = 0 among them.  GF(2^11)
+# is past the log tables, so its columns are built and reduced with packed products and Euclid inverses.
+@pytest.mark.parametrize("field,deg_f,window", [
+    (QQ, 2, (3, 6)),
+    (F5, 2, (3, 6)),
+    (_F49, 2, (3, 6)),
+    (_F8, 2, (3, 6)),
+    (QQ, 3, (3, 4)),
+    (F5, 3, (3, 4)),
+    (_F49, 3, (3, 4)),
+    (_F2048, 2, (2, 3)),
+    (_F2048, 3, (2, 3)),
+], ids=["Q", "GF(5)", "GF(7^2)", "GF(2^3)", "Q-deg3", "GF(5)-deg3", "GF(7^2)-deg3", "GF(2^11)", "GF(2^11)-deg3"])
+def test_center_matches_elementwise_assembly(field, deg_f, window):
     rng = random.Random(str(field))
-    for q in qs:
+    for q in _QS[field]:
         for g_kind in ("generic", "conformal", "zero"):
-            f = Poly(field, [field.random_element(rng), field.random_element(rng), field.one])
+            f = Poly(field, [field.random_element(rng) for _ in range(deg_f)] + [field.one])
             if g_kind == "conformal":
                 a = Poly(field, [field.random_element(rng), field.one])
                 g = a.compose(f) - a * field.element(q)
@@ -229,9 +243,8 @@ def test_center_matches_elementwise_assembly(field, qs):
             else:
                 g = Poly.zero(field)
             alg = AlgebraSpec(field, field.element(q), f, g)
-            # every window with max_xy <= 3 and max_h <= 6, max_xy = 0 and max_h = 0 among them
-            for max_xy in range(4):
-                for max_h in range(7):
+            for max_xy in range(window[0] + 1):
+                for max_h in range(window[1] + 1):
                     expect = [b.render() for b in _center_elementwise(alg, max_xy, max_h)]
                     assert [b.render() for b in center_basis_truncated(alg, max_xy, max_h)] == expect
 
