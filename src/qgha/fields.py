@@ -36,15 +36,13 @@ offset by half its range, so signed slots read back one by one.
 Element products and inverses in GF(p^k) with at most _LOG_TABLE_ORDER
 elements are lookups in discrete log and antilog tables (Lidl and
 Niederreiter, Finite Fields) that each ring builds once, with the raw format
-unchanged; larger fields pay one packed product, or one extended Euclid in
-GF(p)[u] (_Ring._poly_euclid).  The same Euclid and one Frobenius chain of
-p-th powers mod f (_power) decide irreducibility by Rabin's test, which
+unchanged.  Larger fields pay one packed product, folded by the same table
+as a polynomial product, or one extended Euclid in GF(p)[u]
+(_Ring._poly_euclid).  The same Euclid and one Frobenius chain of p-th
+powers mod f (_power) decide irreducibility by Rabin's test, which
 find_irreducible runs on the candidates for a GF(p^k) modulus in order.
-The fields with log tables also pack and read polynomial products by table:
-a factor is one join of its coefficients' slot blocks, and each folded
-block of the product, reduced mod p, is one lookup.  Both tables gain an
-entry the first time a product meets an element, so building a field costs
-no more than before; larger fields flatten and read the digits one by one.
+The fields with log tables also pack and read polynomial products by
+lookup tables that fill as products meet elements (see _ExtensionRing).
 """
 
 from __future__ import annotations
@@ -454,8 +452,8 @@ class _PrimeRing(_Ring):
 
 
 # GF(p^k) with at most this many elements multiplies and inverts by table
-# lookup.  Building the tables costs p^k packed products: 0.65 ms for GF(7^2),
-# 2.4 ms for GF(2^8) and 9.3 ms for GF(2^10), but 65 ms for GF(2^12) (2-core
+# lookup.  Building the tables costs p^k packed products: 0.25 ms for GF(7^2),
+# 1.3 ms for GF(2^8) and 4.4 ms for GF(2^10), but 19 ms for GF(2^12) (2-core
 # Xeon, Python 3.11.7).
 _LOG_TABLE_ORDER = 1 << 10
 
@@ -466,11 +464,13 @@ class _ExtensionRing(_Ring):
     Up to _LOG_TABLE_ORDER elements, products and inverses are lookups in
     log and antilog tables of the first primitive element g in sort_key
     order: exp[e] = g^e and log[g^e] = e, so a b = exp[log a + log b] and
-    1/a = exp[n - log a] for n = p^k - 1.  Past it, a product is one packed
-    product (_packed_mul) and an inverse is the extended Euclid of the GF(p)
-    ring self.base (_euclid_inv); the tables are built with the packed
-    product.  Fields with log tables also pack and read polynomial products
-    through two lookup tables, filled as elements appear (_blocks, _reads).
+    1/a = exp[n - log a] for n = p^k - 1.  Past it, and to build the tables,
+    a product is one packed product (_packed_mul) and an inverse is the
+    extended Euclid of the GF(p) ring self.base (_euclid_inv).  Element and
+    polynomial products reduce mod the modulus by one fold (_folded).  With
+    log tables, a polynomial factor packs by one join of its coefficients'
+    slot blocks (_blocks) and each folded block, reduced mod p, reads back
+    as one lookup (_reads); without them, digits pack and read one by one.
     """
 
     zero, one = (), (1,)
@@ -481,14 +481,10 @@ class _ExtensionRing(_Ring):
         k = self.k
         # u^(k+e) mod modulus for 0 <= e <= k-2
         self.table = [self.base._poly_divmod([0] * (k + e) + [1], self.modulus)[1] for e in range(k - 1)]
-        # An element product is folded by one more product, with the matrix
-        # [I | table] whose column i is packed backwards from slot i*(4k-3):
-        # slot i*(4k-3) + 2k-2 of the result then holds coefficient i.
-        powers = [[int(i == d) for i in range(k)] for d in range(k)]
-        powers += [list(r) + [0] * (k - len(r)) for r in self.table]  # u^d mod modulus, d < 2k-1
-        fold = [powers[2 * k - 2 - j][i] if j < 2 * k - 1 else 0 for i in range(k) for j in range(4 * k - 3)]
-        self.elem_width = _width((2 * k - 1) * k * (p - 1) ** 3)
-        self.fold = _pack(fold, self.elem_width)
+        # a folded slot of one pair of terms sums k digit products, then k-1 table terms of each
+        self.slot_bound = k * (p - 1) ** 2 * (1 + (k - 1) * (p - 1))
+        self.elem_width = _width(self.slot_bound)
+        self._folds = _Memo(partial(self._fold_data, k=k, table=self.table))  # by slot width: few widths occur
         self._exp, self._log = self._log_tables() if p ** k <= _LOG_TABLE_ORDER else (None, None)
         if self._log is not None:
             # for _kronecker, filled as elements appear, so each holds at most p^k entries:
@@ -556,48 +552,52 @@ class _ExtensionRing(_Ring):
         return exp * 2, {v: e for e, v in enumerate(exp)}
 
     def _packed_mul(self, a, b):
-        """a b by one packed product of the two elements and the fold matrix (see __init__)."""
-        k, w = self.k, self.elem_width
-        slots = _unpack(_pack(a, w) * _pack(b, w) * self.fold, w, k * (4 * k - 3))
-        return tuple(_trimmed(x % self.p for x in slots[2 * k - 2::4 * k - 3]))
+        """a b by one packed product of the two elements, folded as one block (_folded)."""
+        w = self.elem_width
+        slots = self._folded(_pack(a, w) * _pack(b, w), w, 1)
+        return tuple(_trimmed([x % self.p for x in slots[:self.k]]))
 
     def _euclid_inv(self, a):
         """1/a by the GF(p) ring's _poly_euclid: the modulus is irreducible, so r is a nonzero constant."""
         r, s = self.base._poly_euclid(self.modulus, a)
         return self.base._poly_scale(s, self.base._inv(r[0]))
 
-    def _kronecker(self, a: Sequence, b: Sequence) -> tuple:
-        """Each coefficient gets a block of 2k-1 slots, one per power of u.
-
-        Slot k+e of every block of the product is shifted down to slot 0,
-        masked, and multiplied by the packed u^(k+e) mod modulus, which adds
-        it into the block's low k slots; all blocks fold at once.  With log
-        tables, each factor packs by one join of its coefficients' blocks
-        (_blocks) and each folded block, reduced mod p, reads back as one
-        lookup (_reads); without them, the digits are flattened and the k
-        low slots of each block read back one by one.
-        """
-        k, p = self.k, self.p
-        stride, n = 2 * k - 1, len(a) + len(b) - 1
-        # per pair of terms a slot sums k residue products, then k-1 table terms of each
-        width = _width(min(len(a), len(b)) * k * (p - 1) ** 2 * (1 + (k - 1) * (p - 1)))
-        if self._log is not None:
-            blocks = self._blocks[width]
-            x, y = (int.from_bytes(b"".join(map(blocks.__getitem__, poly)), "little") for poly in (a, b))
-        else:
-            x, y = (_pack([d for v in poly for d in v + (0,) * (stride - len(v))], width) for poly in (a, b))
-        prod = x * y
+    @staticmethod
+    def _fold_data(width: int, k: int, table: list) -> tuple:
+        """_folded's masks of a block's low k slots and of slot 0, as bytes and ints, and (shift, packed row)s."""
         pad = bytes(width * (k - 1))
-        folded = prod & int.from_bytes((b"\xff" * (width * k) + pad) * n, "little")
-        first = int.from_bytes((b"\xff" * width + pad + pad) * n, "little")
-        for e, row in enumerate(self.table):
-            folded += (prod >> (8 * width * (k + e)) & first) * _pack(row, width)
-        slots = _unpack(folded, width, n * stride)
-        if self._log is not None:
-            residues = [v % p for v in slots]
-            return tuple(map(self._reads.__getitem__, zip(*[iter(residues)] * stride)))
-        cols = [[v % p for v in slots[i::stride]] for i in range(k)]
-        return tuple([c if c[-1] else tuple(_trimmed(c)) for c in zip(*cols)])
+        low, first = b"\xff" * (width * k) + pad, b"\xff" * width + pad + pad
+        rows = [(8 * width * d, _pack(row, width)) for d, row in enumerate(table, k)]
+        return low, first, int.from_bytes(low, "little"), int.from_bytes(first, "little"), rows
+
+    def _folded(self, prod: int, width: int, n: int) -> list[int]:
+        """The slots of prod's n blocks of 2k-1 slots, each folded to its residue mod the modulus.
+
+        Slot k+e of every block is shifted to slot 0, masked and multiplied by
+        the packed u^(k+e) mod modulus, adding it into the low k slots, which
+        then hold the residue's digits, not reduced mod p; the rest come back 0.
+        """
+        low, first, low_int, first_int, rows = self._folds[width]
+        if n > 1:
+            low_int, first_int = int.from_bytes(low * n, "little"), int.from_bytes(first * n, "little")
+        folded = prod & low_int
+        for shift, row in rows:
+            folded += (prod >> shift & first_int) * row
+        return _unpack(folded, width, n * (2 * self.k - 1))
+
+    def _kronecker(self, a: Sequence, b: Sequence) -> tuple:
+        """a b with a block of 2k-1 slots, one per power of u, per coefficient; the product's blocks fold."""
+        p, stride, n = self.p, 2 * self.k - 1, len(a) + len(b) - 1
+        width = _width(min(len(a), len(b)) * self.slot_bound)
+        if self._log is None:
+            x, y = (_pack([d for v in poly for d in v + (0,) * (stride - len(v))], width) for poly in (a, b))
+            slots = self._folded(x * y, width, n)
+            cols = [[v % p for v in slots[i::stride]] for i in range(self.k)]
+            return tuple([c if c[-1] else tuple(_trimmed(c)) for c in zip(*cols)])
+        blocks = self._blocks[width]
+        x, y = (int.from_bytes(b"".join(map(blocks.__getitem__, poly)), "little") for poly in (a, b))
+        residues = [v % p for v in self._folded(x * y, width, n)]
+        return tuple(map(self._reads.__getitem__, zip(*[iter(residues)] * stride)))
 
 
 # Rabin's test in degree k over GF(p) makes k Frobenius steps of about

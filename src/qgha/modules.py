@@ -268,8 +268,8 @@ def is_simple_bruteforce(rep: MatrixRep) -> bool:
     _KERNEL_VECTOR_BUDGET, k = dim N >= 2; such an N needs a finite field.
     """
     field, n = rep.field, rep.dim
-    if n == 1:
-        return True
+    if n <= 1:
+        return n == 1  # a simple module is nonzero
     ring = field._ring
     zero, one, add, mul = ring.zero, ring.one, ring._add, ring._mul
     h = rep.h.rows
@@ -397,6 +397,8 @@ def iso_bruteforce(r1: MatrixRep, r2: MatrixRep) -> bool:
     if r1.dim != r2.dim:
         return False
     field, n = r1.field, r1.dim
+    if n == 0:
+        return True  # the empty matrix is an invertible intertwiner
     cells = 3 * n ** 4
     if cells > _MATRIX_CELL_BUDGET:
         raise SearchSpaceTooLarge(f"the intertwiner system of two {n}-dimensional modules takes {cells} cells, "

@@ -199,9 +199,11 @@ def _schoolbook_mod(a, b, modulus, p):
     return tuple(prod)
 
 
-@pytest.mark.parametrize("p,k,count", [(1009, 2, 2000), (251, 3, 500), (3, 7, 500), (2, 11, 500)])
+@pytest.mark.parametrize("p,k,count", [(1009, 2, 2000), (251, 3, 500), (3, 7, 500), (2, 11, 500),
+                                       (7, 10, 500), (3, 13, 500), (101, 4, 500)])
 def test_packed_product_and_euclid_past_the_bound_match_schoolbook(p, k, count):
-    # these fields have no tables; with k >= 3 Euclid takes several division steps
+    # these fields have no tables; with k >= 3 Euclid takes several division steps,
+    # and the last three fold many table rows into wide slots
     F = FieldSpec.extension(p, k)
     ring = F._ring
     assert ring._log is None
@@ -212,6 +214,24 @@ def test_packed_product_and_euclid_past_the_bound_match_schoolbook(p, k, count):
         if a:
             inv = ring._inv(a)
             assert _schoolbook_mod(a, inv, F.modulus, p) == ring._packed_mul(a, inv) == (1,)
+
+
+@pytest.mark.parametrize("p,k", [(7, 2), (2, 11)])
+def test_fold_memo_holds_one_entry_per_slot_width(p, k):
+    # products of 1 to 200 terms take a few slot widths; the fold's masks and rows are kept by width alone
+    F = FieldSpec.extension(p, k)
+    ring, widths, folded = F._ring, set(), F._ring._folded
+
+    def spy(prod, width, n):
+        widths.add(width)
+        return folded(prod, width, n)
+
+    ring._folded = spy  # this ring is the test's own
+    rng = random.Random(k)
+    for n in range(1, 201):
+        a, b = ([F.random_element(rng).value for _ in range(n - 1)] + [ring.one] for _ in "ab")
+        assert len(ring._poly_mul(a, b)) == 2 * n - 1
+    assert len(widths) <= 3 and sorted(ring._folds) == sorted(widths | {ring.elem_width})
 
 
 def test_irreducibility_past_the_rabin_budget_is_refused_before_any_division(monkeypatch):

@@ -489,6 +489,15 @@ def test_iso_bruteforce_line_budget_counts_lines(monkeypatch):
     assert not iso_bruteforce(r1, r2)
 
 
+@pytest.mark.parametrize("field", [F5, QQ], ids=str)
+def test_zero_module_is_isomorphic_to_itself_and_not_simple(field):
+    # the empty matrix intertwines the zero module with itself and is invertible
+    z = Matrix(field, [])
+    r = MatrixRep(field, 0, z, z, z)
+    assert iso_bruteforce(r, r)
+    assert not is_simple_bruteforce(r)
+
+
 def test_bruteforce_budgets_keep_their_values():
     assert modules._KERNEL_VECTOR_BUDGET == 10 ** 6
     assert modules._INTERTWINER_LINE_BUDGET == 10 ** 4
