@@ -5,6 +5,9 @@ human-readable summary or, with --json, a stable JSON document matching
 the schemas shipped under qgha/schemas.  Exit codes: 0 on success (a
 negative mathematical verdict is still success), 1 for semantic errors
 raised by the library, 2 for usage and parse errors.
+
+A --json document is byte for byte what json.dumps(document, indent=2)
+writes; a module document is written straight from its bands (_bands).
 """
 
 from __future__ import annotations
@@ -14,14 +17,15 @@ import functools
 import os
 import sys
 from json.encoder import encode_basestring_ascii as _quote
+from typing import NamedTuple
 
 from .algebra import AlgebraSpec, PBWElement, theta
 from .errors import PolyParseError, QghaError
 from .fields import FieldElement
 from .linalg import Matrix
 from .modules import (
-    MatrixRep,
     ModuleSpec,
+    _bands,
     build_matrix_rep,
     enumerate_c_extensions,
     enumerate_simples,
@@ -151,14 +155,26 @@ def _element_payload(e: PBWElement) -> dict:
 class _Texts(dict):
     """Raw value -> str of its element of one field, each rendered once, with str(field) as name."""
 
-    __slots__ = ("field", "name")
+    __slots__ = ("field", "name", "rows")
 
     def __init__(self, field):
         super().__init__()
-        self.field, self.name = field, str(field)
+        self.field, self.name, self.rows = field, str(field), {}
 
     def __missing__(self, v):
         text = self[v] = str(FieldElement(self.field, v))
+        return text
+
+    def row(self, n: int, j: int, v, nl: str) -> str:
+        """The indent-2 JSON of the n-cell row with v in column j (zeros when v is None) at nl, once per key."""
+        key = (n, j, v, nl)
+        text = self.rows.get(key)
+        if text is None:
+            inner = nl + "  "
+            cells = [_quote(self[self.field._ring.zero])] * n
+            if v is not None:
+                cells[j] = _quote(self[v])
+            text = self.rows[key] = "[" + inner + ("," + inner).join(cells) + nl + "]"
         return text
 
 
@@ -166,30 +182,40 @@ def _matrix_payload(m: Matrix, texts: _Texts) -> list[list[str]]:
     return [list(map(texts.__getitem__, row)) for row in m.rows]
 
 
-def _module_payload(texts: _Texts, spec: ModuleSpec, rep: MatrixRep) -> dict:
-    doc: dict = {"family": spec.family, "dim": spec.dim, "field": texts.name}
-    if spec.family in ("A", "B"):
-        doc["lambda"] = {
-            "period": spec.orbit.period,
-            "values": [texts[v.value] for v in spec.orbit.values],
-        }
-        doc["mu"] = {"anchor": texts[spec.mu.anchor.value], "period": spec.mu.period}
-        doc["gamma"] = texts[spec.gamma.value]
-    else:
-        doc["alpha"] = texts[spec.alpha.value]
-    doc["matrices"] = {
-        "X": _matrix_payload(rep.x, texts),
-        "Y": _matrix_payload(rep.y, texts),
-        "H": _matrix_payload(rep.h, texts),
-    }
-    return doc
+class _ModuleDoc(NamedTuple):
+    """A module document, which _dump writes straight from the raw entries of modules._bands."""
+
+    texts: _Texts
+    spec: ModuleSpec
+    bands: tuple
+
+    def write(self, nl: str, out: list[str]):
+        """Append what json.dumps of the module's document writes, indented as nl says."""
+        t, spec, (lam, x_band, x_corner, y_band, y_corner) = self
+        n = spec.dim
+        i1, i2, i3 = nl + "  ", nl + "    ", nl + "      "
+        out.append(f'{{{i1}"family": {_quote(spec.family)},{i1}"dim": {n},{i1}"field": {_quote(t.name)}')
+        if spec.family == "C":
+            out.append(f',{i1}"alpha": {_quote(t[spec.alpha.value])}')
+        else:
+            orbit, mu = spec.orbit, spec.mu
+            values = ("," + i3).join(_quote(t[v.value]) for v in orbit.values)
+            out.append(f',{i1}"lambda": {{{i2}"period": {orbit.period},{i2}"values": [{i3}{values}{i2}]{i1}}}'
+                       f',{i1}"mu": {{{i2}"anchor": {_quote(t[mu.anchor.value])},{i2}"period": {mu.period}{i1}}}'
+                       f',{i1}"gamma": {_quote(t[spec.gamma.value])}')
+        x = [t.row(n, n - 1, x_corner, i3)] + [t.row(n, j, v, i3) for j, v in enumerate(x_band)]
+        y = [t.row(n, j + 1, v, i3) for j, v in enumerate(y_band)] + [t.row(n, 0, y_corner, i3)]
+        h = [t.row(n, j, v, i3) for j, v in enumerate(lam)]
+        sep = "," + i3
+        out.append(f',{i1}"matrices": {{{i2}"X": [{i3}{sep.join(x)}{i2}],{i2}"Y": [{i3}{sep.join(y)}{i2}]'
+                   f',{i2}"H": [{i3}{sep.join(h)}{i2}]{i1}}}{nl}}}')
 
 
 def _dumps(doc) -> str:
-    """json.dumps(doc, indent=2) for dicts with str keys, lists, str, int, bool and None.
+    """json.dumps(doc, indent=2) for dicts with str keys, lists, str, int, bool, None and _ModuleDoc.
 
     With indent, json runs its pure-Python encoder; this writes the same
-    text with one join per list of strings.
+    text with one join per list of strings, and a _ModuleDoc as its document.
     """
     out: list[str] = []
     _dump(doc, "\n", out)
@@ -198,7 +224,9 @@ def _dumps(doc) -> str:
 
 def _dump(o, nl: str, out: list[str]):
     """Append the indent-2 JSON of o, which starts on a line indented as nl says."""
-    if isinstance(o, dict):
+    if type(o) is _ModuleDoc:
+        o.write(nl, out)
+    elif isinstance(o, dict):
         if not o:
             out.append("{}")
             return
@@ -388,9 +416,9 @@ def _run_nu(alg, args):
 
 def _run_build_module(alg, args):
     spec = _module_from_args(alg, args)
-    rep = build_matrix_rep(alg, spec)
     if args.json:
-        return _module_payload(_Texts(alg.field), spec, rep)
+        return _ModuleDoc(_Texts(alg.field), spec, _bands(alg, spec))
+    rep = build_matrix_rep(alg, spec)
     return [spec.describe(), "X:", str(rep.x), "Y:", str(rep.y), "H:", str(rep.h)]
 
 
@@ -449,12 +477,10 @@ def _run_enumerate(alg, args):
         payload = {
             "dim": args.dim,
             "count": len(specs),
-            "modules": [_module_payload(texts(alg.field), s, build_matrix_rep(alg, s)) for s in specs],
+            "modules": [_ModuleDoc(texts(alg.field), s, _bands(alg, s)) for s in specs],
         }
         if extras is not None:
-            payload["extensions"] = [
-                _module_payload(texts(ext_alg.field), s, build_matrix_rep(ext_alg, s)) for ext_alg, s in extras
-            ]
+            payload["extensions"] = [_ModuleDoc(texts(ext_alg.field), s, _bands(ext_alg, s)) for ext_alg, s in extras]
         return payload
     lines = [f"{len(specs)} simple module(s) of dimension {args.dim}:"]
     lines += [f"  {s.describe()}" for s in specs]

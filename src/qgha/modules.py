@@ -20,7 +20,8 @@ Enumeration over a finite field makes one pass over it: f and g are
 tabulated at every point on raw values (spectra._PointTable), and the
 lambda-orbits and the classes of mu-anchors are cycles of one walk
 (spectra._cycles); the mu-windows and family-C nu-tests are read from the
-tables.  build_matrix_rep builds its rows from raw recurrences as well.
+tables.  _bands reads a module's matrix entries from raw recurrences as
+well; build_matrix_rep and the CLI's JSON writer both build from them.
 
 The brute-force oracles check the structural answers on the matrices.
 is_simple_bruteforce is Norton's irreducibility test: one dual spin and
@@ -56,10 +57,10 @@ from .spectra import (
 )
 
 # enumerate_simples refuses to list more modules than this; a ModuleSpec takes
-# about 150 bytes before the CLI builds and prints its matrices
+# about 150 bytes before the CLI prints its matrices
 _ENUMERATE_BUDGET = 1 << 20
-# build_matrix_rep refuses a module whose three dense n x n matrices hold more
-# cells than this, is_simple_bruteforce one whose candidate kernels would, and
+# _bands refuses a module whose three n x n matrices hold more cells than
+# this, is_simple_bruteforce one whose candidate kernels would, and
 # iso_bruteforce a pair whose intertwiner system would; each cell is an 8-byte
 # slot, so 128 MB at the budget
 _MATRIX_CELL_BUDGET = 1 << 24
@@ -156,16 +157,17 @@ class MatrixRep:
     h: Matrix
 
 
-def build_matrix_rep(alg: AlgebraSpec, spec: ModuleSpec) -> MatrixRep:
-    """Matrices of the module described by spec; basis vector j is column j.
+def _bands(alg: AlgebraSpec, spec: ModuleSpec) -> tuple:
+    """The raw entries of the module's matrices: (lam, x_band, x_corner, y_band, y_corner).
 
-    x has a band below the diagonal and y one above it, each closed by a
-    corner entry in families A and B; h is diagonal.  After spec.validate,
+    h is diag(lam); x carries x_band below the diagonal and x_corner in row
+    0, column n - 1, and y carries y_band above the diagonal and y_corner in
+    row n - 1, column 0; a corner is None in family C.  After spec.validate,
     everything runs on raw values: the mu-values come from their recurrence,
-    family C takes its nu-values and h-eigenvalues from the nu table that
-    validate returns, and the rows are built from raw values, so no entry is
-    coerced on its own.  Past _MATRIX_CELL_BUDGET cells SearchSpaceTooLarge
-    is raised before the spec is validated.
+    and family C takes its nu-values and h-eigenvalues from the nu table
+    that validate returns, so no entry is coerced on its own.  Past
+    _MATRIX_CELL_BUDGET cells SearchSpaceTooLarge is raised before the spec
+    is validated.
     """
     n = spec.dim
     if n is not None and 3 * n * n > _MATRIX_CELL_BUDGET:
@@ -173,24 +175,23 @@ def build_matrix_rep(alg: AlgebraSpec, spec: ModuleSpec) -> MatrixRep:
             f"the matrices of a {n}-dimensional module take {3 * n * n} cells, "
             f"past the budget of {_MATRIX_CELL_BUDGET}")
     nu = spec.validate(alg)
-    field = alg.field
-    ring = field._ring
+    ring = alg.field._ring
     ones = [ring.one] * (n - 1)
     if spec.family == "C":
-        lam = [v.value for v in nu.points]
-        x_band, x_corner = ones, None
-        y_band, y_corner = [v.value for v in nu.values[1:n]], None
-    else:
-        mu = spec.mu._raw_values(n + 1)
-        lam = [v.value for v in spec.orbit.values] * spec.mu.period  # n = l m
-        gamma = spec.gamma.value
-        if spec.family == "A":
-            x_band, x_corner = ones, gamma
-            y_band, y_corner = mu[1:n], ring._mul(mu[0], ring._inv(gamma))
-        else:
-            x_band, x_corner = mu[1:n], ring._mul(gamma, mu[n])
-            y_band, y_corner = ones, ring._inv(gamma)
-    zeros = (ring.zero,) * n
+        return [v.value for v in nu.points], ones, None, [v.value for v in nu.values[1:n]], None
+    mu = spec.mu._raw_values(n + 1)
+    lam = [v.value for v in spec.orbit.values] * spec.mu.period  # n = l m
+    gamma = spec.gamma.value
+    if spec.family == "A":
+        return lam, ones, gamma, mu[1:n], ring._mul(mu[0], ring._inv(gamma))
+    return lam, mu[1:n], ring._mul(gamma, mu[n]), ones, ring._inv(gamma)
+
+
+def build_matrix_rep(alg: AlgebraSpec, spec: ModuleSpec) -> MatrixRep:
+    """Matrices of the module described by spec; basis vector j is column j, entries from _bands."""
+    lam, x_band, x_corner, y_band, y_corner = _bands(alg, spec)
+    field, n = alg.field, spec.dim
+    zeros = (field._ring.zero,) * n
 
     def row(j, v):
         """The row with v in column j, or the zero row when v is None."""

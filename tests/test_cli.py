@@ -22,7 +22,8 @@ import qgha
 from qgha import cli
 from qgha.cli import main
 from qgha.errors import DigitLimitExceeded
-from qgha.fields import FieldSpec
+from qgha.fields import FieldElement, FieldSpec
+from qgha.modules import build_matrix_rep, enumerate_simples
 
 
 def _load_schemas():
@@ -483,7 +484,7 @@ def _run_fresh_parser(argv):
         args = cli.build_parser().parse_args(argv)
         out = cli._HANDLERS[args.verb](cli._build_algebra(args), args)
         if args.json:
-            print(json.dumps(out, indent=2))
+            print(cli._dumps(out))
         else:
             for line in out:
                 print(line)
@@ -810,11 +811,17 @@ def _handler_output(argv):
 
 @pytest.mark.parametrize("fixture", ["q_cli.json", "ff_center_cli.json", "ext_cli.json"])
 def test_json_writer_matches_json_dumps_on_fixture_payloads(fixture):
+    """Module documents against json.dumps of their parsed text; every other payload as it stands."""
     cases = json.loads((Path(__file__).parent / "fixtures" / fixture).read_text())
-    payloads = [_handler_output(case["argv"]) for case in cases if "--json" in case["argv"] and case["code"] == 0]
-    assert payloads
-    for payload in payloads:
-        assert cli._dumps(payload) == json.dumps(payload, indent=2)
+    argvs = [case["argv"] for case in cases if "--json" in case["argv"] and case["code"] == 0]
+    assert argvs
+    for argv in argvs:
+        payload = _handler_output(argv)
+        text = cli._dumps(payload)
+        if argv[0] in ("enumerate", "build-module"):  # module documents are written from their bands
+            assert text == json.dumps(json.loads(text), indent=2)
+        else:
+            assert text == json.dumps(payload, indent=2)
 
 
 def _random_document(rng, depth=0):
@@ -847,6 +854,36 @@ def test_json_writer_matches_json_dumps_on_random_documents():
         assert cli._dumps(doc) == json.dumps(doc, indent=2)
 
 
+@pytest.mark.parametrize("field, qs", [("GF(5)", ("2", "4")), ("GF(7)", ("3", "6")), ("GF(2^2)", ("u", "1"))])
+def test_module_documents_match_the_dense_matrices(capsys, field, qs):
+    """build-module --json writes the rows of build_matrix_rep, each entry as str(FieldElement)."""
+    seen = set()
+    for q, f, g in [(q, f, g) for q in qs for f in ("h^2", "h^3") for g in ("h", "h^2 + 1")]:
+        algebra = ["--field", field, "--q", q, "--f", f, "--g", g]
+        alg = cli._build_algebra(cli._parser().parse_args(["theta", *algebra, "--k", "0"]))
+        for n in range(1, 5):
+            for spec in enumerate_simples(alg, n):
+                if spec.family == "C":
+                    flags = ["--alpha", str(spec.alpha), "--dim", str(n)]
+                else:
+                    flags = ["--alpha", str(spec.orbit.values[0]), "--beta", str(spec.mu.anchor),
+                             "--gamma", str(spec.gamma)]
+                doc = run_json(capsys, "build-module", *algebra, "--family", spec.family, *flags)
+                rep = build_matrix_rep(alg, spec)
+                dense = {name: [[str(FieldElement(alg.field, v)) for v in row] for row in m.rows]
+                         for name, m in (("X", rep.x), ("Y", rep.y), ("H", rep.h))}
+                assert (doc["family"], doc["dim"], doc["matrices"]) == (spec.family, n, dense), spec.describe()
+                seen.add((spec.family, n > 1))
+    assert seen == {(family, big) for family in "ABC" for big in (False, True)}
+
+
+def test_enumerate_json_with_empty_lists_is_what_json_dumps_prints(capsys):
+    code, text, _ = run_cli(capsys, "enumerate", *BASE, "--dim", "3", "--ext-bound", "2", "--json")
+    doc = json.loads(text)
+    assert (code, doc["count"], doc["modules"], doc["extensions"]) == (0, 0, [], [])
+    assert text == json.dumps(doc, indent=2) + "\n"
+
+
 def _count_calls(monkeypatch, owner, name):
     calls = []
     real = getattr(owner, name)
@@ -861,14 +898,14 @@ def _count_calls(monkeypatch, owner, name):
 
 def test_enumerate_builds_only_the_output_it_prints(capsys, monkeypatch):
     argv = ["enumerate", "--field", "GF(5)", "--q", "2", "--f", "h^3", "--g", "h", "--dim", "4", "--ext-bound", "2"]
-    payloads = _count_calls(monkeypatch, cli, "_module_payload")
+    bands = _count_calls(monkeypatch, cli, "_bands")
     reps = _count_calls(monkeypatch, cli, "build_matrix_rep")
     entries = _count_calls(monkeypatch, cli.Matrix, "__getitem__")
     describes = _count_calls(monkeypatch, cli.ModuleSpec, "describe")
     code, text, _ = run_cli(capsys, *argv)
-    assert code == 0 and (len(payloads), len(reps), len(entries)) == (0, 0, 0)
+    assert code == 0 and (len(bands), len(reps), len(entries)) == (0, 0, 0)
     assert len(describes) == len(text.splitlines()) - 2 > 0
     del describes[:]
     payload = run_json(capsys, *argv, "--json")
-    assert (len(describes), len(entries)) == (0, 0)
-    assert len(payloads) == len(reps) == len(payload["modules"]) + len(payload["extensions"]) > 0
+    assert (len(describes), len(entries), len(reps)) == (0, 0, 0)
+    assert len(bands) == len(payload["modules"]) + len(payload["extensions"]) > 0
